@@ -82,11 +82,10 @@ class PmcTester {
   std::vector<int> members_;
 };
 
-// Thresholds below which the parallel paths fall back to serial: a
-// fork-join plus per-worker scratch costs tens of microseconds, which
-// dwarfs the real work on tiny prefix graphs / candidate spaces. Both
-// paths produce the same sets, so the cutover is unobservable in results.
-constexpr int kMinParallelVertices = 20;
+// Candidate spaces below which the parallel extension step falls back to
+// serial, for the same fork-join cost reason as kMinParallelVertices (the
+// prefix-graph cutoff, shared with ListMinimalSeparators). Both paths
+// produce the same sets, so the cutover is unobservable in results.
 constexpr size_t kMinParallelItems = 64;
 
 // State of the vertex-incremental enumeration, over the relabeled graph
@@ -116,7 +115,9 @@ class IncrementalEnumerator {
       EnumerationLimits sep_limits;
       sep_limits.time_limit_seconds = deadline_.RemainingSeconds();
       // Tiny prefix graphs finish in microseconds; below the threshold the
-      // fork-join would cost more than the enumeration itself.
+      // fork-join would cost more than the enumeration itself. Passing one
+      // thread (rather than leaving the cutoff to ListMinimalSeparators)
+      // also skips the canonical sort a multi-threaded call promises.
       sep_limits.num_threads =
           i + 1 >= kMinParallelVertices ? options_.limits.num_threads : 1;
       MinimalSeparatorsResult seps = ListMinimalSeparators(next, sep_limits);

@@ -1,5 +1,7 @@
 #include "separators/minimal_separators.h"
 
+#include <algorithm>
+
 #include "parallel/parallel_separators.h"
 
 namespace mintri {
@@ -77,11 +79,8 @@ std::optional<VertexSet> MinimalSeparatorEnumerator::Next() {
 
 namespace {
 
-MinimalSeparatorsResult ListImpl(const Graph& g, int max_size,
-                                 const EnumerationLimits& limits) {
-  if (limits.num_threads > 1) {
-    return parallel::ListMinimalSeparatorsParallel(g, max_size, limits);
-  }
+MinimalSeparatorsResult ListSerial(const Graph& g, int max_size,
+                                   const EnumerationLimits& limits) {
   Deadline deadline(limits.time_limit_seconds);
   MinimalSeparatorsResult result;
   MinimalSeparatorEnumerator enumerator(g, max_size, &deadline);
@@ -106,6 +105,21 @@ MinimalSeparatorsResult ListImpl(const Graph& g, int max_size,
   }
   result.status = enumerator.Truncated() ? EnumerationStatus::kTruncated
                                          : EnumerationStatus::kComplete;
+  return result;
+}
+
+MinimalSeparatorsResult ListImpl(const Graph& g, int max_size,
+                                 const EnumerationLimits& limits) {
+  if (limits.num_threads <= 1) return ListSerial(g, max_size, limits);
+  if (g.NumVertices() >= kMinParallelVertices) {
+    return parallel::ListMinimalSeparatorsParallel(g, max_size, limits);
+  }
+  // Below the cutoff the serial engine runs, in the canonical order a
+  // complete multi-threaded result promises.
+  MinimalSeparatorsResult result = ListSerial(g, max_size, limits);
+  if (result.status == EnumerationStatus::kComplete) {
+    std::sort(result.separators.begin(), result.separators.end());
+  }
   return result;
 }
 

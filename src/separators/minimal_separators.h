@@ -22,13 +22,19 @@ struct EnumerationLimits {
   /// Worker threads for the batch enumerations. 1 (the default) runs the
   /// serial engines unchanged; > 1 routes ListMinimalSeparators /
   /// ListMinimalSeparatorsBounded / ListPotentialMaximalCliques through the
-  /// src/parallel/ work-stealing engines. Complete results are identical to
-  /// the serial answer sets (and returned in canonical sorted order);
-  /// truncated results are valid prefixes, but *which* prefix depends on
-  /// thread interleaving. The streaming MinimalSeparatorEnumerator below is
-  /// always single-threaded.
+  /// src/parallel/ work-stealing engines (graphs below kMinParallelVertices
+  /// stay serial). Complete results are identical to the serial answer sets
+  /// (and returned in canonical sorted order); truncated results are valid
+  /// prefixes, but *which* prefix depends on thread interleaving. The
+  /// streaming MinimalSeparatorEnumerator below is always single-threaded.
   int num_threads = 1;
 };
+
+/// Graphs with fewer vertices run the serial engines even when num_threads
+/// > 1: a fork-join plus per-worker scratch costs tens of microseconds,
+/// which dwarfs the whole enumeration on a small graph. Both engines produce
+/// the same sets, so the cutover is unobservable in complete results.
+inline constexpr int kMinParallelVertices = 20;
 
 enum class EnumerationStatus {
   kComplete,   // the output is the entire answer set

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "cost/constrained_cost.h"
-
 namespace mintri {
 
 namespace {
@@ -35,6 +33,7 @@ MinTriangSolver::MinTriangSolver(const TriangulationContext& ctx,
   if (options_.use_candidate_index) {
     cand_trees_.resize(num_nodes);
     dirty_list_.resize(num_nodes);
+    worklist_.assign((num_nodes + 63) / 64, 0);
   }
   for (int node = 0; node < num_nodes; ++node) {
     const size_t k = Candidates(node).size();
@@ -130,24 +129,30 @@ CostValue MinTriangSolver::EvalCandidate(int node, size_t k) {
     child_blocks_buf_.push_back(&ctx_.blocks()[cid].vertices);
     child_costs_buf_.push_back(v);
   }
-  CombineContext cc{ctx_.graph(),
-                    ctx_.pmcs()[Candidates(node)[k]],
-                    NodeSeparator(node),
-                    NodeVertices(node),
-                    child_blocks_buf_,
-                    child_costs_buf_};
-  if (CombineViolatesConstraints(cc, include_sets_, exclude_sets_)) {
-    return kInfiniteCost;
-  }
   ++num_combine_calls_;
-  return cost_.Combine(cc);
+  return cost_.Combine({ctx_.graph(), ctx_.pmcs()[Candidates(node)[k]],
+                        NodeSeparator(node), NodeVertices(node),
+                        child_blocks_buf_, child_costs_buf_});
 }
 
 void MinTriangSolver::MarkDirty(int node, int k) {
   if (cand_dirty_[node][k] == epoch_) return;
   cand_dirty_[node][k] = epoch_;
-  node_seeded_[node] = epoch_;
-  if (options_.use_candidate_index) dirty_list_[node].push_back(k);
+  if (options_.use_candidate_index) {
+    dirty_list_[node].push_back(k);
+    Activate(node);
+  } else {
+    node_seeded_[node] = epoch_;
+  }
+}
+
+void MinTriangSolver::ClearWorklist() {
+  for (size_t w = 0; w < worklist_.size(); ++w) {
+    for (uint64_t bits = worklist_[w]; bits != 0; bits &= bits - 1) {
+      dirty_list_[w * 64 + __builtin_ctzll(bits)].clear();
+    }
+    worklist_[w] = 0;
+  }
 }
 
 bool MinTriangSolver::PollDeadline() {
@@ -175,8 +180,10 @@ void MinTriangSolver::ApplyConstraintDelta(
         if (indexed) {
           cand_trees_[node].Update(k, kInfiniteCost);
           ++num_index_updates_;
+          Activate(node);
+        } else {
+          node_forced_[node] = epoch_;
         }
-        node_forced_[node] = epoch_;
       }
     }
   };
@@ -226,8 +233,8 @@ void MinTriangSolver::RepairScan(bool full) {
         }
       }
       if (!d) continue;
-      // A blocked candidate is ∞ by constraint violation alone — no need
-      // to evaluate (EvalCandidate would reach the same conclusion).
+      // A blocked candidate is ∞ by constraint violation alone; the
+      // counters are the constraint test, so EvalCandidate never sees one.
       values[k] = blocked[k] > 0 ? kInfiniteCost : EvalCandidate(node, k);
       recomputed = true;
       if (PollDeadline()) return;
@@ -258,54 +265,75 @@ void MinTriangSolver::RepairScan(bool full) {
 }
 
 void MinTriangSolver::RepairIndexed(bool full) {
-  const int root = Root();
-  // Same forward order as RepairScan; a child is always processed before
-  // any (host, k) candidate it appears under, so MarkDirty from the cascade
-  // only ever targets nodes still ahead of the sweep.
-  for (int node = 0; node <= root; ++node) {
-    if (PollDeadline()) return;
-    const bool seeded = node_seeded_[node] == epoch_;
-    const bool forced = node_forced_[node] == epoch_;
-    if (!full && !seeded && !forced) continue;
-    if (full) dirty_list_[node].clear();  // drop marks a truncated solve left
-
-    const std::vector<int>& cands = Candidates(node);
-    if (cands.empty()) continue;
-    std::vector<CostValue>& values = cand_values_[node];
-    std::vector<uint32_t>& blocked = cand_blocked_[node];
-
-    if (full) {
-      for (size_t k = 0; k < cands.size(); ++k) {
+  if (full) {
+    // Every node in ascending order. A full pass re-evaluates everything
+    // and cascades nothing, so no pending node survives it.
+    ClearWorklist();
+    for (int node = 0; node <= Root(); ++node) {
+      if (PollDeadline()) return;
+      std::vector<CostValue>& values = cand_values_[node];
+      if (values.empty()) continue;
+      const std::vector<uint32_t>& blocked = cand_blocked_[node];
+      for (size_t k = 0; k < values.size(); ++k) {
         values[k] = blocked[k] > 0 ? kInfiniteCost : EvalCandidate(node, k);
         if (PollDeadline()) return;
       }
       cand_trees_[node].Assign(values);
-    } else {
-      // Only the candidates a constraint delta revived or a changed child
-      // dirtied — each one an O(log n) point update; no list scan.
+      RepickIndexed(node, /*cascade=*/false);
+    }
+    return;
+  }
+  // Only the nodes a constraint delta or a changed child activated, in
+  // ascending order. A child is always processed before any (host, k)
+  // candidate it appears under (hosts are strictly larger blocks), so a
+  // cascade only activates nodes above the current one: re-reading the
+  // current word picks up its higher bits, later words come next. A node's
+  // bit is cleared only after it is done, so a truncation mid-node still
+  // finds its dirty list in ClearWorklist.
+  for (size_t w = 0; w < worklist_.size(); ++w) {
+    while (worklist_[w] != 0) {
+      const int node = static_cast<int>(w * 64) + __builtin_ctzll(worklist_[w]);
+      if (PollDeadline()) return;
+      std::vector<CostValue>& values = cand_values_[node];
+      // The candidates a constraint delta revived or a changed child
+      // dirtied — all unblocked, since ApplyConstraintDelta marks only
+      // after every addition and the cascade skips blocked hosts. A
+      // re-evaluation that lands on the cached value leaves the tree alone.
       for (int k : dirty_list_[node]) {
-        values[k] = blocked[k] > 0 ? kInfiniteCost : EvalCandidate(node, k);
-        cand_trees_[node].Update(k, values[k]);
-        ++num_index_updates_;
+        assert(cand_blocked_[node][k] == 0);
+        const CostValue v = EvalCandidate(node, k);
+        if (v != values[k]) {
+          values[k] = v;
+          cand_trees_[node].Update(k, v);
+          ++num_index_updates_;
+        }
         if (PollDeadline()) return;
       }
       dirty_list_[node].clear();
+      RepickIndexed(node, /*cascade=*/true);
+      worklist_[w] &= ~(uint64_t{1} << (node & 63));
     }
+  }
+}
 
-    // Re-pick the node optimum with one range-min query. The tree's
-    // first-minimum tie-break is the scan's "first strict improvement
-    // wins", so choice_ stays byte-identical across solver paths.
-    ++num_range_queries_;
-    const int min_k = cand_trees_[node].MinIndex();
-    const bool feasible = min_k >= 0 && !std::isinf(values[min_k]);
-    const CostValue best = feasible ? values[min_k] : kInfiniteCost;
-    choice_[node] = feasible ? min_k : -1;
-    if (best != value_[node]) {
-      value_[node] = best;
-      if (!full && node != root) {
-        for (const auto& [host, hk] : host_cands_[node]) MarkDirty(host, hk);
-      }
-    }
+void MinTriangSolver::RepickIndexed(int node, bool cascade) {
+  // One range-min query. The tree's first-minimum tie-break is the scan's
+  // "first strict improvement wins", so choice_ stays byte-identical across
+  // solver paths.
+  ++num_range_queries_;
+  const std::vector<CostValue>& values = cand_values_[node];
+  const int min_k = cand_trees_[node].MinIndex();
+  const bool feasible = min_k >= 0 && !std::isinf(values[min_k]);
+  const CostValue best = feasible ? values[min_k] : kInfiniteCost;
+  choice_[node] = feasible ? min_k : -1;
+  if (best == value_[node]) return;
+  value_[node] = best;
+  if (!cascade || node == Root()) return;
+  // A blocked candidate is ∞ whatever its children hold, and un-blocking it
+  // dirties it anyway, so only unblocked hosts need a re-evaluation.
+  for (const auto& [host, hk] : host_cands_[node]) {
+    assert(host > node);
+    if (cand_blocked_[host][hk] == 0) MarkDirty(host, hk);
   }
 }
 
@@ -314,7 +342,6 @@ std::optional<Triangulation> MinTriangSolver::Solve(
   assert(std::is_sorted(include_ids.begin(), include_ids.end()));
   assert(std::is_sorted(exclude_ids.begin(), exclude_ids.end()));
   truncated_ = false;
-  const std::vector<VertexSet>& separators = ctx_.minimal_separators();
 
   // Separators that moved in or out of I / X since the last solve.
   std::vector<int> inc_added, inc_removed, exc_added, exc_removed;
@@ -335,17 +362,6 @@ std::optional<Triangulation> MinTriangSolver::Solve(
   }
   include_ids_ = include_ids;
   exclude_ids_ = exclude_ids;
-  // Element-wise copy-assign instead of clear+push_back: assignment reuses
-  // each slot's word buffer, so re-materializing the constraint sets on
-  // every Solve of a ranked enumeration allocates nothing in steady state.
-  include_sets_.resize(include_ids_.size());
-  exclude_sets_.resize(exclude_ids_.size());
-  for (size_t i = 0; i < include_ids_.size(); ++i) {
-    include_sets_[i] = separators[include_ids_[i]];
-  }
-  for (size_t i = 0; i < exclude_ids_.size(); ++i) {
-    exclude_sets_[i] = separators[exclude_ids_[i]];
-  }
 
   if (full || any_delta) {
     // The reverse DP edges are only needed once repairs start cascading, so
@@ -362,7 +378,9 @@ std::optional<Triangulation> MinTriangSolver::Solve(
       // The sweep stopped midway: value_/choice_ may mix old and new
       // epochs. The blocked counters and cached candidate values are still
       // exact for the *committed* constraint state, so forcing the next
-      // Solve through a full pass restores every table.
+      // Solve through a full pass restores every table. What the repair
+      // left pending is dropped (the scan path has no worklist).
+      ClearWorklist();
       solved_once_ = false;
       return std::nullopt;
     }

@@ -33,32 +33,37 @@ struct SolverOptions {
 ///
 /// Solve(I, X) computes a minimum-κ[I,X] minimal triangulation, where I/X
 /// are inclusion/exclusion constraints given as sorted separator-id lists of
-/// the context (Section 6.1). Between calls the solver diffs the constraint
-/// sets and re-evaluates only the candidates a moved separator S can affect:
+/// the context (Section 6.1). The constraint test is a per-candidate
+/// counter, not a set comparison: blocked[k] counts the current constraints
+/// candidate k violates, and blocked[k] > 0 holds exactly when
+/// CombineViolatesConstraints would reject the bag. The counters follow the
+/// constraint deltas between calls, through static per-separator geometry:
 ///
-///  - an exclusion delta touches candidates with S ⊆ Ω (only there does the
-///    κ[I,X] exclusion test read S);
-///  - an inclusion delta touches candidates where S fits the block
-///    (S ⊆ S∪C) but neither inside Ω nor inside a child block — the only
-///    geometry where the inclusion test can flip;
-///  - direction matters: an *added* constraint can only push values to ∞,
-///    so affected finite candidates are set to ∞ without evaluation and ∞
-///    candidates are left untouched; a *removed* constraint can only revive
-///    currently-∞ candidates, so finite ones keep their cached value;
-///  - a block whose DP value changed re-dirties exactly the (host, Ω)
-///    candidates it appears under, cascading up the ascending block order.
+///  - an exclusion over S blocks the candidates with S ⊆ Ω;
+///  - an inclusion over S blocks the candidates where S fits the block
+///    (S ⊆ S∪C) but lies neither inside Ω nor inside a child block;
+///  - direction matters: a candidate whose count rises from 0 drops to ∞
+///    with no evaluation, one whose count falls to 0 is marked dirty, and
+///    every other candidate keeps its cached value.
+///
+/// A blocked candidate is ∞ and never reaches Combine, so the base cost sees
+/// only unblocked bags; the same holds for the list-scan path. A block
+/// whose DP value changed re-dirties the (host, Ω) candidates it appears
+/// under, skipping blocked ones (∞ whatever their children hold; un-blocking
+/// dirties them anyway).
 ///
 /// With SolverOptions::use_candidate_index (the default) each block's
-/// candidate values additionally live in the leaves of a range-min segment
-/// tree: a constraint delta or child-change touches a candidate via an
-/// O(log n) point update, and re-finding the block optimum is a range-min
-/// query at the tree root instead of a scan over the whole candidate list —
-/// the per-repair work drops from O(candidates of every touched block) to
-/// O(touched candidates · log n). Child-change cascades walk exact
-/// (host, candidate) reverse edges, so a changed block dirties only the
-/// candidates it actually appears under. The tree's first-minimum
-/// tie-break keeps the choice tables — and with them the ranked
-/// enumeration order — byte-identical to the list-scan path.
+/// candidate values live in the leaves of a range-min segment tree: a
+/// re-evaluated candidate is an O(log n) point update (none when the value
+/// did not move), and re-finding the block optimum is a range-min query at
+/// the tree root. A repair walks a worklist instead of every block: a
+/// bitset of the nodes that hold a dirty or newly-blocked candidate,
+/// visited in ascending node order. Hosts are strictly larger than their
+/// children, so a cascade only adds nodes above the one being processed and
+/// one ascending walk sees every child's new value before its hosts. A
+/// repair therefore costs O(touched candidates · log n), independent of the
+/// block count. The worklist is empty between calls: a completed repair
+/// drains it, and a truncated one or a full pass clears it.
 ///
 /// The repaired tables are *identical* to a from-scratch DP (same values,
 /// same first-minimum choice per block), so results are byte-for-byte equal
@@ -71,8 +76,7 @@ struct SolverOptions {
 /// applied to the per-result optimizer calls).
 ///
 /// `ctx` and `cost` must outlive the solver. `cost` is the *base* cost κ;
-/// the [I,X] wrapping is applied inside the solver via the same
-/// CombineViolatesConstraints test as ConstrainedCost. (Passing a
+/// the solver applies [I,X] itself through the blocked counters. (Passing a
 /// ConstrainedCost as `cost` with empty I/X is also valid — that is exactly
 /// what the MinTriang wrapper does.)
 class MinTriangSolver {
@@ -102,16 +106,20 @@ class MinTriangSolver {
   /// std::nullopt then means "out of time", not "infeasible").
   bool truncated() const { return truncated_; }
 
-  /// Candidate evaluations so far (constraint short-circuits included) —
-  /// the repair's breadth measure (a full pass evaluates every candidate).
+  /// Candidate evaluations so far — the repair's breadth measure (a full
+  /// pass evaluates every unblocked candidate). Blocked candidates are set
+  /// to ∞ without an evaluation.
   long long num_candidate_evals() const { return num_candidate_evals_; }
 
   /// Evaluations that reached the base cost's Combine — the expensive part
-  /// of a candidate evaluation (constraint-violated and infeasible-child
-  /// candidates short-circuit to ∞ before it).
+  /// of a candidate evaluation. Blocked candidates never get this far (the
+  /// blocked counters are the constraint test), and a candidate with an
+  /// infeasible child short-circuits to ∞ before it.
   long long num_combine_calls() const { return num_combine_calls_; }
 
-  /// Segment-tree point updates (indexed path only; 0 under the list scan).
+  /// Segment-tree point updates (indexed path only; 0 under the list scan):
+  /// one per newly-blocked finite candidate and one per re-evaluation whose
+  /// value moved. A re-evaluation that lands on the cached value costs none.
   long long num_index_updates() const { return num_index_updates_; }
 
   /// Range-min queries that re-picked a block optimum (indexed path only).
@@ -154,30 +162,45 @@ class MinTriangSolver {
   const SepGeometry& GeometryFor(int sep_id);
 
   // Updates blocked counts for the epoch's constraint delta, forcing
-  // newly-blocked finite candidates to ∞ and marking candidates whose last
-  // blocker went away dirty for re-evaluation.
+  // newly-blocked finite candidates to ∞ (their node goes on the worklist,
+  // or gets a node_forced_ stamp on the scan path) and marking candidates
+  // whose last blocker went away dirty for re-evaluation.
   void ApplyConstraintDelta(const std::vector<int>& added_exc,
                             const std::vector<int>& added_inc,
                             const std::vector<int>& removed_exc,
                             const std::vector<int>& removed_inc, bool full);
 
-  // Stamps (node, k) dirty for this epoch (idempotent) and, on the indexed
-  // path, appends it to the node's pending re-evaluation list.
+  // Stamps (node, k) dirty for this epoch (idempotent). On the indexed path
+  // it appends k to the node's dirty list and puts the node on the
+  // worklist; on the scan path it stamps node_seeded_.
   void MarkDirty(int node, int k);
+
+  // Puts `node` on the worklist (indexed path).
+  void Activate(int node) {
+    worklist_[node >> 6] |= uint64_t{1} << (node & 63);
+  }
+
+  // Empties the worklist and the dirty lists of the nodes on it.
+  void ClearWorklist();
 
   // Deadline poll (rate-limited to one clock read per 64 ticks). Returns
   // true — and latches truncated_ — once the budget is gone.
   bool PollDeadline();
 
   // The table-repair forward passes (root last): the historical list-scan
-  // pass and the segment-tree-indexed pass. Both leave identical
-  // value_/choice_ tables; they differ only in how dirty candidates are
-  // found and how each block's optimum is re-picked.
+  // pass over every node and the segment-tree-indexed pass over the
+  // worklist. Both leave identical value_/choice_ tables; they differ only
+  // in how dirty candidates are found and how each block's optimum is
+  // re-picked.
   void RepairScan(bool full);
   void RepairIndexed(bool full);
 
-  // Evaluates candidate k of `node` under the current constraints (∞ when a
-  // child is infeasible or [I,X] is violated at this bag).
+  // Indexed path: re-picks `node`'s optimum from its tree and, when its
+  // value changed and `cascade` is set, dirties its unblocked hosts.
+  void RepickIndexed(int node, bool cascade);
+
+  // Evaluates candidate k of `node` from its children's values (∞ when a
+  // child is infeasible). Callers only pass unblocked candidates.
   CostValue EvalCandidate(int node, size_t k);
 
   // Builds the Triangulation from the solved tables (Appendix A: one bag
@@ -210,11 +233,9 @@ class MinTriangSolver {
   std::vector<std::vector<std::pair<int, int>>> host_cands_;
   bool hosts_built_ = false;
 
-  // Current constraint state (sorted ids + materialized vertex sets).
+  // Current constraint state (sorted separator ids).
   std::vector<int> include_ids_;
   std::vector<int> exclude_ids_;
-  std::vector<VertexSet> include_sets_;
-  std::vector<VertexSet> exclude_sets_;
   bool solved_once_ = false;
 
   // blocked[k]: how many current constraints candidate k violates —
@@ -228,7 +249,11 @@ class MinTriangSolver {
   // Epoch-stamped dirtiness (a stamp equal to epoch_ means "this solve").
   uint32_t epoch_ = 0;
   std::vector<std::vector<uint32_t>> cand_dirty_;  // per node, per cand
-  std::vector<std::vector<int>> dirty_list_;  // indexed path: pending evals
+  // Indexed path: each node's dirty candidates, and the worklist — one bit
+  // per node holding a dirty or newly-blocked candidate.
+  std::vector<std::vector<int>> dirty_list_;
+  std::vector<uint64_t> worklist_;
+  // Scan path: per-node stamps the sweep over every node tests.
   std::vector<uint32_t> node_seeded_;    // some candidate became dirty
   std::vector<uint32_t> node_forced_;    // some candidate was forced to ∞
   std::vector<uint32_t> node_touched_;   // some child's value changed

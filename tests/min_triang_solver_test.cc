@@ -351,13 +351,132 @@ TEST(MinTriangSolverTest, TruncatedRepairDoesNotCorruptLaterSolves) {
     }
     ConstrainedCost constrained(fill, std::move(include_sets),
                                 std::move(exclude_sets));
-    ExpectIdentical(solver.Solve(include, exclude),
-                    MinTriang(*ctx, constrained), where);
+    auto solved = solver.Solve(include, exclude);
+    ExpectIdentical(solved, MinTriang(*ctx, constrained), where);
+    return solved;
   };
   check({0}, {}, "the interrupted delta, retried");
   EXPECT_FALSE(solver.truncated());
   check({0}, {1}, "a further incremental step");
   check({}, {}, "back to unconstrained");
+
+  // Then a Lawler–Murty sibling walk two levels deep: the partitions of the
+  // optimum, and of each partition's own optimum in turn, every step a
+  // repair of the previous one.
+  const auto separator_ids = [&](const Triangulation& t,
+                                 const std::vector<int>& include) {
+    std::vector<int> ids;
+    for (const VertexSet& s : t.separators) {
+      const int id = ctx->SeparatorId(s);
+      if (!std::binary_search(include.begin(), include.end(), id)) {
+        ids.push_back(id);
+      }
+    }
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
+  const auto partitions = [](const std::vector<int>& include,
+                             const std::vector<int>& exclude,
+                             const std::vector<int>& seps) {
+    std::vector<std::pair<std::vector<int>, std::vector<int>>> out;
+    std::vector<int> inc = include;
+    for (int id : seps) {
+      std::vector<int> exc = exclude;
+      exc.insert(std::upper_bound(exc.begin(), exc.end(), id), id);
+      out.push_back({inc, exc});
+      inc.insert(std::upper_bound(inc.begin(), inc.end(), id), id);
+    }
+    return out;
+  };
+  auto root = check({}, {}, "the walk's root");
+  ASSERT_TRUE(root.has_value());
+  const auto level1 = partitions({}, {}, separator_ids(*root, {}));
+  ASSERT_GT(level1.size(), 1u);
+  for (size_t i = 0; i < level1.size(); ++i) {
+    const auto& [include, exclude] = level1[i];
+    const std::string where = "level 1 partition " + std::to_string(i);
+    auto child = check(include, exclude, where);
+    if (!child.has_value()) continue;
+    const auto level2 =
+        partitions(include, exclude, separator_ids(*child, include));
+    for (size_t j = 0; j < level2.size(); ++j) {
+      check(level2[j].first, level2[j].second,
+            where + ", level 2 partition " + std::to_string(j));
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(MinTriangSolverTest, RepairsStartFromAnEmptyWorklist) {
+  // A repair must do the same work whether the solver reached its state by
+  // a completed repair, by a full pass, or by a full pass after a repair a
+  // deadline cut short: nothing a truncated repair left pending may leak
+  // into later solves. The deadline is wall-clock, so the budget grows
+  // until one lands between the up-front check and the repair's end.
+  Graph g = workloads::Grid(4, 5);
+  auto ctx = TriangulationContext::Build(g);
+  ASSERT_TRUE(ctx.has_value());
+  FillInCost fill;
+  MinTriangSolver probe(*ctx, fill);
+  auto first = probe.Solve({}, {});
+  ASSERT_TRUE(first.has_value());
+  std::vector<int> big_exclude;
+  for (const VertexSet& s : first->separators) {
+    big_exclude.push_back(ctx->SeparatorId(s));
+  }
+  std::sort(big_exclude.begin(), big_exclude.end());
+  ASSERT_GE(big_exclude.size(), 2u);
+  const std::vector<int> next_include = {big_exclude[0]};
+  const std::vector<int> next_exclude(big_exclude.begin() + 1,
+                                      big_exclude.end());
+
+  struct Work {
+    long long evals, updates, queries;
+  };
+  const auto work_of_next_repair = [&](MinTriangSolver& solver) {
+    const Work before{solver.num_candidate_evals(), solver.num_index_updates(),
+                      solver.num_range_queries()};
+    solver.Solve(next_include, next_exclude);
+    return Work{solver.num_candidate_evals() - before.evals,
+                solver.num_index_updates() - before.updates,
+                solver.num_range_queries() - before.queries};
+  };
+
+  MinTriangSolver by_repair(*ctx, fill);
+  by_repair.Solve({}, {});
+  by_repair.Solve({}, big_exclude);
+  const Work reference = work_of_next_repair(by_repair);
+  EXPECT_GT(reference.evals, 0);
+
+  MinTriangSolver by_full_pass(*ctx, fill);
+  by_full_pass.Solve({}, big_exclude);
+  const Work after_full = work_of_next_repair(by_full_pass);
+  EXPECT_EQ(after_full.evals, reference.evals);
+  EXPECT_EQ(after_full.updates, reference.updates);
+  EXPECT_EQ(after_full.queries, reference.queries);
+
+  bool cut_midway = false;
+  for (double budget = 1e-6; budget < 1.0 && !cut_midway; budget *= 1.5) {
+    MinTriangSolver solver(*ctx, fill);
+    solver.Solve({}, {});
+    const long long updates_before = solver.num_index_updates();
+    const Deadline deadline(budget);
+    solver.set_deadline(&deadline);
+    solver.Solve({}, big_exclude);
+    solver.set_deadline(nullptr);
+    if (!solver.truncated()) break;  // the budget outlived the repair
+    // An expired deadline refuses the delta before touching any table;
+    // only a cut that came after the delta was applied is the case here.
+    cut_midway = solver.num_index_updates() > updates_before;
+    if (!cut_midway) continue;
+    solver.Solve({}, big_exclude);  // a full pass
+    EXPECT_FALSE(solver.truncated());
+    const Work after_cut = work_of_next_repair(solver);
+    EXPECT_EQ(after_cut.evals, reference.evals) << "budget " << budget;
+    EXPECT_EQ(after_cut.updates, reference.updates) << "budget " << budget;
+    EXPECT_EQ(after_cut.queries, reference.queries) << "budget " << budget;
+  }
+  EXPECT_TRUE(cut_midway) << "no budget cut the repair short";
 }
 
 }  // namespace

@@ -2,14 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chordal/minimality.h"
 #include "cost/standard_costs.h"
 #include "enumeration/ckk.h"
 #include "test_util.h"
+#include "workloads/graphical_models.h"
 #include "workloads/named_graphs.h"
 #include "workloads/random_graphs.h"
 
@@ -286,6 +290,75 @@ TEST(RankedEnumTest, IndexedAndScanStreamsAreByteIdentical) {
           if (::testing::Test::HasFatalFailure()) return;
         }
       }
+    }
+  }
+}
+
+// FNV-1a over a whole ranked stream: each result's κ (its bit pattern) and
+// its sorted fill edges, with the counts as delimiters.
+uint64_t StreamDigest(const Graph& g, RankedTriangulationEnumerator& e,
+                      size_t* length) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  *length = 0;
+  while (auto t = e.Next()) {
+    ++*length;
+    uint64_t cost_bits;
+    std::memcpy(&cost_bits, &t->cost, sizeof cost_bits);
+    mix(cost_bits);
+    const std::vector<std::pair<int, int>> fill = t->FillEdgesSorted(g);
+    mix(fill.size());
+    for (const auto& [u, v] : fill) {
+      mix(static_cast<uint64_t>(u));
+      mix(static_cast<uint64_t>(v));
+    }
+  }
+  return h;
+}
+
+TEST(RankedEnumTest, FullStreamsMatchRecordedDigests) {
+  // Golden streams: the indexed/scan and tiered/direct identity tests
+  // compare two paths that share the solver's candidate evaluation, so an
+  // order change both paths make would pass them. These digests pin the
+  // complete (κ, fill edges) sequence itself.
+  struct Golden {
+    const char* name;
+    Graph graph;
+    size_t length;  // every minimal triangulation, whatever the cost
+    uint64_t width_digest;
+    uint64_t fill_digest;
+  };
+  const std::vector<Golden> goldens = {
+      {"grid-3x4", workloads::Grid(3, 4), 1710, 0xac67b94996b191c5ull,
+       0xc2b4264341fc4115ull},
+      {"dbn-3x5", workloads::DbnChain(3, 5, 0.3, 0.25, 1009), 834,
+       0x245c12239ab0eeffull, 0x1012928eae9cf499ull},
+      {"csp-14", workloads::CspGraph(14, 10, 3, 1000), 1082,
+       0x4269978ef9611b17ull, 0x47a5f1393b069096ull},
+  };
+  WidthCost width;
+  FillInCost fill;
+  for (const Golden& golden : goldens) {
+    TriangulationContext ctx = BuildCtx(golden.graph);
+    for (int which_cost = 0; which_cost < 2; ++which_cost) {
+      const BagCost& cost =
+          which_cost == 0 ? static_cast<const BagCost&>(width)
+                          : static_cast<const BagCost&>(fill);
+      RankedTriangulationEnumerator e(ctx, cost);
+      size_t length = 0;
+      const uint64_t digest = StreamDigest(golden.graph, e, &length);
+      const std::string where =
+          std::string(golden.name) + (which_cost == 0 ? "/width" : "/fill");
+      EXPECT_FALSE(e.truncated()) << where;
+      EXPECT_EQ(length, golden.length) << where;
+      EXPECT_EQ(digest,
+                which_cost == 0 ? golden.width_digest : golden.fill_digest)
+          << where << " digest 0x" << std::hex << digest;
     }
   }
 }
