@@ -5,7 +5,8 @@ Usage: bench_diff.py [--threshold=PCT] [--json=FILE] BASELINE.json CURRENT.json
 
 Matches entries across the two reports on (suite, graph, threads, solver,
 cost, tier), groups the matches by (suite, family), and prints a markdown delta
-table of per-family median ratios:
+table of per-family median ratios (solver stays in the key because older
+reports also carry "scan" ranked entries of the retired list-scan solver):
 
   * results_per_sec — higher is better; the regression gate.
   * init_seconds    — lower is better; gated too, but entries whose baseline

@@ -61,11 +61,10 @@ KNOWN_STATUSES = {"complete", "truncated", "ms-terminated", "pmc-terminated",
                   "cost-error"}
 # The application costs the appcost suite ranks by.
 APPCOST_COSTS = {"hypertree", "fhw", "state-space"}
-# The ranked suite's repair engines (bench --solver values). The default
-# sweep emits one entry per engine at every (threads, graph) point.
-RANKED_SOLVERS = {"indexed", "scan"}
+# The ranked suite's repair engine: the segment-tree solver is the only one.
+RANKED_SOLVERS = {"indexed"}
 # The tiered pipeline's truthful stream labels (huge-suite entries only;
-# every other suite runs the direct exact stack and emits "").
+# every other suite runs the --tier=exact pipeline and emits "").
 KNOWN_TIERS = {"exact", "atom-exact", "heuristic"}
 
 
@@ -272,10 +271,6 @@ def main():
                 fail(f"{where}: ranked entry has solver "
                      f"{entry['solver']!r}, expected one of "
                      f"{sorted(RANKED_SOLVERS)}")
-            # The list-scan baseline has no segment tree to touch.
-            if entry["solver"] == "scan" and (entry["index_updates"] != 0 or
-                                              entry["range_queries"] != 0):
-                fail(f"{where}: scan entry reports index activity")
         elif entry["solver"]:
             fail(f"{where}: non-ranked entry has solver "
                  f"{entry['solver']!r}")
@@ -293,15 +288,15 @@ def main():
         elif entry["tier"]:
             fail(f"{where}: non-huge entry has tier {entry['tier']!r}")
 
-    # The CI smoke gate must exercise both repair engines — a report with
-    # only one means the interleaved comparison (and the byte-identity
-    # cross-check it implies) silently stopped running.
+    # The CI smoke gate must run the ranked suite on the indexed solver and
+    # nothing else; no ranked entry at all means the suite silently stopped
+    # running.
     if smoke and "ranked" in suites:
         seen_solvers = {e["solver"] for e in entries
                         if e["suite"] == "ranked"}
         if seen_solvers != RANKED_SOLVERS:
             fail(f"smoke ranked entries cover solvers "
-                 f"{sorted(seen_solvers)}, expected both of "
+                 f"{sorted(seen_solvers)}, expected only "
                  f"{sorted(RANKED_SOLVERS)}")
 
     per_suite = {s: sum(1 for e in entries if e["suite"] == s)

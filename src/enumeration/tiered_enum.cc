@@ -30,15 +30,10 @@ bool IsTierDecomposableCost(const std::string& cost_name) {
 TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
                                    CostComposition composition,
                                    const ContextOptions& options,
-                                   const SolverOptions& solver_options,
+                                   const SolverOptions& /*unused*/,
                                    const TierOptions& tier_options)
     : g_(g), cost_(cost), composition_(composition) {
-  if (tier_options.mode == TierOptions::Mode::kExact) {
-    forest_ = std::make_unique<RankedForestEnumerator>(
-        g, cost, composition, options, solver_options);
-    return;
-  }
-
+  const bool exact = tier_options.mode == TierOptions::Mode::kExact;
   WallTimer budget_timer;
   for (const VertexSet& comp_vertices : g.ConnectedComponents()) {
     std::vector<int> comp_old_of_new(comp_vertices.Count());
@@ -46,10 +41,13 @@ TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
     comp_vertices.ForEach([&](int v) { comp_old_of_new[next++] = v; });
     Graph sub = g.InducedSubgraph(comp_vertices);
 
-    if (!tier_options.decomposable_cost) {
-      AddUnit(sub, std::move(comp_old_of_new), options, solver_options,
-              tier_options,
-              tier_options.exact_budget_seconds - budget_timer.Seconds());
+    if (exact || !tier_options.decomposable_cost) {
+      if (!AddUnit(sub, std::move(comp_old_of_new), options, tier_options,
+                   tier_options.exact_budget_seconds -
+                       budget_timer.Seconds())) {
+        init_ok_ = false;
+        return;
+      }
       continue;
     }
 
@@ -82,8 +80,7 @@ TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
       atom.ForEach([&](int v) {
         old_of_new[atom_old_to_new[v]] = comp_old_of_new[v];
       });
-      AddUnit(asub, std::move(old_of_new), options, solver_options,
-              tier_options,
+      AddUnit(asub, std::move(old_of_new), options, tier_options,
               tier_options.exact_budget_seconds - budget_timer.Seconds());
     }
   }
@@ -125,14 +122,15 @@ TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
   }
 }
 
-void TieredEnumerator::AddUnit(const Graph& sub, std::vector<int> old_of_new,
+bool TieredEnumerator::AddUnit(const Graph& sub, std::vector<int> old_of_new,
                                const ContextOptions& options,
-                               const SolverOptions& solver_options,
                                const TierOptions& tier_options,
                                double remaining_budget) {
   Unit unit;
   unit.old_of_new = std::move(old_of_new);
-  // Same identity test as the forest layer: only the whole graph keeps the
+  // The unit subgraph renumbers vertices, so vertex-dependent costs
+  // (hypergraph edge covers, per-vertex domains, weighted fill) must be
+  // re-anchored to the original labels. Only the whole graph keeps the
   // shared cost unrestricted (a unit this large is the single component of a
   // connected, unreduced, unsplit graph).
   bool identity = sub.NumVertices() == g_.NumVertices();
@@ -140,34 +138,40 @@ void TieredEnumerator::AddUnit(const Graph& sub, std::vector<int> old_of_new,
     unit.restricted_cost = cost_.RestrictTo(unit.old_of_new, g_.NumVertices());
   }
 
+  // Tier 1. Mode::kExact builds with the caller's limits as given and has no
+  // Tier 2 to fall back on; auto mode clamps every stage to what is left of
+  // the shared exact budget.
+  const bool exact = tier_options.mode == TierOptions::Mode::kExact;
   bool built = false;
-  if (tier_options.mode == TierOptions::Mode::kAuto) {
-    if (remaining_budget > 0) {
-      ContextOptions unit_options = options;
+  if (exact || (tier_options.mode == TierOptions::Mode::kAuto &&
+                remaining_budget > 0)) {
+    ContextOptions unit_options = options;
+    if (!exact) {
       unit_options.separator_limits.time_limit_seconds =
           std::min(unit_options.separator_limits.time_limit_seconds,
                    remaining_budget);
       unit_options.pmc_limits.time_limit_seconds = std::min(
           unit_options.pmc_limits.time_limit_seconds, remaining_budget);
-      ContextBuildInfo unit_info;
-      auto ctx = TriangulationContext::Build(sub, unit_options, &unit_info);
-      init_info_.Accumulate(unit_info);
-      tier1_seconds_ += unit_info.total_seconds;
-      if (ctx.has_value()) {
-        unit.context =
-            std::make_unique<TriangulationContext>(std::move(*ctx));
-        unit.tier = SolveTier::kExact;
-        built = true;
-      }
-    } else {
-      // The shared exact budget ran out before this unit: a truthful
-      // ms-terminated tally without burning wall clock on a doomed build.
-      ContextBuildInfo skipped;
-      skipped.termination = ContextBuildInfo::Termination::kMsTerminated;
-      skipped.num_builds = 1;
-      skipped.num_ms_terminated = 1;
-      init_info_.Accumulate(skipped);
     }
+    ContextBuildInfo unit_info;
+    auto ctx = TriangulationContext::Build(sub, unit_options, &unit_info);
+    init_info_.Accumulate(unit_info);
+    tier1_seconds_ += unit_info.total_seconds;
+    if (ctx.has_value()) {
+      unit.context = std::make_unique<TriangulationContext>(std::move(*ctx));
+      unit.tier = SolveTier::kExact;
+      built = true;
+    } else if (exact) {
+      return false;
+    }
+  } else if (tier_options.mode == TierOptions::Mode::kAuto) {
+    // The shared exact budget ran out before this unit: a truthful
+    // ms-terminated tally without burning wall clock on a doomed build.
+    ContextBuildInfo skipped;
+    skipped.termination = ContextBuildInfo::Termination::kMsTerminated;
+    skipped.num_builds = 1;
+    skipped.num_ms_terminated = 1;
+    init_info_.Accumulate(skipped);
   }
 
   if (!built) {
@@ -218,23 +222,18 @@ void TieredEnumerator::AddUnit(const Graph& sub, std::vector<int> old_of_new,
 
   unit.enumerator = std::make_unique<RankedTriangulationEnumerator>(
       *unit.context,
-      unit.restricted_cost != nullptr ? *unit.restricted_cost : cost_,
-      solver_options);
+      unit.restricted_cost != nullptr ? *unit.restricted_cost : cost_);
   units_.push_back(std::move(unit));
+  return true;
 }
 
 void TieredEnumerator::SetDeadline(const Deadline* deadline) {
-  if (forest_) {
-    forest_->SetDeadline(deadline);
-    return;
-  }
   for (Unit& unit : units_) {
     if (unit.enumerator != nullptr) unit.enumerator->SetDeadline(deadline);
   }
 }
 
 bool TieredEnumerator::truncated() const {
-  if (forest_) return forest_->truncated();
   for (const Unit& unit : units_) {
     if (unit.enumerator != nullptr && unit.enumerator->truncated()) {
       return true;
@@ -253,27 +252,22 @@ long long TieredEnumerator::SumOverUnits(
 }
 
 long long TieredEnumerator::num_optimizer_calls() const {
-  if (forest_) return forest_->num_optimizer_calls();
   return SumOverUnits(&RankedTriangulationEnumerator::num_optimizer_calls);
 }
 
 long long TieredEnumerator::num_candidate_evals() const {
-  if (forest_) return forest_->num_candidate_evals();
   return SumOverUnits(&RankedTriangulationEnumerator::num_candidate_evals);
 }
 
 long long TieredEnumerator::num_combine_calls() const {
-  if (forest_) return forest_->num_combine_calls();
   return SumOverUnits(&RankedTriangulationEnumerator::num_combine_calls);
 }
 
 long long TieredEnumerator::num_index_updates() const {
-  if (forest_) return forest_->num_index_updates();
   return SumOverUnits(&RankedTriangulationEnumerator::num_index_updates);
 }
 
 long long TieredEnumerator::num_range_queries() const {
-  if (forest_) return forest_->num_range_queries();
   return SumOverUnits(&RankedTriangulationEnumerator::num_range_queries);
 }
 
@@ -302,7 +296,8 @@ CostValue TieredEnumerator::Compose(const std::vector<size_t>& indices) const {
 Triangulation TieredEnumerator::Assemble(const std::vector<size_t>& indices) {
   if (!lifted_) {
     // No Tier-0 rewriting happened: the units are exactly the connected
-    // components, and this is byte-for-byte the forest assembly.
+    // components, so the triangulation is their disjoint union and the
+    // clique tree is a forest with one root per component.
     Triangulation out;
     out.filled = g_;
     const int n = g_.NumVertices();
@@ -354,11 +349,6 @@ Triangulation TieredEnumerator::Assemble(const std::vector<size_t>& indices) {
 }
 
 std::optional<TieredResult> TieredEnumerator::Next() {
-  if (forest_) {
-    auto t = forest_->Next();
-    if (!t.has_value()) return std::nullopt;
-    return TieredResult{std::move(*t), SolveTier::kExact};
-  }
   if (queue_.empty()) return std::nullopt;
   QueueEntry top = queue_.top();
   queue_.pop();

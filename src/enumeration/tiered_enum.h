@@ -10,10 +10,15 @@
 #include <vector>
 
 #include "cost/bag_cost.h"
-#include "enumeration/ranked_forest.h"
+#include "enumeration/ranked_enum.h"
 #include "preprocess/preprocess.h"
 
 namespace mintri {
+
+/// Carries no settings: MinTriangSolver has a single repair path. The empty
+/// struct and TieredEnumerator's parameter for it remain only because
+/// perfbench/main.cc passes `mintri::SolverOptions{}`; drop both together.
+struct SolverOptions {};
 
 /// Which tier of the solve pipeline answered.
 ///  - kExact:     the classic full enumeration (complete ranked stream).
@@ -39,7 +44,7 @@ bool IsTierDecomposableCost(const std::string& cost_name);
 
 struct TierOptions {
   enum class Mode {
-    kExact,      // the pre-tier pipeline, byte-for-byte
+    kExact,      // units = connected components, no Tier 0, no fallback
     kAuto,       // try exact per atom, degrade to the heuristic family
     kHeuristic,  // skip exact attempts entirely
   };
@@ -65,26 +70,34 @@ struct TieredResult {
   SolveTier tier;
 };
 
-/// The tiered solve pipeline: Tier 0 (simplicial reduction +
-/// clique-minimal-separator atom decomposition), Tier 1 (the existing exact
-/// ranked stack per atom, recombined into a global ranked stream through the
-/// same ranked-product machinery as RankedForestEnumerator), Tier 2
+/// The tiered solve pipeline and the repo's only multi-unit enumerator:
+/// Tier 0 (simplicial reduction + clique-minimal-separator atom
+/// decomposition), Tier 1 (the exact ranked stack per unit), Tier 2
 /// (LB-Triang-seeded restricted-family enumeration when an atom exceeds its
 /// MinSep/PMC budget). Deterministic and byte-identical at every thread
-/// count; in Mode::kExact it delegates wholesale to RankedForestEnumerator,
-/// and in Mode::kAuto with no reduction/decomposition/fallback it replays
-/// that enumerator's stream byte-for-byte by construction.
+/// count.
+///
+/// The per-unit streams are recombined as a *ranked product*: a minimal
+/// triangulation of the whole graph is an independent choice of one per
+/// unit, so a priority queue over index vectors (i_1, ..., i_k) lazily
+/// materializes each unit's ranked list. The composed cost is monotone in
+/// every coordinate (split-monotone bag costs are), so the product order is
+/// correct. In Mode::kExact the units are exactly the connected components,
+/// each built with the caller's ContextOptions as given; Mode::kAuto with no
+/// reduction/decomposition/fallback has the same units and replays that
+/// stream byte-for-byte.
 class TieredEnumerator {
  public:
   TieredEnumerator(const Graph& g, const BagCost& cost,
                    CostComposition composition,
                    const ContextOptions& options = {},
-                   const SolverOptions& solver_options = {},
+                   const SolverOptions& /*unused*/ = {},
                    const TierOptions& tier_options = {});
 
-  /// Only false in Mode::kExact when a component's build hit its limits;
-  /// the auto/heuristic modes always have Tier 2 to fall back on.
-  bool init_ok() const { return forest_ ? forest_->init_ok() : true; }
+  /// Only false in Mode::kExact when a component's build hit its limits
+  /// (construction stops there and Next() yields nothing); the
+  /// auto/heuristic modes always have Tier 2 to fall back on.
+  bool init_ok() const { return init_ok_; }
 
   /// Per-enumeration wall-clock budget, forwarded to every unit enumerator.
   void SetDeadline(const Deadline* deadline);
@@ -101,9 +114,7 @@ class TieredEnumerator {
   /// Aggregated build breakdown over every unit (exact attempts and
   /// heuristic family builds both count), including the per-atom termination
   /// tallies and the folded-in Tier-0 counters.
-  const ContextBuildInfo& init_info() const {
-    return forest_ ? forest_->init_info() : init_info_;
-  }
+  const ContextBuildInfo& init_info() const { return init_info_; }
   double init_seconds() const { return init_info().total_seconds; }
 
   /// The truthful label of the stream (and of every result it emits).
@@ -114,11 +125,9 @@ class TieredEnumerator {
 
   /// Wall clock spent in per-unit *exact* context builds (successful and
   /// budget-terminated attempts alike).
-  double tier1_seconds() const {
-    return forest_ ? forest_->init_info().total_seconds : tier1_seconds_;
-  }
+  double tier1_seconds() const { return tier1_seconds_; }
   /// Wall clock spent building heuristic restricted-family contexts.
-  double tier2_seconds() const { return forest_ ? 0 : tier2_seconds_; }
+  double tier2_seconds() const { return tier2_seconds_; }
 
   /// The next-cheapest minimal triangulation (original vertex ids) with its
   /// tier label. Heuristic streams are non-decreasing in κ within the
@@ -138,10 +147,11 @@ class TieredEnumerator {
     SolveTier tier = SolveTier::kExact;
   };
 
-  void AddUnit(const Graph& sub, std::vector<int> old_of_new,
-               const ContextOptions& options,
-               const SolverOptions& solver_options,
-               const TierOptions& tier_options, double remaining_budget);
+  /// Builds one unit (Tier 1, else Tier 2). False only in Mode::kExact,
+  /// when the exact build hit its limits and there is no fallback.
+  bool AddUnit(const Graph& sub, std::vector<int> old_of_new,
+               const ContextOptions& options, const TierOptions& tier_options,
+               double remaining_budget);
   bool Materialize(int unit, size_t i);
   long long SumOverUnits(
       long long (RankedTriangulationEnumerator::*stat)() const) const;
@@ -151,8 +161,7 @@ class TieredEnumerator {
   const Graph& g_;
   const BagCost& cost_;
   CostComposition composition_;
-  /// Mode::kExact delegate: the literal pre-tier enumerator.
-  std::unique_ptr<RankedForestEnumerator> forest_;
+  bool init_ok_ = true;
   /// True once Tier 0 changed the unit structure (eliminated a vertex or
   /// split a component); selects the lifting assembly path.
   bool lifted_ = false;

@@ -18,14 +18,6 @@ struct PreprocessOptions {
   /// and contributes no fill, so MT(G) is in bijection with MT(G - v).
   bool reduce_simplicial = true;
 
-  /// Almost-simplicial elimination (N(v) \ {u} a clique, deg(v) bounded by a
-  /// treewidth lower bound). This is the classic *treewidth-safe* rule: it
-  /// preserves the optimal width, but NOT the set of minimal triangulations
-  /// (on C4 it commits to one of the two diagonals), so it is not
-  /// stream-safe and the solve pipeline never enables it. Exposed for
-  /// width-only workflows and exercised by the unit tests.
-  bool reduce_almost_simplicial = false;
-
   /// Split the reduced graph into its clique-minimal-separator atoms
   /// (Tarjan / Leimer). Stream-safe: MT(G) is the independent product of
   /// MT(G[atom]) over the atoms, glued on the clique separators.
@@ -54,10 +46,9 @@ struct PreprocessInfo {
 struct PreprocessResult {
   /// Vertices still in play after the reductions.
   VertexSet kept;
-  /// Working supergraph of g on the same vertex universe: within `kept` it
-  /// is exactly the reduced graph (g[kept] plus the saturation fill of any
-  /// almost-simplicial eliminations). Edges incident to eliminated vertices
-  /// are stale leftovers — only ever read it through subsets of `kept`.
+  /// The working graph on g's vertex universe. The reductions add no edges,
+  /// so this is g itself; the reduced graph is reduced[kept]. Read it only
+  /// through subsets of `kept`.
   Graph reduced;
   /// Eliminated vertices in elimination order, with their lift bags.
   std::vector<EliminatedVertex> eliminated;
@@ -72,10 +63,6 @@ struct PreprocessResult {
 /// independently). Deterministic: single-threaded, fixed scan orders.
 PreprocessResult Preprocess(const Graph& g,
                             const PreprocessOptions& options = {});
-
-/// The degeneracy of g — a lower bound on its treewidth, used as the safety
-/// condition of the almost-simplicial rule.
-int DegeneracyLowerBound(const Graph& g);
 
 /// The clique-minimal-separator atoms of g (Leimer's unique decomposition),
 /// computed from the clique-tree adhesions of a minimal triangulation that

@@ -19,22 +19,18 @@ void SetDiffInto(const std::vector<int>& a, const std::vector<int>& b,
 }  // namespace
 
 MinTriangSolver::MinTriangSolver(const TriangulationContext& ctx,
-                                 const BagCost& cost,
-                                 const SolverOptions& options)
+                                 const BagCost& cost)
     : ctx_(ctx),
       cost_(cost),
-      options_(options),
       empty_separator_(ctx.graph().NumVertices()),
       all_vertices_(ctx.graph().Vertices()) {
   const int num_nodes = Root() + 1;
   cand_values_.resize(num_nodes);
   cand_dirty_.resize(num_nodes);
   cand_blocked_.resize(num_nodes);
-  if (options_.use_candidate_index) {
-    cand_trees_.resize(num_nodes);
-    dirty_list_.resize(num_nodes);
-    worklist_.assign((num_nodes + 63) / 64, 0);
-  }
+  cand_trees_.resize(num_nodes);
+  dirty_list_.resize(num_nodes);
+  worklist_.assign((num_nodes + 63) / 64, 0);
   for (int node = 0; node < num_nodes; ++node) {
     const size_t k = Candidates(node).size();
     cand_values_[node].assign(k, kInfiniteCost);
@@ -44,40 +40,23 @@ MinTriangSolver::MinTriangSolver(const TriangulationContext& ctx,
   }
   value_.assign(num_nodes, kInfiniteCost);
   choice_.assign(num_nodes, -1);
-  node_seeded_.assign(num_nodes, 0);
-  node_forced_.assign(num_nodes, 0);
-  node_touched_.assign(num_nodes, 0);
-  value_changed_.assign(num_nodes, 0);
 }
 
 void MinTriangSolver::BuildHosts() {
   hosts_built_ = true;
   const int num_nodes = Root() + 1;
-  if (options_.use_candidate_index) {
-    // Candidate-granular reverse edges: when block b's value changes, the
-    // repair dirties exactly the (host, k) candidates that combine over b —
-    // a point update each — instead of rescanning every candidate of every
-    // host (hosts_ stays unbuilt; the indexed pass never walks it).
-    host_cands_.resize(ctx_.blocks().size());
-    for (int node = 0; node < num_nodes; ++node) {
-      const std::vector<std::vector<int>>& children = Children(node);
-      for (size_t k = 0; k < children.size(); ++k) {
-        for (int cid : children[k]) {
-          host_cands_[cid].push_back({node, static_cast<int>(k)});
-        }
+  // Candidate-granular reverse edges: when block b's value changes, the
+  // repair dirties exactly the (host, k) candidates that combine over b —
+  // a point update each — instead of rescanning every candidate of every
+  // host.
+  host_cands_.resize(ctx_.blocks().size());
+  for (int node = 0; node < num_nodes; ++node) {
+    const std::vector<std::vector<int>>& children = Children(node);
+    for (size_t k = 0; k < children.size(); ++k) {
+      for (int cid : children[k]) {
+        host_cands_[cid].push_back({node, static_cast<int>(k)});
       }
     }
-    return;
-  }
-  hosts_.resize(ctx_.blocks().size());
-  for (int node = 0; node < num_nodes; ++node) {
-    for (const std::vector<int>& kids : Children(node)) {
-      for (int cid : kids) hosts_[cid].push_back(node);
-    }
-  }
-  for (std::vector<int>& h : hosts_) {
-    std::sort(h.begin(), h.end());
-    h.erase(std::unique(h.begin(), h.end()), h.end());
   }
 }
 
@@ -138,12 +117,8 @@ CostValue MinTriangSolver::EvalCandidate(int node, size_t k) {
 void MinTriangSolver::MarkDirty(int node, int k) {
   if (cand_dirty_[node][k] == epoch_) return;
   cand_dirty_[node][k] = epoch_;
-  if (options_.use_candidate_index) {
-    dirty_list_[node].push_back(k);
-    Activate(node);
-  } else {
-    node_seeded_[node] = epoch_;
-  }
+  dirty_list_[node].push_back(k);
+  Activate(node);
 }
 
 void MinTriangSolver::ClearWorklist() {
@@ -171,19 +146,14 @@ void MinTriangSolver::ApplyConstraintDelta(
   // blocked[k] — how many current constraints candidate k violates — stays
   // exact under adds/removes because each (separator, candidate) geometry
   // is static, and blocked[k] > 0 ⟺ CombineViolatesConstraints there.
-  const bool indexed = options_.use_candidate_index;
   const auto add = [&](const std::vector<std::pair<int, int>>& affected) {
     for (const auto& [node, k] : affected) {
       if (++cand_blocked_[node][k] == 1 && !full &&
           !std::isinf(cand_values_[node][k])) {
         cand_values_[node][k] = kInfiniteCost;
-        if (indexed) {
-          cand_trees_[node].Update(k, kInfiniteCost);
-          ++num_index_updates_;
-          Activate(node);
-        } else {
-          node_forced_[node] = epoch_;
-        }
+        cand_trees_[node].Update(k, kInfiniteCost);
+        ++num_index_updates_;
+        Activate(node);
       }
     }
   };
@@ -202,69 +172,7 @@ void MinTriangSolver::ApplyConstraintDelta(
   for (int id : removed_inc) remove(GeometryFor(id).inclusion);
 }
 
-void MinTriangSolver::RepairScan(bool full) {
-  const int root = Root();
-  // Blocks are sorted ascending by |S ∪ C| and every child is strictly
-  // smaller than its host, so one forward pass (root last) sees every
-  // child's repaired value before any host that depends on it.
-  for (int node = 0; node <= root; ++node) {
-    if (PollDeadline()) return;
-    const bool seeded = node_seeded_[node] == epoch_;
-    const bool forced = node_forced_[node] == epoch_;
-    const bool child_changed = !full && node_touched_[node] == epoch_;
-    if (!full && !seeded && !forced && !child_changed) continue;
-
-    const std::vector<int>& cands = Candidates(node);
-    if (cands.empty()) continue;
-    const std::vector<std::vector<int>>& children = Children(node);
-    std::vector<CostValue>& values = cand_values_[node];
-    std::vector<uint32_t>& dirty = cand_dirty_[node];
-    std::vector<uint32_t>& blocked = cand_blocked_[node];
-
-    bool recomputed = forced;
-    for (size_t k = 0; k < cands.size(); ++k) {
-      bool d = full || (seeded && dirty[k] == epoch_);
-      if (!d && child_changed) {
-        for (int cid : children[k]) {
-          if (value_changed_[cid] == epoch_) {
-            d = true;
-            break;
-          }
-        }
-      }
-      if (!d) continue;
-      // A blocked candidate is ∞ by constraint violation alone; the
-      // counters are the constraint test, so EvalCandidate never sees one.
-      values[k] = blocked[k] > 0 ? kInfiniteCost : EvalCandidate(node, k);
-      recomputed = true;
-      if (PollDeadline()) return;
-    }
-    if (!recomputed) continue;
-
-    // Re-pick the node optimum exactly as the full DP does: the first
-    // strict improvement wins, so ties resolve to the smallest k.
-    CostValue best = kInfiniteCost;
-    int best_k = -1;
-    for (size_t k = 0; k < cands.size(); ++k) {
-      if (values[k] < best) {
-        best = values[k];
-        best_k = static_cast<int>(k);
-      }
-    }
-    choice_[node] = best_k;
-    if (best != value_[node]) {
-      value_[node] = best;
-      value_changed_[node] = epoch_;
-      // On a full pass everything is evaluated anyway (and hosts_ may not
-      // be built yet), so the cascade marking is only for repairs.
-      if (!full && node != root) {
-        for (int host : hosts_[node]) node_touched_[host] = epoch_;
-      }
-    }
-  }
-}
-
-void MinTriangSolver::RepairIndexed(bool full) {
+void MinTriangSolver::Repair(bool full) {
   if (full) {
     // Every node in ascending order. A full pass re-evaluates everything
     // and cascades nothing, so no pending node survives it.
@@ -279,7 +187,7 @@ void MinTriangSolver::RepairIndexed(bool full) {
         if (PollDeadline()) return;
       }
       cand_trees_[node].Assign(values);
-      RepickIndexed(node, /*cascade=*/false);
+      Repick(node, /*cascade=*/false);
     }
     return;
   }
@@ -310,16 +218,16 @@ void MinTriangSolver::RepairIndexed(bool full) {
         if (PollDeadline()) return;
       }
       dirty_list_[node].clear();
-      RepickIndexed(node, /*cascade=*/true);
+      Repick(node, /*cascade=*/true);
       worklist_[w] &= ~(uint64_t{1} << (node & 63));
     }
   }
 }
 
-void MinTriangSolver::RepickIndexed(int node, bool cascade) {
-  // One range-min query. The tree's first-minimum tie-break is the scan's
-  // "first strict improvement wins", so choice_ stays byte-identical across
-  // solver paths.
+void MinTriangSolver::Repick(int node, bool cascade) {
+  // One range-min query. The tree's first-minimum tie-break is the full
+  // DP's "first strict improvement wins", so choice_ matches a from-scratch
+  // solve.
   ++num_range_queries_;
   const std::vector<CostValue>& values = cand_values_[node];
   const int min_k = cand_trees_[node].MinIndex();
@@ -369,17 +277,13 @@ std::optional<Triangulation> MinTriangSolver::Solve(
     if (!full && !hosts_built_) BuildHosts();
     ++epoch_;
     ApplyConstraintDelta(exc_added, inc_added, exc_removed, inc_removed, full);
-    if (options_.use_candidate_index) {
-      RepairIndexed(full);
-    } else {
-      RepairScan(full);
-    }
+    Repair(full);
     if (truncated_) {
-      // The sweep stopped midway: value_/choice_ may mix old and new
+      // The repair stopped midway: value_/choice_ may mix old and new
       // epochs. The blocked counters and cached candidate values are still
       // exact for the *committed* constraint state, so forcing the next
       // Solve through a full pass restores every table. What the repair
-      // left pending is dropped (the scan path has no worklist).
+      // left pending is dropped.
       ClearWorklist();
       solved_once_ = false;
       return std::nullopt;

@@ -15,17 +15,6 @@
 
 namespace mintri {
 
-struct SolverOptions {
-  /// Keep each block's candidate values in a range-min segment tree
-  /// (util/range_min_tree.h) so constraint deltas and child-change cascades
-  /// are O(log n) point updates + range-min queries instead of candidate-
-  /// list scans. The tree's first-minimum tie-break matches the scan's
-  /// "first strict improvement wins" rule, so both paths produce
-  /// byte-identical tables, choices, and enumeration order — the list-scan
-  /// path stays available (false) as the differential-testing baseline.
-  bool use_candidate_index = true;
-};
-
 /// The stateful MinTriang⟨κ[I,X]⟩ engine behind MinTriang and RankedTriang:
 /// the block DP of Figure 3 with its per-block candidate/value/choice tables
 /// kept alive between calls, so that consecutive solves under *nearby*
@@ -47,33 +36,31 @@ struct SolverOptions {
 ///    every other candidate keeps its cached value.
 ///
 /// A blocked candidate is ∞ and never reaches Combine, so the base cost sees
-/// only unblocked bags; the same holds for the list-scan path. A block
-/// whose DP value changed re-dirties the (host, Ω) candidates it appears
-/// under, skipping blocked ones (∞ whatever their children hold; un-blocking
-/// dirties them anyway).
+/// only unblocked bags. A block whose DP value changed re-dirties the
+/// (host, Ω) candidates it appears under, skipping blocked ones (∞ whatever
+/// their children hold; un-blocking dirties them anyway).
 ///
-/// With SolverOptions::use_candidate_index (the default) each block's
-/// candidate values live in the leaves of a range-min segment tree: a
-/// re-evaluated candidate is an O(log n) point update (none when the value
-/// did not move), and re-finding the block optimum is a range-min query at
-/// the tree root. A repair walks a worklist instead of every block: a
-/// bitset of the nodes that hold a dirty or newly-blocked candidate,
-/// visited in ascending node order. Hosts are strictly larger than their
-/// children, so a cascade only adds nodes above the one being processed and
-/// one ascending walk sees every child's new value before its hosts. A
+/// Each block's candidate values live in the leaves of a range-min segment tree
+/// (util/range_min_tree.h): a re-evaluated candidate is an O(log n) point
+/// update (none when the value did not move), and re-finding the block optimum
+/// is a range-min query at the tree root, whose first-minimum tie-break is the
+/// full DP's "first strict improvement wins". A repair walks a worklist instead
+/// of every block: a bitset of the nodes that hold a dirty or newly-blocked
+/// candidate, visited in ascending node order. Hosts are strictly larger than
+/// their children, so a cascade only adds nodes above the one being processed
+/// and one ascending walk sees every child's new value before its hosts. A
 /// repair therefore costs O(touched candidates · log n), independent of the
-/// block count. The worklist is empty between calls: a completed repair
-/// drains it, and a truncated one or a full pass clears it.
+/// block count. The worklist is empty between calls: a completed repair drains
+/// it, and a truncated one or a full pass clears it.
 ///
-/// The repaired tables are *identical* to a from-scratch DP (same values,
-/// same first-minimum choice per block), so results are byte-for-byte equal
-/// to MinTriang over ConstrainedCost — the differential test suite pins
-/// this on randomized constraint walks, for both solver paths. This is what
-/// makes the k constrained MinTriang calls per RankedTriang output cheap:
-/// sibling Lawler–Murty partitions differ by O(1) separators, so each call
-/// repairs a handful of blocks instead of re-filling every table (the same
-/// amortization argument the paper uses against CKK for initialization,
-/// applied to the per-result optimizer calls).
+/// The repaired tables are *identical* to a from-scratch DP (same values, same
+/// first-minimum choice per block), so results are byte-for-byte equal to
+/// MinTriang over ConstrainedCost — the differential test suite pins this on
+/// randomized constraint walks. This is what makes the k constrained MinTriang
+/// calls per RankedTriang output cheap: sibling Lawler–Murty partitions differ
+/// by O(1) separators, so each call repairs a handful of blocks instead of
+/// re-filling every table (the same amortization argument the paper uses
+/// against CKK for initialization, applied to the per-result optimizer calls).
 ///
 /// `ctx` and `cost` must outlive the solver. `cost` is the *base* cost κ;
 /// the solver applies [I,X] itself through the blocked counters. (Passing a
@@ -81,8 +68,7 @@ struct SolverOptions {
 /// what the MinTriang wrapper does.)
 class MinTriangSolver {
  public:
-  MinTriangSolver(const TriangulationContext& ctx, const BagCost& cost,
-                  const SolverOptions& options = {});
+  MinTriangSolver(const TriangulationContext& ctx, const BagCost& cost);
 
   /// Minimum-κ[I,X] minimal triangulation of the context's graph, or
   /// std::nullopt when no finite-cost triangulation satisfies [I,X] (or the
@@ -117,18 +103,16 @@ class MinTriangSolver {
   /// infeasible child short-circuits to ∞ before it.
   long long num_combine_calls() const { return num_combine_calls_; }
 
-  /// Segment-tree point updates (indexed path only; 0 under the list scan):
-  /// one per newly-blocked finite candidate and one per re-evaluation whose
-  /// value moved. A re-evaluation that lands on the cached value costs none.
+  /// Segment-tree point updates: one per newly-blocked finite candidate and
+  /// one per re-evaluation whose value moved. A re-evaluation that lands on
+  /// the cached value costs none.
   long long num_index_updates() const { return num_index_updates_; }
 
-  /// Range-min queries that re-picked a block optimum (indexed path only).
+  /// Range-min queries that re-picked a block optimum.
   long long num_range_queries() const { return num_range_queries_; }
 
   /// Number of (block, Ω) candidates in the DP (root included).
   size_t num_candidates_total() const { return num_candidates_total_; }
-
-  const SolverOptions& options() const { return options_; }
 
  private:
   // Node ids: 0..B-1 are the context's blocks (ascending order), B is the
@@ -162,20 +146,19 @@ class MinTriangSolver {
   const SepGeometry& GeometryFor(int sep_id);
 
   // Updates blocked counts for the epoch's constraint delta, forcing
-  // newly-blocked finite candidates to ∞ (their node goes on the worklist,
-  // or gets a node_forced_ stamp on the scan path) and marking candidates
-  // whose last blocker went away dirty for re-evaluation.
+  // newly-blocked finite candidates to ∞ (their node goes on the worklist)
+  // and marking candidates whose last blocker went away dirty for
+  // re-evaluation.
   void ApplyConstraintDelta(const std::vector<int>& added_exc,
                             const std::vector<int>& added_inc,
                             const std::vector<int>& removed_exc,
                             const std::vector<int>& removed_inc, bool full);
 
-  // Stamps (node, k) dirty for this epoch (idempotent). On the indexed path
-  // it appends k to the node's dirty list and puts the node on the
-  // worklist; on the scan path it stamps node_seeded_.
+  // Stamps (node, k) dirty for this epoch (idempotent): appends k to the
+  // node's dirty list and puts the node on the worklist.
   void MarkDirty(int node, int k);
 
-  // Puts `node` on the worklist (indexed path).
+  // Puts `node` on the worklist.
   void Activate(int node) {
     worklist_[node >> 6] |= uint64_t{1} << (node & 63);
   }
@@ -187,17 +170,13 @@ class MinTriangSolver {
   // true — and latches truncated_ — once the budget is gone.
   bool PollDeadline();
 
-  // The table-repair forward passes (root last): the historical list-scan
-  // pass over every node and the segment-tree-indexed pass over the
-  // worklist. Both leave identical value_/choice_ tables; they differ only
-  // in how dirty candidates are found and how each block's optimum is
-  // re-picked.
-  void RepairScan(bool full);
-  void RepairIndexed(bool full);
+  // The table-repair forward pass (root last): every node on a full pass,
+  // otherwise only the nodes on the worklist.
+  void Repair(bool full);
 
-  // Indexed path: re-picks `node`'s optimum from its tree and, when its
-  // value changed and `cascade` is set, dirties its unblocked hosts.
-  void RepickIndexed(int node, bool cascade);
+  // Re-picks `node`'s optimum from its tree and, when its value changed and
+  // `cascade` is set, dirties its unblocked hosts.
+  void Repick(int node, bool cascade);
 
   // Evaluates candidate k of `node` from its children's values (∞ when a
   // child is infeasible). Callers only pass unblocked candidates.
@@ -209,27 +188,23 @@ class MinTriangSolver {
 
   const TriangulationContext& ctx_;
   const BagCost& cost_;
-  SolverOptions options_;
   VertexSet empty_separator_;
   VertexSet all_vertices_;
 
-  // Builds hosts_ / host_cands_, deferred to the first incremental solve (a
-  // one-shot full pass never needs the reverse edges).
+  // Builds host_cands_, deferred to the first incremental solve (a one-shot
+  // full pass never needs the reverse edges).
   void BuildHosts();
 
   // DP tables, persisted across Solve calls.
   std::vector<std::vector<CostValue>> cand_values_;  // per node, per cand
   std::vector<CostValue> value_;
   std::vector<int> choice_;
-  // Per-node range-min tree over cand_values_ (indexed path; built by the
-  // first full pass, point-updated by repairs).
+  // Per-node range-min tree over cand_values_ (built by the first full
+  // pass, point-updated by repairs).
   std::vector<RangeMinTree> cand_trees_;
-  // hosts_[b]: nodes with a candidate having block b among its children —
-  // the reverse DP edges the scan-path repair cascades along.
-  std::vector<std::vector<int>> hosts_;
   // host_cands_[b]: the exact (host node, candidate k) pairs with block b
-  // among candidate k's children — the candidate-granular reverse edges the
-  // indexed repair dirties directly (no per-candidate child scan).
+  // among candidate k's children — the candidate-granular reverse edges a
+  // repair dirties directly (no per-candidate child scan).
   std::vector<std::vector<std::pair<int, int>>> host_cands_;
   bool hosts_built_ = false;
 
@@ -249,15 +224,10 @@ class MinTriangSolver {
   // Epoch-stamped dirtiness (a stamp equal to epoch_ means "this solve").
   uint32_t epoch_ = 0;
   std::vector<std::vector<uint32_t>> cand_dirty_;  // per node, per cand
-  // Indexed path: each node's dirty candidates, and the worklist — one bit
-  // per node holding a dirty or newly-blocked candidate.
+  // Each node's dirty candidates, and the worklist — one bit per node
+  // holding a dirty or newly-blocked candidate.
   std::vector<std::vector<int>> dirty_list_;
   std::vector<uint64_t> worklist_;
-  // Scan path: per-node stamps the sweep over every node tests.
-  std::vector<uint32_t> node_seeded_;    // some candidate became dirty
-  std::vector<uint32_t> node_forced_;    // some candidate was forced to ∞
-  std::vector<uint32_t> node_touched_;   // some child's value changed
-  std::vector<uint32_t> value_changed_;  // this node's value changed
 
   const Deadline* deadline_ = nullptr;
   bool truncated_ = false;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 namespace mintri {
 namespace {
@@ -80,7 +81,6 @@ TEST(CliTest, ErrorsAreReported) {
   EXPECT_EQ(Invoke({"--top=1O"}, kC4).code, 1);
   EXPECT_EQ(Invoke({"--bound="}, kC4).code, 1);
   EXPECT_EQ(Invoke({"--time-limit=3O"}, kC4).code, 1);
-  EXPECT_EQ(Invoke({"--solver=bogus"}, kC4).code, 1);
   EXPECT_EQ(Invoke({}, "not a graph").code, 1);
   EXPECT_EQ(Invoke({"nonexistent_file.gr"}, "").code, 1);
 }
@@ -98,36 +98,17 @@ TEST(CliTest, NumericFlagOverflowIsRejected) {
       << bad.err;
 }
 
-TEST(CliTest, SolverFlagSelectsRepairEngineWithIdenticalOutput) {
-  CliResult indexed = Invoke({"--cost=fill", "--top=10", "--solver=indexed"},
-                             kC4);
-  CliResult scan = Invoke({"--cost=fill", "--top=10", "--solver=scan"}, kC4);
-  CliResult implicit = Invoke({"--cost=fill", "--top=10"}, kC4);
-  EXPECT_EQ(indexed.code, 0) << indexed.err;
-  EXPECT_EQ(scan.code, 0) << scan.err;
-  // Both engines print byte-identical streams; the default is the index.
-  EXPECT_EQ(indexed.out, scan.out);
-  EXPECT_EQ(indexed.out, implicit.out);
-
-  // --stats names the engine and its counters; the scan path reports zero
-  // index activity.
-  CliResult istats =
-      Invoke({"--cost=fill", "--top=10", "--solver=indexed", "--stats"}, kC4);
-  EXPECT_EQ(istats.code, 0) << istats.err;
-  EXPECT_NE(istats.err.find("solver[indexed]: optimizer_calls="),
-            std::string::npos)
-      << istats.err;
-  EXPECT_EQ(istats.err.find("index_updates=0 range_queries=0"),
-            std::string::npos)
-      << istats.err;
-  CliResult sstats =
-      Invoke({"--cost=fill", "--top=10", "--solver=scan", "--stats"}, kC4);
-  EXPECT_EQ(sstats.code, 0) << sstats.err;
-  EXPECT_NE(sstats.err.find("solver[scan]:"), std::string::npos)
-      << sstats.err;
-  EXPECT_NE(sstats.err.find("index_updates=0 range_queries=0"),
-            std::string::npos)
-      << sstats.err;
+TEST(CliTest, StatsReportSolverCounters) {
+  // --stats ends with the solver's repair counters; the segment-tree index
+  // does real work on any stream that needs a repair.
+  CliResult r = Invoke({"--cost=fill", "--top=10", "--stats"}, kC4);
+  EXPECT_EQ(r.code, 0) << r.err;
+  const size_t line = r.err.find("solver: optimizer_calls=");
+  ASSERT_NE(line, std::string::npos) << r.err;
+  const std::string key = "index_updates=";
+  const size_t at = r.err.find(key, line);
+  ASSERT_NE(at, std::string::npos) << r.err;
+  EXPECT_GT(std::stoll(r.err.substr(at + key.size())), 0) << r.err;
 }
 
 TEST(CliTest, ThreadsFlagValidation) {
@@ -317,26 +298,25 @@ TEST(CliTest, BenchSmokeEmitsSchemaShapedJson) {
   }
 }
 
-TEST(CliTest, BenchRankedSweepsBothSolverPaths) {
-  EXPECT_EQ(Invoke({"bench", "--solver=bogus"}, "").code, 1);
-
-  // The default ranked sweep emits one entry per repair engine at each
-  // point — the report carries its own interleaved before/after comparison.
+TEST(CliTest, BenchRankedEmitsOnlyIndexedEntries) {
   CliResult r = Invoke(
       {"bench", "ranked", "--smoke", "--quiet", "--threads=1", "--out=-"},
       "");
   EXPECT_EQ(r.code, 0) << r.err;
-  EXPECT_NE(r.out.find("\"solver\": \"indexed\""), std::string::npos)
+  const auto count = [&r](const std::string& needle) {
+    size_t n = 0;
+    for (size_t at = r.out.find(needle); at != std::string::npos;
+         at = r.out.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  // One entry per smoke graph, every one on the indexed solver.
+  EXPECT_GT(count("\"suite\": \"ranked\""), 0u) << r.out;
+  EXPECT_EQ(count("\"solver\": \"indexed\""),
+            count("\"suite\": \"ranked\""))
       << r.out;
-  EXPECT_NE(r.out.find("\"solver\": \"scan\""), std::string::npos) << r.out;
-
-  // Pinning one engine drops the other from the report.
-  CliResult pinned = Invoke({"bench", "ranked", "--smoke", "--quiet",
-                             "--threads=1", "--solver=scan", "--out=-"},
-                            "");
-  EXPECT_EQ(pinned.code, 0) << pinned.err;
-  EXPECT_NE(pinned.out.find("\"solver\": \"scan\""), std::string::npos);
-  EXPECT_EQ(pinned.out.find("\"solver\": \"indexed\""), std::string::npos);
+  EXPECT_EQ(count("\"solver\": \"scan\""), 0u) << r.out;
 }
 
 }  // namespace

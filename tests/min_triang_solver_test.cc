@@ -246,63 +246,6 @@ TEST(MinTriangSolverTest, SiblingExpansionIsCheaperThanOneFullPass) {
       << " Combine calls vs " << full_pass << " for one full pass";
 }
 
-// Lockstep walk of the two repair engines: at every delta step the
-// segment-tree-indexed solver and the list-scan baseline must return
-// byte-identical triangulations, and the index must never evaluate more
-// candidates than the scan (it may only skip work, never add it).
-void LockstepWalk(const TriangulationContext& ctx, const BagCost& cost,
-                  const std::string& name, uint64_t seed, int steps) {
-  SolverOptions scan_options;
-  scan_options.use_candidate_index = false;
-  MinTriangSolver indexed(ctx, cost);
-  MinTriangSolver scan(ctx, cost, scan_options);
-  Rng rng(seed);
-  const int num_seps = static_cast<int>(ctx.minimal_separators().size());
-  std::vector<int> include, exclude;
-  for (int step = 0; step < steps; ++step) {
-    MutateConstraints(rng, num_seps, &include, &exclude);
-    const std::string where = name + " step " + std::to_string(step);
-    ExpectIdentical(indexed.Solve(include, exclude),
-                    scan.Solve(include, exclude), where);
-    if (::testing::Test::HasFatalFailure()) return;
-    EXPECT_LE(indexed.num_candidate_evals(), scan.num_candidate_evals())
-        << where;
-    EXPECT_EQ(scan.num_index_updates(), 0) << where;
-    EXPECT_EQ(scan.num_range_queries(), 0) << where;
-  }
-  EXPECT_GT(indexed.num_range_queries(), 0) << name;
-}
-
-TEST(MinTriangSolverTest, IndexedAndScanPathsAreLockstepIdentical) {
-  ASSERT_FALSE(Corpus().empty());
-  WidthCost width;
-  FillInCost fill;
-  for (const CorpusGraph& cg : Corpus()) {
-    LockstepWalk(cg.ctx, width, cg.name + "/width", 0xcafe + 1, 12);
-    LockstepWalk(cg.ctx, fill, cg.name + "/fill", 0xcafe + 2, 12);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-}
-
-TEST(MinTriangSolverTest, IndexedAndScanLockstepOnBoundedWidthContexts) {
-  WidthCost width;
-  for (int seed = 0; seed < 4; ++seed) {
-    Graph g = workloads::ConnectedErdosRenyi(12, 0.25, 43000 + seed);
-    for (int bound = 2; bound <= 4; ++bound) {
-      ContextOptions options;
-      options.width_bound = bound;
-      auto ctx = TriangulationContext::Build(g, options);
-      ASSERT_TRUE(ctx.has_value());
-      if (ctx->minimal_separators().empty()) continue;
-      LockstepWalk(*ctx, width,
-                   "bounded seed " + std::to_string(seed) + " b=" +
-                       std::to_string(bound),
-                   0xbead + seed, 8);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-  }
-}
-
 TEST(MinTriangSolverTest, ExpiredDeadlineTruncatesAndRecovers) {
   Graph g = workloads::Grid(4, 4);
   auto ctx = TriangulationContext::Build(g);

@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
-#include "chordal/chordality.h"
-#include "chordal/minimality.h"
 #include "test_util.h"
 #include "workloads/named_graphs.h"
 #include "workloads/random_graphs.h"
@@ -61,38 +57,6 @@ TEST(PreprocessTest, CycleDoesNotReduceOrSplit) {
   EXPECT_EQ(r.atoms[0].Count(), 4);
 }
 
-TEST(PreprocessTest, AlmostSimplicialOffByDefault) {
-  // The C4 stream-safety counterexample: an almost-simplicial elimination
-  // commits to one of C4's two minimal triangulations, so the default
-  // pipeline must not take it.
-  PreprocessOptions defaults;
-  EXPECT_FALSE(defaults.reduce_almost_simplicial);
-  Graph g = workloads::Cycle(4);
-  PreprocessResult r = Preprocess(g);
-  EXPECT_EQ(r.info.vertices_removed, 0);
-}
-
-TEST(PreprocessTest, AlmostSimplicialReductionIsWidthSafe) {
-  // With the flag on, C5 reduces through degree-2 almost-simplicial
-  // vertices; the recorded bags glue to a *valid* minimal triangulation of
-  // width 2 = treewidth (the width-safety condition), even though the
-  // stream is no longer the full MT(G).
-  PreprocessOptions options;
-  options.reduce_almost_simplicial = true;
-  Graph g = workloads::Cycle(5);
-  PreprocessResult r = Preprocess(g, options);
-  EXPECT_EQ(r.info.vertices_removed, 5);
-  Graph filled = g;
-  int width = 0;
-  for (const EliminatedVertex& ev : r.eliminated) {
-    filled.SaturateSet(ev.bag);
-    width = std::max(width, ev.bag.Count() - 1);
-  }
-  EXPECT_TRUE(IsChordal(filled));
-  EXPECT_TRUE(IsMinimalTriangulation(g, filled));
-  EXPECT_EQ(width, 2);
-}
-
 TEST(PreprocessTest, CutVertexSplitsIntoAtoms) {
   // Bowtie: triangles {0,1,2} and {2,3,4} share the cut vertex 2 — a
   // clique minimal separator of size 1.
@@ -143,13 +107,6 @@ TEST(PreprocessTest, AtomsAreAtomsOnRandomGraphs) {
           << "atom " << i << " of seed " << seed << " is not atomic";
     }
   }
-}
-
-TEST(PreprocessTest, DegeneracyLowerBound) {
-  EXPECT_EQ(DegeneracyLowerBound(workloads::Path(6)), 1);
-  EXPECT_EQ(DegeneracyLowerBound(workloads::Cycle(7)), 2);
-  EXPECT_EQ(DegeneracyLowerBound(workloads::Complete(5)), 4);
-  EXPECT_EQ(DegeneracyLowerBound(workloads::Grid(4, 4)), 2);
 }
 
 TEST(PreprocessTest, InfoCountsAtoms) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <set>
 #include <string>
 #include <utility>
@@ -246,13 +245,10 @@ void ExpectSameStream(const std::vector<Triangulation>& a,
   }
 }
 
-TEST(RankedEnumTest, IndexedAndScanStreamsAreByteIdentical) {
-  // The tentpole invariant: the segment-tree candidate index changes how
-  // block optima are re-found, never which ones — the full ranked stream
-  // must match the list-scan baseline result for result, and neither engine
-  // may depend on how many threads built the context.
-  SolverOptions scan_options;
-  scan_options.use_candidate_index = false;
+TEST(RankedEnumTest, StreamsAreByteIdenticalAtEveryContextThreadCount) {
+  // The ranked stream may not depend on how many threads built the context:
+  // a context built with 2 threads must yield the 1-thread stream result for
+  // result.
   std::vector<Graph> graphs = {workloads::Grid(3, 3), workloads::Cycle(6)};
   for (int seed = 0; seed < 3; ++seed) {
     graphs.push_back(workloads::ConnectedErdosRenyi(10, 0.3, 31000 + seed));
@@ -273,20 +269,13 @@ TEST(RankedEnumTest, IndexedAndScanStreamsAreByteIdentical) {
         options.num_threads = threads;
         auto ctx = TriangulationContext::Build(graphs[gi], options);
         ASSERT_TRUE(ctx.has_value()) << where;
-        RankedTriangulationEnumerator indexed(*ctx, cost);
-        RankedTriangulationEnumerator scan(*ctx, cost, scan_options);
-        auto a = Drain(indexed, 200);
-        auto b = Drain(scan, 200);
-        ExpectSameStream(a, b, where + " indexed vs scan");
-        if (::testing::Test::HasFatalFailure()) return;
-        // The index may only skip candidate work, never add it.
-        EXPECT_LE(indexed.num_candidate_evals(), scan.num_candidate_evals())
-            << where;
-        EXPECT_EQ(scan.num_index_updates(), 0) << where;
+        RankedTriangulationEnumerator e(*ctx, cost);
+        auto stream = Drain(e, 200);
         if (reference.empty()) {
-          reference = std::move(a);
+          reference = std::move(stream);
         } else {
-          ExpectSameStream(a, reference, where + " vs serial-context stream");
+          ExpectSameStream(stream, reference,
+                           where + " vs serial-context stream");
           if (::testing::Test::HasFatalFailure()) return;
         }
       }
@@ -294,38 +283,11 @@ TEST(RankedEnumTest, IndexedAndScanStreamsAreByteIdentical) {
   }
 }
 
-// FNV-1a over a whole ranked stream: each result's κ (its bit pattern) and
-// its sorted fill edges, with the counts as delimiters.
-uint64_t StreamDigest(const Graph& g, RankedTriangulationEnumerator& e,
-                      size_t* length) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  const auto mix = [&h](uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (word >> (8 * byte)) & 0xffu;
-      h *= 0x100000001b3ull;
-    }
-  };
-  *length = 0;
-  while (auto t = e.Next()) {
-    ++*length;
-    uint64_t cost_bits;
-    std::memcpy(&cost_bits, &t->cost, sizeof cost_bits);
-    mix(cost_bits);
-    const std::vector<std::pair<int, int>> fill = t->FillEdgesSorted(g);
-    mix(fill.size());
-    for (const auto& [u, v] : fill) {
-      mix(static_cast<uint64_t>(u));
-      mix(static_cast<uint64_t>(v));
-    }
-  }
-  return h;
-}
-
 TEST(RankedEnumTest, FullStreamsMatchRecordedDigests) {
-  // Golden streams: the indexed/scan and tiered/direct identity tests
-  // compare two paths that share the solver's candidate evaluation, so an
-  // order change both paths make would pass them. These digests pin the
-  // complete (κ, fill edges) sequence itself.
+  // Golden streams: the thread-count and tiered/exact identity tests
+  // compare two runs that share the solver, so an order change both runs
+  // make would pass them. These digests pin the complete (κ, fill edges)
+  // sequence itself.
   struct Golden {
     const char* name;
     Graph graph;
@@ -350,15 +312,15 @@ TEST(RankedEnumTest, FullStreamsMatchRecordedDigests) {
           which_cost == 0 ? static_cast<const BagCost&>(width)
                           : static_cast<const BagCost&>(fill);
       RankedTriangulationEnumerator e(ctx, cost);
-      size_t length = 0;
-      const uint64_t digest = StreamDigest(golden.graph, e, &length);
+      testutil::StreamDigest digest;
+      while (auto t = e.Next()) digest.Add(golden.graph, *t);
       const std::string where =
           std::string(golden.name) + (which_cost == 0 ? "/width" : "/fill");
       EXPECT_FALSE(e.truncated()) << where;
-      EXPECT_EQ(length, golden.length) << where;
-      EXPECT_EQ(digest,
+      EXPECT_EQ(digest.length(), golden.length) << where;
+      EXPECT_EQ(digest.value(),
                 which_cost == 0 ? golden.width_digest : golden.fill_digest)
-          << where << " digest 0x" << std::hex << digest;
+          << where << " digest 0x" << std::hex << digest.value();
     }
   }
 }

@@ -2,6 +2,8 @@
 #define MINTRI_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <set>
 #include <utility>
 #include <vector>
@@ -10,6 +12,7 @@
 #include "graph/graph.h"
 #include "separators/crossing.h"
 #include "separators/minimal_separators.h"
+#include "triang/triangulation.h"
 
 namespace mintri {
 namespace testutil {
@@ -113,6 +116,38 @@ inline std::set<FillSet> BruteForceMinimalTriangulationFills(const Graph& g) {
   }
   return fills;
 }
+
+/// FNV-1a over a ranked stream, fed one result at a time: each result's κ
+/// (its bit pattern) and its sorted fill edges, with the counts as
+/// delimiters. The golden stream digests of the enumerator tests use it.
+class StreamDigest {
+ public:
+  void Add(const Graph& g, const Triangulation& t) {
+    ++length_;
+    uint64_t cost_bits;
+    std::memcpy(&cost_bits, &t.cost, sizeof cost_bits);
+    Mix(cost_bits);
+    const std::vector<std::pair<int, int>> fill = t.FillEdgesSorted(g);
+    Mix(fill.size());
+    for (const auto& [u, v] : fill) {
+      Mix(static_cast<uint64_t>(u));
+      Mix(static_cast<uint64_t>(v));
+    }
+  }
+  uint64_t value() const { return h_; }
+  size_t length() const { return length_; }
+
+ private:
+  void Mix(uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h_ ^= (word >> (8 * byte)) & 0xffu;
+      h_ *= 0x100000001b3ull;
+    }
+  }
+
+  uint64_t h_ = 0xcbf29ce484222325ull;
+  size_t length_ = 0;
+};
 
 }  // namespace testutil
 }  // namespace mintri

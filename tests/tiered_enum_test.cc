@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <vector>
@@ -42,22 +44,18 @@ Stream Drain(const Graph& g, TieredEnumerator* e) {
   return s;
 }
 
-Stream DrainDirect(const Graph& g, RankedForestEnumerator* e) {
-  Stream s;
-  for (int i = 0; i < kExhaustCap; ++i) {
-    auto t = e->Next();
-    if (!t.has_value()) return s;
-    s.costs.push_back(t->cost);
-    s.classes[t->cost].insert(testutil::FillKey(g, t->filled));
-  }
-  ADD_FAILURE() << "stream did not terminate within " << kExhaustCap;
-  return s;
-}
-
 TierOptions AutoOptions(bool decomposable) {
   TierOptions t;
   t.mode = TierOptions::Mode::kAuto;
   t.decomposable_cost = decomposable;
+  return t;
+}
+
+// --tier=exact: units are the connected components, no Tier 0. This is the
+// direct reference the auto-mode differentials compare against.
+TierOptions ExactOptions() {
+  TierOptions t;
+  t.mode = TierOptions::Mode::kExact;
   return t;
 }
 
@@ -89,9 +87,10 @@ std::vector<Graph> DifferentialCorpus() {
 TEST(TieredEnumTest, DifferentialWidthEqualsDirect) {
   for (const Graph& g : DifferentialCorpus()) {
     WidthCost width;
-    RankedForestEnumerator direct(g, width, CostComposition::kMax);
+    TieredEnumerator direct(g, width, CostComposition::kMax, {}, {},
+                            ExactOptions());
     ASSERT_TRUE(direct.init_ok());
-    Stream expected = DrainDirect(g, &direct);
+    Stream expected = Drain(g, &direct);
 
     TieredEnumerator tiered(g, width, CostComposition::kMax, {}, {},
                             AutoOptions(true));
@@ -105,9 +104,10 @@ TEST(TieredEnumTest, DifferentialWidthEqualsDirect) {
 TEST(TieredEnumTest, DifferentialFillSumEqualsDirect) {
   for (const Graph& g : DifferentialCorpus()) {
     FillInCost fill;
-    RankedForestEnumerator direct(g, fill, CostComposition::kSum);
+    TieredEnumerator direct(g, fill, CostComposition::kSum, {}, {},
+                            ExactOptions());
     ASSERT_TRUE(direct.init_ok());
-    Stream expected = DrainDirect(g, &direct);
+    Stream expected = Drain(g, &direct);
 
     TieredEnumerator tiered(g, fill, CostComposition::kSum, {}, {},
                             AutoOptions(true));
@@ -118,11 +118,13 @@ TEST(TieredEnumTest, DifferentialFillSumEqualsDirect) {
 }
 
 // A non-decomposable cost keeps the units at whole connected components, so
-// the stream must be byte-for-byte the forest stream (tie order included).
-TEST(TieredEnumTest, NonDecomposableCostReplaysForestExactly) {
+// the stream must be byte-for-byte the exact-mode stream (tie order
+// included).
+TEST(TieredEnumTest, NonDecomposableCostReplaysExactModeExactly) {
   Graph g = testutil::PaperExampleGraph();
   WidthCost width;
-  RankedForestEnumerator direct(g, width, CostComposition::kMax);
+  TieredEnumerator direct(g, width, CostComposition::kMax, {}, {},
+                          ExactOptions());
   TieredEnumerator tiered(g, width, CostComposition::kMax, {}, {},
                           AutoOptions(false));
   EXPECT_EQ(tiered.tier(), SolveTier::kExact);
@@ -131,8 +133,8 @@ TEST(TieredEnumTest, NonDecomposableCostReplaysForestExactly) {
     auto b = tiered.Next();
     ASSERT_EQ(a.has_value(), b.has_value());
     if (!a.has_value()) break;
-    EXPECT_EQ(a->cost, b->triangulation.cost);
-    EXPECT_EQ(testutil::FillKey(g, a->filled),
+    EXPECT_EQ(a->triangulation.cost, b->triangulation.cost);
+    EXPECT_EQ(testutil::FillKey(g, a->triangulation.filled),
               testutil::FillKey(g, b->triangulation.filled));
   }
 }
@@ -144,13 +146,14 @@ TEST(TieredEnumTest, FamilyCorpusPrefixDifferential) {
                                workloads::ConnectedErdosRenyi(24, 0.12, 5)};
   for (const Graph& g : graphs) {
     WidthCost width;
-    RankedForestEnumerator direct(g, width, CostComposition::kMax);
+    TieredEnumerator direct(g, width, CostComposition::kMax, {}, {},
+                            ExactOptions());
     ASSERT_TRUE(direct.init_ok());
     std::vector<CostValue> expected;
     for (int i = 0; i < 50; ++i) {
       auto t = direct.Next();
       if (!t.has_value()) break;
-      expected.push_back(t->cost);
+      expected.push_back(t->triangulation.cost);
     }
     for (int threads : {1, 2, 4}) {
       ContextOptions options;
@@ -269,26 +272,6 @@ TEST(TieredEnumTest, ExhaustedBudgetFallsBackWithTruthfulTally) {
   ASSERT_TRUE(r.has_value());
   EXPECT_TRUE(IsMinimalTriangulation(g, r->triangulation.filled));
   EXPECT_GT(e.tier2_seconds(), 0.0);
-}
-
-TEST(TieredEnumTest, ExactModeDelegatesByteForByte) {
-  Graph g = testutil::PaperExampleGraph();
-  WidthCost width;
-  TierOptions t;
-  t.mode = TierOptions::Mode::kExact;
-  RankedForestEnumerator direct(g, width, CostComposition::kMax);
-  TieredEnumerator tiered(g, width, CostComposition::kMax, {}, {}, t);
-  EXPECT_EQ(tiered.tier(), SolveTier::kExact);
-  while (true) {
-    auto a = direct.Next();
-    auto b = tiered.Next();
-    ASSERT_EQ(a.has_value(), b.has_value());
-    if (!a.has_value()) break;
-    EXPECT_EQ(a->cost, b->triangulation.cost);
-    EXPECT_EQ(a->bags, b->triangulation.bags);
-    EXPECT_EQ(a->parent, b->triangulation.parent);
-    EXPECT_EQ(a->separators, b->triangulation.separators);
-  }
 }
 
 TEST(TieredEnumTest, ChordalInputEmitsExactlyOneResult) {
