@@ -8,6 +8,7 @@
 #include "cost/cost_model_registry.h"
 #include "cost/standard_costs.h"
 #include "enumeration/tiered_enum.h"
+#include "mintri_git_sha.h"  // generated at build time
 #include "parallel/thread_pool.h"
 #include "pmc/potential_maximal_cliques.h"
 #include "separators/minimal_separators.h"
@@ -18,10 +19,6 @@
 #include "workloads/named_graphs.h"
 #include "workloads/random_graphs.h"
 #include "workloads/tpch_queries.h"
-
-#ifndef MINTRI_GIT_SHA
-#define MINTRI_GIT_SHA "unknown"
-#endif
 
 namespace mintri {
 namespace bench {

@@ -107,8 +107,9 @@ BenchReport RunBenchSuites(const BenchRunOptions& options,
 /// schema; see README "Benchmarks" and scripts/validate_bench_json.py).
 void WriteBenchJson(const BenchReport& report, std::ostream& out);
 
-/// The git sha baked in at configure time; the MINTRI_GIT_SHA environment
-/// variable overrides it, and "unknown" is the fallback.
+/// The git sha of the build (stamped at build time, so it follows HEAD
+/// without a reconfigure); the MINTRI_GIT_SHA environment variable
+/// overrides it, and "unknown" is the fallback outside a git checkout.
 std::string GitSha();
 
 }  // namespace bench

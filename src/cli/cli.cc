@@ -164,7 +164,8 @@ constexpr char kBenchUsage[] =
     "  --help       show this message and exit\n"
     "\n"
     "Budgets scale with the MINTRI_TIME_SCALE environment variable; the\n"
-    "report's git_sha comes from configure time (MINTRI_GIT_SHA overrides).\n";
+    "report's git_sha is the HEAD the binary was built from (stamped at\n"
+    "build time; MINTRI_GIT_SHA overrides).\n";
 
 int RunBenchCommand(const std::vector<std::string>& args, std::ostream& out,
                     std::ostream& err) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace mintri {
 
@@ -23,7 +24,7 @@ RankedTriangulationEnumerator::RankedTriangulationEnumerator(
     const TriangulationContext& ctx, const BagCost& cost)
     : ctx_(ctx), solver_(ctx, cost) {
   ++num_optimizer_calls_;
-  std::optional<Triangulation> first = solver_.Solve({}, {});
+  std::optional<TriangulationTree> first = solver_.Solve({}, {});
   if (first.has_value()) {
     Push(std::move(*first), -1);
   } else {
@@ -31,7 +32,8 @@ RankedTriangulationEnumerator::RankedTriangulationEnumerator(
   }
 }
 
-void RankedTriangulationEnumerator::Push(Triangulation t, int constraints) {
+void RankedTriangulationEnumerator::Push(TriangulationTree t,
+                                         int constraints) {
   Entry e{t.cost, sequence_++, std::move(t), constraints};
   queue_.push(std::move(e));
 }
@@ -49,6 +51,12 @@ void RankedTriangulationEnumerator::CollectConstraints(
 }
 
 std::optional<Triangulation> RankedTriangulationEnumerator::Next() {
+  std::optional<TriangulationTree> tree = NextTree();
+  if (!tree.has_value()) return std::nullopt;
+  return Saturate(ctx_.graph(), std::move(*tree));
+}
+
+std::optional<TriangulationTree> RankedTriangulationEnumerator::NextTree() {
   // A truncated stream stays truncated: part of some Lawler–Murty expansion
   // was skipped, so continuing would silently drop or misorder results.
   if (exhausted_ || truncated_ || queue_.empty()) {
@@ -65,8 +73,8 @@ std::optional<Triangulation> RankedTriangulationEnumerator::Next() {
 
   // Split the remainder of [I, X] along MinSep(H) \ I (lines 7-13).
   std::vector<int> h_seps;
-  h_seps.reserve(top.triangulation.separators.size());
-  for (const VertexSet& s : top.triangulation.separators) {
+  h_seps.reserve(top.tree.separators.size());
+  for (const VertexSet& s : top.tree.separators) {
     int id = ctx_.SeparatorId(s);
     assert(id >= 0);  // every adhesion is a minimal separator of G
     h_seps.push_back(id);
@@ -87,7 +95,7 @@ std::optional<Triangulation> RankedTriangulationEnumerator::Next() {
     arena_.push_back({s, chain, false});
     const int partition = static_cast<int>(arena_.size()) - 1;
     ++num_optimizer_calls_;
-    std::optional<Triangulation> h = solver_.Solve(include, exclude);
+    std::optional<TriangulationTree> h = solver_.Solve(include, exclude);
     if (solver_.truncated()) {
       // Out of budget mid-expansion. The popped result is already correct —
       // hand it out — but the stream ends here, truthfully marked.
@@ -109,12 +117,12 @@ std::optional<Triangulation> RankedTriangulationEnumerator::Next() {
     }
   }
 
-  return std::move(top.triangulation);
+  return std::move(top.tree);
 }
 
 std::optional<RankedTreeDecompositionEnumerator::Result>
 RankedTreeDecompositionEnumerator::Next() {
-  std::optional<Triangulation> t = inner_.Next();
+  std::optional<TriangulationTree> t = inner_.NextTree();
   if (!t.has_value()) return std::nullopt;
   Result r{CliqueTreeOf(*t), t->cost};
   return r;

@@ -45,7 +45,12 @@ class RankedTriangulationEnumerator {
   RankedTriangulationEnumerator(const TriangulationContext& ctx,
                                 const BagCost& cost);
 
+  /// The next-cheapest minimal triangulation, saturated at pop time.
   std::optional<Triangulation> Next();
+
+  /// Next() without the filled graph: the clique tree only, for callers
+  /// that assemble their own result from it (TieredEnumerator's units).
+  std::optional<TriangulationTree> NextTree();
 
   /// Per-enumeration wall-clock budget, polled by the solver inside its
   /// repair loops. When it expires mid-Next the current result is still
@@ -87,7 +92,7 @@ class RankedTriangulationEnumerator {
   struct Entry {
     CostValue cost;
     long long sequence;  // tie-break for deterministic order
-    Triangulation triangulation;
+    TriangulationTree tree;
     int constraints;  // index into arena_, -1 for [∅, ∅]
   };
   struct EntryCompare {
@@ -97,7 +102,7 @@ class RankedTriangulationEnumerator {
     }
   };
 
-  void Push(Triangulation t, int constraints);
+  void Push(TriangulationTree t, int constraints);
   /// Decodes a constraint chain into sorted include/exclude id sets.
   void CollectConstraints(int node, std::vector<int>* include,
                           std::vector<int>* exclude) const;

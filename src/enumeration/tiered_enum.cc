@@ -1,15 +1,39 @@
 #include "enumeration/tiered_enum.h"
 
 #include <algorithm>
+#include <cassert>
 #include <numeric>
 #include <utility>
 
 #include "chordal/clique_tree.h"
 #include "chordal/lb_triang.h"
-#include "triang/triangulation.h"
 #include "util/timer.h"
 
 namespace mintri {
+
+namespace {
+
+// Makes `bag` the root of its tree by reversing its path to the old root.
+void Reroot(std::vector<int>* parent, int bag) {
+  int prev = -1;
+  for (int cur = bag; cur >= 0;) {
+    const int next = (*parent)[cur];
+    (*parent)[cur] = prev;
+    prev = cur;
+    cur = next;
+  }
+}
+
+// Index of the first bag in [begin, end) that contains `set`, or -1.
+int BagContaining(const std::vector<VertexSet>& bags, int begin, int end,
+                  const VertexSet& set) {
+  for (int i = begin; i < end; ++i) {
+    if (set.IsSubsetOf(bags[i])) return i;
+  }
+  return -1;
+}
+
+}  // namespace
 
 const char* TierName(SolveTier tier) {
   switch (tier) {
@@ -69,10 +93,13 @@ TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
       lifted_ = true;
     }
     for (const EliminatedVertex& ev : pre.eliminated) {
-      VertexSet bag(g_.NumVertices());
-      ev.bag.ForEach([&](int v) { bag.Insert(comp_old_of_new[v]); });
-      fixed_bags_.push_back(std::move(bag));
+      LiftBag lift{VertexSet(g_.NumVertices()), VertexSet(g_.NumVertices())};
+      ev.bag.ForEach([&](int v) { lift.bag.Insert(comp_old_of_new[v]); });
+      lift.neighbors = lift.bag;
+      lift.neighbors.Erase(comp_old_of_new[ev.vertex]);
+      lift_bags_.push_back(std::move(lift));
     }
+    const size_t first_atom = units_.size();
     for (const VertexSet& atom : pre.atoms) {
       std::vector<int> atom_old_to_new;
       Graph asub = pre.reduced.InducedSubgraph(atom, &atom_old_to_new);
@@ -83,6 +110,7 @@ TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
       AddUnit(asub, std::move(old_of_new), options, tier_options,
               tier_options.exact_budget_seconds - budget_timer.Seconds());
     }
+    BuildAtomTree(first_atom, pre.atoms, comp_old_of_new);
   }
 
   // Fold the Tier-0 summary into the aggregate build info (the ISSUE's
@@ -227,6 +255,45 @@ bool TieredEnumerator::AddUnit(const Graph& sub, std::vector<int> old_of_new,
   return true;
 }
 
+void TieredEnumerator::BuildAtomTree(size_t first,
+                                     const std::vector<VertexSet>& atoms,
+                                     const std::vector<int>& comp_old_of_new) {
+  // Saturating every atom gives a chordal graph whose maximal cliques are
+  // exactly the atoms, so a maximum-weight spanning tree of the atom
+  // intersection graph (Prim, ties to the lowest index) is a clique tree of
+  // it. Each tree edge's intersection lies inside a clique minimal
+  // separator, hence is a clique of g that every atom triangulation holds
+  // in some bag: the gluing points of Assemble.
+  const size_t a = atoms.size();
+  std::vector<bool> in_tree(a, false);
+  std::vector<int> weight(a, 0);
+  std::vector<size_t> from(a, 0);
+  for (size_t step = 0; step < a; ++step) {
+    size_t next = a;
+    for (size_t j = 0; j < a; ++j) {
+      if (!in_tree[j] && (next == a || weight[j] > weight[next])) next = j;
+    }
+    in_tree[next] = true;
+    Unit& unit = units_[first + next];
+    // Weight 0 only for the first atom: a component's atoms are connected
+    // through non-empty clique separators.
+    if (weight[next] > 0) {
+      unit.atom_parent = static_cast<int>(first + from[next]);
+      unit.glue = VertexSet(g_.NumVertices());
+      const VertexSet shared = atoms[next].Intersect(atoms[from[next]]);
+      shared.ForEach([&](int v) { unit.glue.Insert(comp_old_of_new[v]); });
+    }
+    for (size_t j = 0; j < a; ++j) {
+      if (in_tree[j]) continue;
+      const int w = atoms[next].Intersect(atoms[j]).Count();
+      if (w > weight[j]) {
+        weight[j] = w;
+        from[j] = next;
+      }
+    }
+  }
+}
+
 void TieredEnumerator::SetDeadline(const Deadline* deadline) {
   for (Unit& unit : units_) {
     if (unit.enumerator != nullptr) unit.enumerator->SetDeadline(deadline);
@@ -294,57 +361,97 @@ CostValue TieredEnumerator::Compose(const std::vector<size_t>& indices) const {
 }
 
 Triangulation TieredEnumerator::Assemble(const std::vector<size_t>& indices) {
+  // The units' clique trees in g labels, side by side: a forest with one
+  // root per unit. g is saturated with these bags and no others (a lift bag
+  // N[v] is already a clique of g).
+  const int n = g_.NumVertices();
+  Triangulation out;
+  out.filled = g_;
+  std::vector<int> first_bag(units_.size() + 1, 0);
+  for (size_t c = 0; c < indices.size(); ++c) {
+    const Unit& unit = units_[c];
+    const TriangulationTree& part = unit.produced[indices[c]];
+    const int bag_offset = static_cast<int>(out.bags.size());
+    first_bag[c] = bag_offset;
+    for (size_t b = 0; b < part.bags.size(); ++b) {
+      VertexSet bag(n);
+      part.bags[b].ForEach([&](int v) { bag.Insert(unit.old_of_new[v]); });
+      out.filled.SaturateSet(bag);
+      out.bags.push_back(std::move(bag));
+      out.parent.push_back(part.parent[b] < 0 ? -1
+                                              : part.parent[b] + bag_offset);
+    }
+    if (lifted_) continue;
+    for (const VertexSet& s : part.separators) {
+      VertexSet sep(n);
+      s.ForEach([&](int v) { sep.Insert(unit.old_of_new[v]); });
+      out.separators.push_back(std::move(sep));
+    }
+  }
+  first_bag[units_.size()] = static_cast<int>(out.bags.size());
+
   if (!lifted_) {
     // No Tier-0 rewriting happened: the units are exactly the connected
-    // components, so the triangulation is their disjoint union and the
-    // clique tree is a forest with one root per component.
-    Triangulation out;
-    out.filled = g_;
-    const int n = g_.NumVertices();
-    for (size_t c = 0; c < indices.size(); ++c) {
-      const Unit& unit = units_[c];
-      const Triangulation& part = unit.produced[indices[c]];
-      int bag_offset = static_cast<int>(out.bags.size());
-      for (size_t b = 0; b < part.bags.size(); ++b) {
-        VertexSet bag(n);
-        part.bags[b].ForEach([&](int v) { bag.Insert(unit.old_of_new[v]); });
-        out.filled.SaturateSet(bag);
-        out.bags.push_back(std::move(bag));
-        out.parent.push_back(part.parent[b] < 0 ? -1
-                                                : part.parent[b] + bag_offset);
-      }
-      for (const VertexSet& s : part.separators) {
-        VertexSet sep(n);
-        s.ForEach([&](int v) { sep.Insert(unit.old_of_new[v]); });
-        out.separators.push_back(std::move(sep));
-      }
-    }
+    // components, and the forest is the clique tree.
     std::sort(out.separators.begin(), out.separators.end());
     out.cost = Compose(indices);
     return out;
   }
 
-  // Tier-0 lifting: glue the atom triangulations (adjacent atoms overlap in
-  // clique separators, so the union of their fills is chordal and minimal —
-  // Leimer) and re-attach the eliminated simplicial bags, then repackage as
-  // a canonical clique tree. The emitted cost is re-evaluated on the final
-  // bag set, so it is truthful even though the queue was ordered by the
-  // composed per-unit costs (a monotone function of it for every
-  // tier-decomposable cost).
-  const int n = g_.NumVertices();
-  Graph filled = g_;
-  for (size_t c = 0; c < indices.size(); ++c) {
-    const Unit& unit = units_[c];
-    const Triangulation& part = unit.produced[indices[c]];
-    for (const VertexSet& b : part.bags) {
-      VertexSet bag(n);
-      b.ForEach([&](int v) { bag.Insert(unit.old_of_new[v]); });
-      filled.SaturateSet(bag);
+  // Tier-0 lifting. Adjacent atoms overlap in a clique separator S, so the
+  // union of their fills is chordal and minimal (Leimer), and a clique tree
+  // of it hangs each atom's tree, re-rooted at a bag ⊇ S, under a bag ⊇ S of
+  // its atom-tree parent. Neither bag is S itself: a maximal clique of a
+  // minimal triangulation is a PMC, and were the clique S a PMC of the atom,
+  // the neighbourhood of a component of atom − S would be a clique minimal
+  // separator of the atom. So the bags stay exactly the maximal cliques.
+  std::vector<VertexSet>& bags = out.bags;
+  std::vector<int>& parent = out.parent;
+  for (size_t c = 0; c < units_.size(); ++c) {
+    const int p = units_[c].atom_parent;
+    if (p < 0) continue;
+    const VertexSet& s = units_[c].glue;
+    const int child = BagContaining(bags, first_bag[c], first_bag[c + 1], s);
+    const int host = BagContaining(bags, first_bag[p], first_bag[p + 1], s);
+    assert(child >= 0 && host >= 0);
+    assert(bags[child].Count() > s.Count() && bags[host].Count() > s.Count());
+    Reroot(&parent, child);
+    parent[child] = host;
+  }
+  // Re-attach the eliminated vertices in reverse elimination order: N(v) is
+  // a clique of the triangulation built so far, so N[v] hangs under a bag
+  // ⊇ N(v) — or replaces it when that bag is N(v) itself — and becomes a
+  // new root when v was the last vertex of its component.
+  for (auto it = lift_bags_.rbegin(); it != lift_bags_.rend(); ++it) {
+    if (it->neighbors.Empty()) {
+      bags.push_back(it->bag);
+      parent.push_back(-1);
+      continue;
+    }
+    // Newest bags first: a simplicial tail hangs off the bag just added.
+    int host = static_cast<int>(bags.size()) - 1;
+    while (host >= 0 && !it->neighbors.IsSubsetOf(bags[host])) --host;
+    assert(host >= 0);
+    if (bags[host].Count() == it->neighbors.Count()) {
+      bags[host] = it->bag;
+    } else {
+      bags.push_back(it->bag);
+      parent.push_back(host);
     }
   }
-  for (const VertexSet& bag : fixed_bags_) filled.SaturateSet(bag);
-  Triangulation out = TriangulationFromChordal(g_, std::move(filled));
-  out.cost = cost_.Evaluate(g_, out.bags);
+
+  std::vector<VertexSet>& seps = out.separators;
+  for (size_t i = 0; i < bags.size(); ++i) {
+    if (parent[i] < 0) continue;
+    VertexSet adhesion = bags[i].Intersect(bags[parent[i]]);
+    if (!adhesion.Empty()) seps.push_back(std::move(adhesion));
+  }
+  std::sort(seps.begin(), seps.end());
+  seps.erase(std::unique(seps.begin(), seps.end()), seps.end());
+  // The queue was ordered by the composed per-unit costs (a monotone
+  // function of the global cost for every tier-decomposable cost); the
+  // emitted cost is evaluated on the final bag set, so it is truthful.
+  out.cost = cost_.Evaluate(g_, bags);
   return out;
 }
 

@@ -86,6 +86,12 @@ struct TieredResult {
 /// each built with the caller's ContextOptions as given; Mode::kAuto with no
 /// reduction/decomposition/fallback has the same units and replays that
 /// stream byte-for-byte.
+///
+/// Each emitted result is assembled once, from the clique trees the units
+/// hand back (they never build a filled graph): the component trees side by
+/// side, or, once Tier 0 has rewritten the graph, the atom trees glued along
+/// each component's atom tree with the eliminated vertices' bags
+/// re-attached. Only then is g saturated, once per result.
 class TieredEnumerator {
  public:
   TieredEnumerator(const Graph& g, const BagCost& cost,
@@ -142,9 +148,21 @@ class TieredEnumerator {
     std::unique_ptr<BagCost> restricted_cost;
     std::unique_ptr<TriangulationContext> context;
     std::unique_ptr<RankedTriangulationEnumerator> enumerator;
-    std::vector<Triangulation> produced;  // memoized ranked prefix
+    std::vector<TriangulationTree> produced;  // memoized ranked prefix
     bool exhausted = false;
     SolveTier tier = SolveTier::kExact;
+    /// Lifted mode: the unit this atom hangs under in its component's atom
+    /// tree (-1 for the component's root atom), and the two atoms'
+    /// intersection, a clique separator of g (g labels).
+    int atom_parent = -1;
+    VertexSet glue;
+  };
+
+  /// A Tier-0-eliminated vertex v (g labels): N(v) and N[v] at elimination
+  /// time. N[v] is a maximal clique of every assembled triangulation.
+  struct LiftBag {
+    VertexSet neighbors;
+    VertexSet bag;
   };
 
   /// Builds one unit (Tier 1, else Tier 2). False only in Mode::kExact,
@@ -152,6 +170,11 @@ class TieredEnumerator {
   bool AddUnit(const Graph& sub, std::vector<int> old_of_new,
                const ContextOptions& options, const TierOptions& tier_options,
                double remaining_budget);
+  /// Lifted mode: links the atoms [first, units_.size()) of one component
+  /// by a maximum-weight spanning tree over |A_i ∩ A_j| (`atoms` in
+  /// component labels, indexed from `first`).
+  void BuildAtomTree(size_t first, const std::vector<VertexSet>& atoms,
+                     const std::vector<int>& comp_old_of_new);
   bool Materialize(int unit, size_t i);
   long long SumOverUnits(
       long long (RankedTriangulationEnumerator::*stat)() const) const;
@@ -163,16 +186,15 @@ class TieredEnumerator {
   CostComposition composition_;
   bool init_ok_ = true;
   /// True once Tier 0 changed the unit structure (eliminated a vertex or
-  /// split a component); selects the lifting assembly path.
+  /// split a component); selects the gluing assembly path.
   bool lifted_ = false;
   SolveTier tier_ = SolveTier::kExact;
   ContextBuildInfo init_info_;
   PreprocessInfo preprocess_info_;
   double tier1_seconds_ = 0;
   double tier2_seconds_ = 0;
-  /// Lift bags of Tier-0-eliminated vertices (g labels): each is N[v] at
-  /// elimination time, a maximal clique of every assembled triangulation.
-  std::vector<VertexSet> fixed_bags_;
+  /// Tier-0-eliminated vertices, in elimination order.
+  std::vector<LiftBag> lift_bags_;
   std::vector<Unit> units_;
 
   struct QueueEntry {

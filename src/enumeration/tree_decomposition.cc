@@ -113,7 +113,7 @@ void WritePaceTd(const TreeDecomposition& td, int num_graph_vertices,
   }
 }
 
-TreeDecomposition CliqueTreeOf(const Triangulation& t) {
+TreeDecomposition CliqueTreeOf(const TriangulationTree& t) {
   TreeDecomposition td;
   td.bags = t.bags;
   for (size_t i = 0; i < t.parent.size(); ++i) {

@@ -31,7 +31,7 @@ struct TreeDecomposition {
 };
 
 /// The clique tree carried by a Triangulation, as a TreeDecomposition.
-TreeDecomposition CliqueTreeOf(const Triangulation& t);
+TreeDecomposition CliqueTreeOf(const TriangulationTree& t);
 
 /// Writes the decomposition in the PACE ".td" exchange format:
 ///   s td <#bags> <max-bag-size> <n>

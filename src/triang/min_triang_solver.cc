@@ -245,7 +245,7 @@ void MinTriangSolver::Repick(int node, bool cascade) {
   }
 }
 
-std::optional<Triangulation> MinTriangSolver::Solve(
+std::optional<TriangulationTree> MinTriangSolver::Solve(
     const std::vector<int>& include_ids, const std::vector<int>& exclude_ids) {
   assert(std::is_sorted(include_ids.begin(), include_ids.end()));
   assert(std::is_sorted(exclude_ids.begin(), exclude_ids.end()));
@@ -295,10 +295,9 @@ std::optional<Triangulation> MinTriangSolver::Solve(
   return Reconstruct();
 }
 
-Triangulation MinTriangSolver::Reconstruct() {
-  const Graph& g = ctx_.graph();
+TriangulationTree MinTriangSolver::Reconstruct() {
   const std::vector<TriangulationContext::BlockEntry>& blocks = ctx_.blocks();
-  Triangulation t;
+  TriangulationTree t;
   t.cost = value_[Root()];
 
   std::vector<ReconstructFrame>& stack = reconstruct_stack_;
@@ -331,9 +330,6 @@ Triangulation MinTriangSolver::Reconstruct() {
   for (size_t i = 0; i < seps.size(); ++i) {
     if (i == 0 || seps[i] != seps[i - 1]) t.separators.push_back(seps[i]);
   }
-
-  t.filled = g;
-  for (const VertexSet& bag : t.bags) t.filled.SaturateSet(bag);
   return t;
 }
 

@@ -70,13 +70,15 @@ class MinTriangSolver {
  public:
   MinTriangSolver(const TriangulationContext& ctx, const BagCost& cost);
 
-  /// Minimum-κ[I,X] minimal triangulation of the context's graph, or
-  /// std::nullopt when no finite-cost triangulation satisfies [I,X] (or the
-  /// width bound of a bounded context). `include_ids` / `exclude_ids` are
-  /// sorted, duplicate-free indices into ctx.minimal_separators(). The
-  /// first call is a full DP pass; later calls repair incrementally.
-  std::optional<Triangulation> Solve(const std::vector<int>& include_ids,
-                                     const std::vector<int>& exclude_ids);
+  /// The clique tree of a minimum-κ[I,X] minimal triangulation of the
+  /// context's graph, or std::nullopt when no finite-cost triangulation
+  /// satisfies [I,X] (or the width bound of a bounded context). The filled
+  /// graph is left to callers that hand the result out (Saturate).
+  /// `include_ids` / `exclude_ids` are sorted, duplicate-free indices into
+  /// ctx.minimal_separators(). The first call is a full DP pass; later
+  /// calls repair incrementally.
+  std::optional<TriangulationTree> Solve(const std::vector<int>& include_ids,
+                                         const std::vector<int>& exclude_ids);
 
   /// Per-Solve wall-clock budget, polled inside the repair/full-pass
   /// candidate loops (a pathological cascade must not blow a per-query
@@ -182,9 +184,9 @@ class MinTriangSolver {
   // child is infeasible). Callers only pass unblocked candidates.
   CostValue EvalCandidate(int node, size_t k);
 
-  // Builds the Triangulation from the solved tables (Appendix A: one bag
-  // per block, rooted at Ω(G)).
-  Triangulation Reconstruct();
+  // Builds the clique tree from the solved tables (Appendix A: one bag per
+  // block, rooted at Ω(G)).
+  TriangulationTree Reconstruct();
 
   const TriangulationContext& ctx_;
   const BagCost& cost_;

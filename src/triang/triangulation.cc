@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "chordal/clique_tree.h"
 
 namespace mintri {
 
-int Triangulation::Width() const {
+int TriangulationTree::Width() const {
   int w = -1;
   for (const VertexSet& b : bags) w = std::max(w, b.Count() - 1);
   return w;
@@ -25,6 +26,14 @@ std::vector<std::pair<int, int>> Triangulation::FillEdgesSorted(
   }
   std::sort(fill.begin(), fill.end());
   return fill;
+}
+
+Triangulation Saturate(const Graph& original, TriangulationTree tree) {
+  Triangulation t;
+  static_cast<TriangulationTree&>(t) = std::move(tree);
+  t.filled = original;
+  for (const VertexSet& bag : t.bags) t.filled.SaturateSet(bag);
+  return t;
 }
 
 Triangulation TriangulationFromChordal(const Graph& original, Graph h,

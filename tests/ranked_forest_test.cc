@@ -93,7 +93,11 @@ TEST(RankedForestTest, StreamsMatchRecordedDigests) {
       ASSERT_TRUE(e.init_ok()) << where;
       EXPECT_EQ(e.tier(), SolveTier::kExact) << where;
       testutil::StreamDigest digest;
-      while (auto r = e.Next()) digest.Add(golden.graph, r->triangulation);
+      while (auto r = e.Next()) {
+        testutil::ExpectProperCliqueTree(golden.graph, r->triangulation, cost,
+                                         where);
+        digest.Add(golden.graph, r->triangulation);
+      }
       EXPECT_FALSE(e.truncated()) << where;
       EXPECT_EQ(digest.length(), golden.length) << where;
       EXPECT_EQ(digest.value(),
@@ -111,10 +115,12 @@ TEST(RankedForestTest, ConnectedGraphMatchesPlainEnumerator) {
   ASSERT_TRUE(e.init_ok());
   auto first = e.Next();
   ASSERT_TRUE(first.has_value());
+  testutil::ExpectProperCliqueTree(g, first->triangulation, width);
   EXPECT_EQ(first->triangulation.Width(), 2);
   EXPECT_EQ(first->tier, SolveTier::kExact);
   auto second = e.Next();
   ASSERT_TRUE(second.has_value());
+  testutil::ExpectProperCliqueTree(g, second->triangulation, width);
   EXPECT_EQ(second->triangulation.Width(), 3);
   EXPECT_FALSE(e.Next().has_value());
 }
@@ -128,6 +134,7 @@ TEST(RankedForestTest, DisconnectedProductCount) {
   double last = 0;
   while (auto r = e.Next()) {
     const Triangulation& t = r->triangulation;
+    testutil::ExpectProperCliqueTree(g, t, fill);
     EXPECT_GE(t.cost, last - 1e-9);  // ranked by total fill
     last = t.cost;
     EXPECT_TRUE(IsMinimalTriangulation(g, t.filled));
@@ -147,6 +154,7 @@ TEST(RankedForestTest, MaxCompositionRanksWidth) {
   std::set<FillSet> produced;
   while (auto r = e.Next()) {
     const Triangulation& t = r->triangulation;
+    testutil::ExpectProperCliqueTree(g, t, width);
     EXPECT_GE(t.cost, last);
     EXPECT_EQ(t.cost, static_cast<double>(t.Width()));
     last = t.cost;
@@ -165,6 +173,7 @@ TEST(RankedForestTest, IsolatedVerticesAndEdges) {
   ASSERT_TRUE(e.init_ok());
   auto r = e.Next();
   ASSERT_TRUE(r.has_value());
+  testutil::ExpectProperCliqueTree(g, r->triangulation, width);
   EXPECT_EQ(r->triangulation.bags.size(), 3u);  // {0}, {1,2}, {3}
   EXPECT_EQ(r->triangulation.Width(), 1);
   EXPECT_FALSE(e.Next().has_value());
@@ -183,6 +192,7 @@ TEST(RankedForestTest, RankedPrefixIsGloballyOptimal) {
   for (double expected : brute) {
     auto r = e.Next();
     ASSERT_TRUE(r.has_value());
+    testutil::ExpectProperCliqueTree(g, r->triangulation, fill);
     EXPECT_EQ(r->triangulation.cost, expected);
   }
   EXPECT_FALSE(e.Next().has_value());

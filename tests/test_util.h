@@ -1,14 +1,20 @@
 #ifndef MINTRI_TESTS_TEST_UTIL_H_
 #define MINTRI_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "chordal/chordality.h"
+#include "chordal/clique_tree.h"
 #include "chordal/minimality.h"
+#include "cost/bag_cost.h"
 #include "graph/graph.h"
 #include "separators/crossing.h"
 #include "separators/minimal_separators.h"
@@ -134,6 +140,11 @@ class StreamDigest {
       Mix(static_cast<uint64_t>(v));
     }
   }
+  /// Mixes a per-result label (e.g. the tier name) into the digest.
+  void AddLabel(const std::string& label) {
+    Mix(label.size());
+    for (char c : label) Mix(static_cast<unsigned char>(c));
+  }
   uint64_t value() const { return h_; }
   size_t length() const { return length_; }
 
@@ -148,6 +159,71 @@ class StreamDigest {
   uint64_t h_ = 0xcbf29ce484222325ull;
   size_t length_ = 0;
 };
+
+/// Checks that `t` is a proper clique tree of its triangulation of g:
+///  - `filled` is a chordal supergraph of g and `bags` are exactly its
+///    maximal cliques (as a set);
+///  - `parent` is an acyclic forest with one root per connected component
+///    of g, satisfying the running-intersection property;
+///  - `separators` are the sorted, distinct, non-empty parent adhesions;
+///  - `cost` equals `cost.Evaluate(g, bags)`.
+inline void ExpectProperCliqueTree(const Graph& g, const Triangulation& t,
+                                   const BagCost& cost,
+                                   const std::string& where = "") {
+  const int n = g.NumVertices();
+  const int k = static_cast<int>(t.bags.size());
+  ASSERT_EQ(t.filled.NumVertices(), n) << where;
+  for (const auto& [u, v] : g.Edges()) {
+    ASSERT_TRUE(t.filled.HasEdge(u, v)) << where << " lost edge " << u << "-"
+                                        << v;
+  }
+  ASSERT_TRUE(IsChordal(t.filled)) << where;
+  std::vector<VertexSet> bags = t.bags;
+  std::vector<VertexSet> cliques = MaximalCliquesOfChordal(t.filled);
+  std::sort(bags.begin(), bags.end());
+  std::sort(cliques.begin(), cliques.end());
+  EXPECT_EQ(bags, cliques) << where << ": bags are not the maximal cliques";
+
+  ASSERT_EQ(t.parent.size(), t.bags.size()) << where;
+  int roots = 0;
+  for (int i = 0; i < k; ++i) {
+    ASSERT_GE(t.parent[i], -1) << where;
+    ASSERT_LT(t.parent[i], k) << where;
+    if (t.parent[i] < 0) ++roots;
+    // Acyclic: every bag reaches a root within k steps.
+    int steps = 0;
+    for (int b = i; b >= 0; b = t.parent[b]) {
+      ASSERT_LE(++steps, k) << where << ": cycle through bag " << i;
+    }
+  }
+  EXPECT_EQ(static_cast<size_t>(roots), g.ConnectedComponents().size())
+      << where << ": one root per connected component";
+
+  // Running intersection: the bags holding v span exactly one subtree, i.e.
+  // (#bags holding v) - (#tree edges with v on both ends) == 1.
+  for (int v = 0; v < n; ++v) {
+    int holding = 0;
+    int edges = 0;
+    for (int i = 0; i < k; ++i) {
+      if (!t.bags[i].Contains(v)) continue;
+      ++holding;
+      if (t.parent[i] >= 0 && t.bags[t.parent[i]].Contains(v)) ++edges;
+    }
+    EXPECT_EQ(holding - edges, 1) << where << ": vertex " << v;
+  }
+
+  std::vector<VertexSet> adhesions;
+  for (int i = 0; i < k; ++i) {
+    if (t.parent[i] < 0) continue;
+    VertexSet a = t.bags[i].Intersect(t.bags[t.parent[i]]);
+    if (!a.Empty()) adhesions.push_back(std::move(a));
+  }
+  std::sort(adhesions.begin(), adhesions.end());
+  adhesions.erase(std::unique(adhesions.begin(), adhesions.end()),
+                  adhesions.end());
+  EXPECT_EQ(t.separators, adhesions) << where << ": separators";
+  EXPECT_EQ(t.cost, cost.Evaluate(g, t.bags)) << where << ": cost";
+}
 
 }  // namespace testutil
 }  // namespace mintri
