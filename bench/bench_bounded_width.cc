@@ -27,38 +27,21 @@ void Sweep(const std::string& name, const Graph& g, int b_lo, int b_hi,
                       "avg delay(s)", "complete"});
   WidthCost width;
   for (int b = b_lo; b <= b_hi + 1; ++b) {
-    ContextOptions options;
-    bool unbounded = b > b_hi;
-    if (!unbounded) options.width_bound = b;
-    options.separator_limits.time_limit_seconds = budget;
-    options.separator_limits.max_results = kMaxSeparators;
-    options.pmc_limits.time_limit_seconds = budget;
-    WallTimer timer;
-    auto ctx = TriangulationContext::Build(g, options);
-    double init = timer.Seconds();
+    const bool unbounded = b > b_hi;
+    const EnumRun run = RunRankedTriang(g, width, CostComposition::kMax,
+                                        budget, unbounded ? -1 : b);
     std::string label = unbounded ? "none" : std::to_string(b);
-    if (!ctx.has_value()) {
-      table.AddRow({label, "-", "-", TablePrinter::Num(init, 3),
+    if (!run.init_ok) {
+      table.AddRow({label, "-", "-", TablePrinter::Num(run.init_seconds, 3),
                     "(init timeout)", "-", "-"});
       continue;
     }
-    RankedTriangulationEnumerator e(*ctx, width);
-    long long count = 0;
-    bool complete = false;
-    while (timer.Seconds() < budget) {
-      auto t = e.Next();
-      if (!t.has_value()) {
-        complete = true;
-        break;
-      }
-      ++count;
-    }
-    double elapsed = timer.Seconds();
-    table.AddRow({label, TablePrinter::Int(ctx->minimal_separators().size()),
-                  TablePrinter::Int(ctx->pmcs().size()),
-                  TablePrinter::Num(init, 3), TablePrinter::Int(count),
-                  count > 0 ? TablePrinter::Num(elapsed / count, 5) : "-",
-                  complete ? "yes" : "no"});
+    table.AddRow({label, TablePrinter::Int(run.num_separators),
+                  TablePrinter::Int(run.num_pmcs),
+                  TablePrinter::Num(run.init_seconds, 3),
+                  TablePrinter::Int(run.count()),
+                  run.count() > 0 ? TablePrinter::Num(run.AvgDelay(), 5) : "-",
+                  run.finished ? "yes" : "no"});
   }
   table.Print(std::cout);
   std::cout << "\n";

@@ -40,9 +40,11 @@ int main() {
       for (int s = 0; s < samples; ++s) {
         Graph g = workloads::ConnectedErdosRenyi(
             n, p, 880000 + 100ULL * n + 10ULL * pc + s);
-        EnumRun rt_w = RunRankedTriang(g, width, budget);
+        EnumRun rt_w =
+            RunRankedTriang(g, width, CostComposition::kMax, budget);
         if (!rt_w.init_ok || rt_w.count() == 0) continue;
-        EnumRun rt_f = RunRankedTriang(g, fill, budget);
+        EnumRun rt_f =
+            RunRankedTriang(g, fill, CostComposition::kSum, budget);
         EnumRun ckk = RunCkk(g, budget);
         if (rt_f.count() == 0 || ckk.count() == 0) continue;
         ++feasible;

@@ -48,7 +48,7 @@ struct FamilyAccumulator {
 void Accumulate(const Graph& g, double budget, FamilyAccumulator* acc) {
   WidthCost width;
   FillInCost fill;
-  EnumRun rt_w = RunRankedTriang(g, width, budget);
+  EnumRun rt_w = RunRankedTriang(g, width, CostComposition::kMax, budget);
   if (!rt_w.init_ok) {
     ++acc->skipped_init;
     return;
@@ -58,7 +58,7 @@ void Accumulate(const Graph& g, double budget, FamilyAccumulator* acc) {
     ++acc->skipped_ckk_done;
     return;
   }
-  EnumRun rt_f = RunRankedTriang(g, fill, budget);
+  EnumRun rt_f = RunRankedTriang(g, fill, CostComposition::kSum, budget);
   if (rt_w.count() == 0 || rt_f.count() == 0 || ckk.count() == 0) return;
   ++acc->used;
 

@@ -1,36 +1,32 @@
 #ifndef MINTRI_BENCH_BENCH_UTIL_H_
 #define MINTRI_BENCH_BENCH_UTIL_H_
 
-#include <cstdlib>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "bench/bench_suites.h"
 #include "cost/standard_costs.h"
 #include "enumeration/ckk.h"
-#include "enumeration/ranked_enum.h"
-#include "triang/context.h"
-#include "util/timer.h"
+#include "enumeration/tiered_enum.h"
 
 namespace mintri {
 namespace bench {
 
-// TimeScale()/MinSepBudget()/PmcBudget()/EnumBudget() and the
-// kMaxSeparators/kMaxResults caps now live in src/bench/bench_suites.h
-// (shared with the bench_runner/`mintri bench` JSON pipeline) and are
-// re-exported here via the include above.
+// The budgets (TimeScale(), MinSepBudget(), ...), the result caps, the
+// MinSep→PMC probe and the drain loop live in src/bench/bench_suites.h,
+// shared with the `mintri bench` JSON pipeline.
 
 /// One time-budgeted enumeration run (either algorithm), in the shape the
 /// paper's Table 2 needs: per-result timestamps, widths and fill-ins.
 struct EnumRun {
-  bool init_ok = false;     // context build finished within budget (always
-                            // true for CKK, which has no init)
-  double init_seconds = 0;  // RankedTriang initialization time
+  bool init_ok = false;     // the enumerator's construction succeeded
+  double init_seconds = 0;  // construction time (RankedTriang: the context)
   bool finished = false;    // the full enumeration completed within budget
-  std::vector<double> result_seconds;  // time since run start, per result
+  std::vector<double> result_seconds;  // time since construction began
   std::vector<int> widths;
   std::vector<long long> fills;
+  size_t num_separators = 0;  // RankedTriang's context (0 for CKK)
+  size_t num_pmcs = 0;
 
   long long count() const {
     return static_cast<long long>(result_seconds.size());
@@ -70,87 +66,67 @@ struct EnumRun {
   }
 };
 
-/// Runs RankedTriang⟨cost⟩ for `budget` seconds (including initialization).
-inline EnumRun RunRankedTriang(const Graph& g, const BagCost& cost,
-                               double budget) {
-  EnumRun run;
-  WallTimer timer;
-  ContextOptions options;
-  options.separator_limits.time_limit_seconds = budget;
-  options.separator_limits.max_results = kMaxSeparators;
-  options.pmc_limits.time_limit_seconds = budget;
-  auto ctx = TriangulationContext::Build(g, options);
-  run.init_seconds = timer.Seconds();
-  if (!ctx.has_value() || run.init_seconds >= budget) return run;
-  run.init_ok = true;
+inline const Triangulation& TriangulationOf(const Triangulation& t) {
+  return t;
+}
+inline const Triangulation& TriangulationOf(const TieredResult& r) {
+  return r.triangulation;
+}
 
-  RankedTriangulationEnumerator e(*ctx, cost);
-  while (timer.Seconds() < budget &&
-         run.result_seconds.size() < kMaxResults) {
-    auto t = e.Next();
-    if (!t.has_value()) {
-      run.finished = true;
-      break;
-    }
-    run.result_seconds.push_back(timer.Seconds());
-    run.widths.push_back(t->Width());
-    run.fills.push_back(t->FillIn(g));
-  }
+/// Drains a built enumerator for `budget` seconds through DrainStream,
+/// recording every result's time, width and fill.
+template <typename Source>
+void Record(const Graph& g, Source& source, double budget, EnumRun* run) {
+  const DrainStats stats =
+      DrainStream(source, budget, [&](const auto& result, double seconds) {
+        const Triangulation& t = TriangulationOf(result);
+        run->result_seconds.push_back(run->init_seconds + seconds);
+        run->widths.push_back(t.Width());
+        run->fills.push_back(t.FillIn(g));
+      });
+  run->finished = stats.complete;
+}
+
+/// RankedTriang⟨cost⟩: the exact ranked stack (TieredEnumerator in
+/// Mode::kExact) built under the budget as its per-stage context limit —
+/// width-bounded (MinTriangB) when width_bound >= 0 — then drained for
+/// `budget` seconds.
+inline EnumRun RunRankedTriang(const Graph& g, const BagCost& cost,
+                               CostComposition composition, double budget,
+                               int width_bound = -1) {
+  EnumRun run;
+  ContextOptions options = BudgetedContextOptions(budget, 1);
+  options.width_bound = width_bound;
+  WallTimer timer;
+  TieredEnumerator e(g, cost, composition, options, SolverOptions{},
+                     ExactTier());
+  run.init_seconds = timer.Seconds();
+  run.num_separators = e.init_info().num_minseps;
+  run.num_pmcs = e.init_info().num_pmcs;
+  run.init_ok = e.init_ok();
+  if (run.init_ok) Record(g, e, budget, &run);
   return run;
 }
+
+/// The CKK baseline as a drainable source: it has no deadline to honour
+/// and never truncates, so only Next() ends its stream.
+struct CkkSource {
+  explicit CkkSource(const Graph& g) : enumerator(g) {}
+  std::optional<Triangulation> Next() { return enumerator.Next(); }
+  void SetDeadline(const Deadline*) {}
+  bool truncated() const { return false; }
+  CkkEnumerator enumerator;
+};
 
 /// Runs the CKK baseline for `budget` seconds.
 inline EnumRun RunCkk(const Graph& g, double budget) {
   EnumRun run;
-  run.init_ok = true;  // CKK has no initialization step
   WallTimer timer;
-  CkkEnumerator e(g);
-  while (timer.Seconds() < budget &&
-         run.result_seconds.size() < kMaxResults) {
-    auto t = e.Next();
-    if (!t.has_value()) {
-      run.finished = true;
-      break;
-    }
-    run.result_seconds.push_back(timer.Seconds());
-    run.widths.push_back(t->Width());
-    run.fills.push_back(t->FillIn(g));
-  }
+  CkkSource ckk(g);
+  run.init_seconds = timer.Seconds();
+  run.init_ok = true;  // CKK has no initialization step to fail
+  Record(g, ckk, budget, &run);
   return run;
-}
-
-/// MinSep-then-PMC tractability probe for Fig. 5.
-enum class Tractability { kTerminated, kMsTerminated, kNotTerminated };
-
-struct TractabilityProbe {
-  Tractability status = Tractability::kNotTerminated;
-  size_t num_separators = 0;
-  size_t num_pmcs = 0;
-  double minsep_seconds = 0;
-  double pmc_seconds = 0;
-};
-
-inline TractabilityProbe ProbeGraph(const Graph& g) {
-  TractabilityProbe probe;
-  WallTimer timer;
-  EnumerationLimits sep_limits;
-  sep_limits.time_limit_seconds = MinSepBudget();
-  sep_limits.max_results = kMaxSeparators;
-  auto seps = ListMinimalSeparators(g, sep_limits);
-  probe.minsep_seconds = timer.Seconds();
-  if (seps.status != EnumerationStatus::kComplete) return probe;
-  probe.num_separators = seps.separators.size();
-  probe.status = Tractability::kMsTerminated;
-
-  timer.Reset();
-  PmcOptions pmc_options;
-  pmc_options.limits.time_limit_seconds = PmcBudget();
-  auto pmcs = ListPotentialMaximalCliques(g, seps.separators, pmc_options);
-  probe.pmc_seconds = timer.Seconds();
-  if (pmcs.status != EnumerationStatus::kComplete) return probe;
-  probe.num_pmcs = pmcs.pmcs.size();
-  probe.status = Tractability::kTerminated;
-  return probe;
 }
 
 }  // namespace bench

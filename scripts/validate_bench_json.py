@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Schema validation for BENCH_core.json (the bench_runner report).
+"""Schema validation for BENCH_core.json (the `mintri bench` report).
 
 Usage:
   validate_bench_json.py [--smoke] [--compare=BASELINE.json] BENCH_core.json
@@ -53,7 +53,10 @@ ENTRY = {
     "status": str,
 }
 
-KNOWN_SUITES = {"minseps", "pmc", "enum", "ranked", "appcost", "huge"}
+KNOWN_SUITES = {"minseps", "pmc", "ranked", "appcost", "huge"}
+# The suites that drain a ranked stream; their results_per_sec is the
+# after-first-result throughput, so it is 0 when count <= 1.
+RANKED_STREAM_SUITES = {"ranked", "appcost", "huge"}
 # ms-terminated / pmc-terminated are the Fig. 5 taxonomy of which context
 # initialization stage hit its limits; cost-error marks an appcost case
 # whose cost model could not be constructed.
@@ -260,6 +263,11 @@ def main():
             fail(f"{where}: negative timing")
         if entry["init_seconds"] < 0:
             fail(f"{where}: negative init_seconds")
+        if (entry["suite"] in RANKED_STREAM_SUITES and entry["count"] <= 1
+                and entry["results_per_sec"] != 0):
+            fail(f"{where}: {entry['count']} result(s) but results_per_sec "
+                 f"{entry['results_per_sec']} (after-first-result "
+                 f"throughput needs two)")
         if not 0 <= entry["cache_hit_rate"] <= 1:
             fail(f"{where}: cache_hit_rate {entry['cache_hit_rate']} "
                  f"outside [0, 1]")

@@ -45,16 +45,22 @@ bool SmokeIncludesFamily(const std::string& name) {
 }
 
 BenchEntry MakeEntry(const std::string& suite, const SuiteContext& ctx,
-                     const workloads::DatasetFamily& family,
-                     const workloads::DatasetGraph& dg) {
+                     const std::string& family, const std::string& graph,
+                     const Graph& g) {
   BenchEntry e;
   e.suite = suite;
-  e.family = family.name;
-  e.graph = dg.name;
-  e.n = dg.graph.NumVertices();
-  e.m = dg.graph.NumEdges();
+  e.family = family;
+  e.graph = graph;
+  e.n = g.NumVertices();
+  e.m = g.NumEdges();
   e.threads = ctx.threads;
   return e;
+}
+
+BenchEntry MakeEntry(const std::string& suite, const SuiteContext& ctx,
+                     const workloads::DatasetFamily& family,
+                     const workloads::DatasetGraph& dg) {
+  return MakeEntry(suite, ctx, family.name, dg.name, dg.graph);
 }
 
 void FinishEntry(BenchEntry* e, long long count, double wall_seconds,
@@ -86,126 +92,64 @@ BenchEntry RunPmc(const SuiteContext& ctx,
                   const workloads::DatasetFamily& family,
                   const workloads::DatasetGraph& dg) {
   BenchEntry e = MakeEntry("pmc", ctx, family, dg);
-  EnumerationLimits sep_limits;
-  sep_limits.time_limit_seconds = MinSepBudget() * ctx.budget_factor;
-  sep_limits.max_results = kMaxSeparators;
-  sep_limits.num_threads = ctx.threads;
-  WallTimer timer;
-  MinimalSeparatorsResult seps = ListMinimalSeparators(dg.graph, sep_limits);
-  if (seps.status != EnumerationStatus::kComplete) {
-    FinishEntry(&e, 0, timer.Seconds(), "ms-terminated");
-    return e;
+  const PmcProbe probe =
+      ProbeMinSepsThenPmcs(dg.graph, ctx.threads, ctx.budget_factor);
+  if (!probe.separators_complete) {
+    FinishEntry(&e, 0, probe.minsep_seconds, "ms-terminated");
+  } else {
+    FinishEntry(&e, static_cast<long long>(probe.num_pmcs), probe.pmc_seconds,
+                probe.pmcs_complete ? "complete" : "truncated");
   }
-  PmcOptions options;
-  options.limits.time_limit_seconds = PmcBudget() * ctx.budget_factor;
-  options.limits.num_threads = ctx.threads;
-  timer.Reset();
-  PmcResult pmcs =
-      ListPotentialMaximalCliques(dg.graph, seps.separators, options);
-  FinishEntry(&e, static_cast<long long>(pmcs.pmcs.size()), timer.Seconds(),
-              pmcs.status == EnumerationStatus::kComplete ? "complete"
-                                                          : "truncated");
   return e;
 }
 
-// The enum, ranked and appcost suites run the --tier=exact pipeline: one
-// exact context per connected component, recombined as a ranked product.
-TierOptions ExactTier() {
-  TierOptions tier_options;
-  tier_options.mode = TierOptions::Mode::kExact;
-  return tier_options;
-}
-
-ContextOptions MakeContextOptions(const SuiteContext& ctx, double budget) {
-  ContextOptions options;
-  options.separator_limits.time_limit_seconds = budget;
-  options.separator_limits.max_results = kMaxSeparators;
-  options.pmc_limits.time_limit_seconds = budget;
-  options.num_threads = ctx.threads;
-  return options;
-}
-
-BenchEntry RunEnum(const SuiteContext& ctx,
-                   const workloads::DatasetFamily& family,
-                   const workloads::DatasetGraph& dg) {
-  BenchEntry e = MakeEntry("enum", ctx, family, dg);
-  e.cost = "width";
+// The ranked suites' one runner: build the tiered enumerator (its context
+// builds are init_seconds; a failed build is the entry's wall time and
+// status), then drain it through DrainStream for the enumeration budget.
+void RunTiered(BenchEntry* e, const SuiteContext& ctx, const Graph& g,
+               const BagCost& cost, CostComposition composition,
+               const TierOptions& tier_options) {
   const double budget = EnumBudget() * ctx.budget_factor;
-  ContextOptions options = MakeContextOptions(ctx, budget);
-  WidthCost cost;
   WallTimer timer;
-  TieredEnumerator enumerator(dg.graph, cost, CostComposition::kMax, options,
-                              SolverOptions{}, ExactTier());
-  e.init_seconds = enumerator.init_seconds();
+  TieredEnumerator enumerator(g, cost, composition,
+                              BudgetedContextOptions(budget, ctx.threads),
+                              SolverOptions{}, tier_options);
+  e->init_seconds = enumerator.init_seconds();
   if (!enumerator.init_ok()) {
-    FinishEntry(&e, 0, timer.Seconds(),
+    FinishEntry(e, 0, timer.Seconds(),
                 enumerator.init_info().TerminationName());
-    return e;
+    return;
   }
-  long long count = 0;
-  bool finished = false;
-  while (timer.Seconds() < budget &&
-         count < static_cast<long long>(kMaxResults)) {
-    if (!enumerator.Next().has_value()) {
-      finished = true;
-      break;
-    }
-    ++count;
+  // Only the auto-mode suite labels its tier: the exact-mode ones would
+  // always read "exact".
+  if (tier_options.mode != TierOptions::Mode::kExact) {
+    e->tier = TierName(enumerator.tier());
   }
-  FinishEntry(&e, count, timer.Seconds(),
-              finished ? "complete" : "truncated");
-  return e;
+  const DrainStats stats =
+      DrainStream(enumerator, budget, [](const TieredResult&, double) {});
+  e->count = stats.count;
+  e->wall_ms = stats.wall_seconds * 1000.0;
+  e->results_per_sec = stats.ResultsPerSec();
+  e->status = stats.complete ? "complete" : "truncated";
+  e->candidate_evals = enumerator.num_candidate_evals();
+  e->combine_calls = enumerator.num_combine_calls();
+  e->index_updates = enumerator.num_index_updates();
+  e->range_queries = enumerator.num_range_queries();
 }
 
-// The ranked suite is the Fig. 5 / Table 2 experiment class end to end:
+// The ranked and appcost suites run the --tier=exact pipeline: one exact
+// context per connected component, recombined as a ranked product. The
+// ranked suite is the Fig. 5 / Table 2 experiment class end to end:
 // context initialization at the entry's thread count, then ranked
-// enumeration, reporting init_seconds and the after-first-result
-// throughput (the paper's enumeration-rate measure, which excludes the
-// one-off initialization the pipeline amortizes). The enumeration budget
-// doubles as a solver deadline, so a repair pass that overruns is cut
-// inside the loop and reported truthfully as truncated rather than blowing
-// past the budget.
+// enumeration.
 BenchEntry RunRanked(const SuiteContext& ctx,
                      const workloads::DatasetFamily& family,
                      const workloads::DatasetGraph& dg) {
   BenchEntry e = MakeEntry("ranked", ctx, family, dg);
   e.cost = "width";
   e.solver = "indexed";
-  const double budget = EnumBudget() * ctx.budget_factor;
-  ContextOptions options = MakeContextOptions(ctx, budget);
   WidthCost cost;
-  WallTimer timer;
-  TieredEnumerator enumerator(dg.graph, cost, CostComposition::kMax, options,
-                              SolverOptions{}, ExactTier());
-  e.init_seconds = enumerator.init_seconds();
-  if (!enumerator.init_ok()) {
-    FinishEntry(&e, 0, timer.Seconds(),
-                enumerator.init_info().TerminationName());
-    return e;
-  }
-  const Deadline deadline(budget);
-  enumerator.SetDeadline(&deadline);
-  long long count = 0;
-  double first_result_seconds = 0;
-  bool finished = false;
-  while (timer.Seconds() < budget &&
-         count < static_cast<long long>(kMaxResults)) {
-    if (!enumerator.Next().has_value()) {
-      finished = !enumerator.truncated();
-      break;
-    }
-    ++count;
-    if (count == 1) first_result_seconds = timer.Seconds();
-  }
-  const double wall = timer.Seconds();
-  FinishEntry(&e, count, wall, finished ? "complete" : "truncated");
-  e.results_per_sec = (count > 1 && wall > first_result_seconds)
-                          ? (count - 1) / (wall - first_result_seconds)
-                          : 0.0;
-  e.candidate_evals = enumerator.num_candidate_evals();
-  e.combine_calls = enumerator.num_combine_calls();
-  e.index_updates = enumerator.num_index_updates();
-  e.range_queries = enumerator.num_range_queries();
+  RunTiered(&e, ctx, dg.graph, cost, CostComposition::kMax, ExactTier());
   return e;
 }
 
@@ -227,45 +171,18 @@ std::vector<workloads::DatasetFamily> HugeFamilies(bool smoke) {
 }
 
 // The huge suite: the tiered pipeline (auto mode) on PACE-scale graphs.
-// Unlike the ranked suite, the enumeration loop gets its own budget after
-// initialization — the init phase deliberately spends the exact budget
-// before degrading, and the point of the suite is the post-degradation
-// ranked stream, not an init-dominated zero.
+// Construction deliberately spends the exact budget before degrading; the
+// point of the suite is the post-degradation ranked stream.
 BenchEntry RunHuge(const SuiteContext& ctx,
                    const workloads::DatasetFamily& family,
                    const workloads::DatasetGraph& dg) {
   BenchEntry e = MakeEntry("huge", ctx, family, dg);
   e.cost = "width";
-  const double budget = EnumBudget() * ctx.budget_factor;
-  ContextOptions options = MakeContextOptions(ctx, budget);
   TierOptions tier_options;
   tier_options.decomposable_cost = true;  // width
-  tier_options.exact_budget_seconds = budget;
+  tier_options.exact_budget_seconds = EnumBudget() * ctx.budget_factor;
   WidthCost cost;
-  TieredEnumerator enumerator(dg.graph, cost, CostComposition::kMax, options,
-                              SolverOptions{}, tier_options);
-  e.init_seconds = enumerator.init_seconds();
-  e.tier = TierName(enumerator.tier());
-  WallTimer timer;
-  const Deadline deadline(budget);
-  enumerator.SetDeadline(&deadline);
-  long long count = 0;
-  double first_result_seconds = 0;
-  bool finished = false;
-  while (timer.Seconds() < budget &&
-         count < static_cast<long long>(kMaxResults)) {
-    if (!enumerator.Next().has_value()) {
-      finished = !enumerator.truncated();
-      break;
-    }
-    ++count;
-    if (count == 1) first_result_seconds = timer.Seconds();
-  }
-  const double wall = timer.Seconds();
-  FinishEntry(&e, count, wall, finished ? "complete" : "truncated");
-  e.results_per_sec = (count > 1 && wall > first_result_seconds)
-                          ? (count - 1) / (wall - first_result_seconds)
-                          : 0.0;
+  RunTiered(&e, ctx, dg.graph, cost, CostComposition::kMax, tier_options);
   return e;
 }
 
@@ -310,13 +227,8 @@ std::vector<AppCostCase> AppCostCases() {
 // reported hit rate is the fraction of candidate evaluations the ranked
 // stack avoided re-solving.
 BenchEntry RunAppCost(const SuiteContext& ctx, const AppCostCase& acase) {
-  BenchEntry e;
-  e.suite = "appcost";
-  e.family = acase.family;
-  e.graph = acase.graph;
-  e.n = acase.instance.graph.NumVertices();
-  e.m = acase.instance.graph.NumEdges();
-  e.threads = ctx.threads;
+  BenchEntry e = MakeEntry("appcost", ctx, acase.family, acase.graph,
+                           acase.instance.graph);
   e.cost = acase.cost;
   std::string error;
   std::optional<CostModel> model =
@@ -328,30 +240,8 @@ BenchEntry RunAppCost(const SuiteContext& ctx, const AppCostCase& acase) {
     FinishEntry(&e, 0, 0.0, "cost-error");
     return e;
   }
-  const double budget = EnumBudget() * ctx.budget_factor;
-  ContextOptions options = MakeContextOptions(ctx, budget);
-  WallTimer timer;
-  TieredEnumerator enumerator(acase.instance.graph, *model->cost,
-                              model->composition, options, SolverOptions{},
-                              ExactTier());
-  e.init_seconds = enumerator.init_seconds();
-  if (!enumerator.init_ok()) {
-    FinishEntry(&e, 0, timer.Seconds(),
-                enumerator.init_info().TerminationName());
-    return e;
-  }
-  long long count = 0;
-  bool finished = false;
-  while (timer.Seconds() < budget &&
-         count < static_cast<long long>(kMaxResults)) {
-    if (!enumerator.Next().has_value()) {
-      finished = true;
-      break;
-    }
-    ++count;
-  }
-  FinishEntry(&e, count, timer.Seconds(),
-              finished ? "complete" : "truncated");
+  RunTiered(&e, ctx, acase.instance.graph, *model->cost, model->composition,
+            ExactTier());
   if (model->cache != nullptr) {
     e.cache_hit_rate = model->cache->stats().HitRate();
   }
@@ -383,9 +273,49 @@ double MinSepBudget() { return 0.5 * TimeScale(); }
 double PmcBudget() { return 2.5 * TimeScale(); }
 double EnumBudget() { return 1.5 * TimeScale(); }
 
+TierOptions ExactTier() {
+  TierOptions tier_options;
+  tier_options.mode = TierOptions::Mode::kExact;
+  return tier_options;
+}
+
+ContextOptions BudgetedContextOptions(double budget, int threads) {
+  ContextOptions options;
+  options.separator_limits.time_limit_seconds = budget;
+  options.separator_limits.max_results = kMaxSeparators;
+  options.pmc_limits.time_limit_seconds = budget;
+  options.num_threads = threads;
+  return options;
+}
+
+PmcProbe ProbeMinSepsThenPmcs(const Graph& g, int threads,
+                              double budget_factor) {
+  PmcProbe probe;
+  EnumerationLimits sep_limits;
+  sep_limits.time_limit_seconds = MinSepBudget() * budget_factor;
+  sep_limits.max_results = kMaxSeparators;
+  sep_limits.num_threads = threads;
+  WallTimer timer;
+  MinimalSeparatorsResult seps = ListMinimalSeparators(g, sep_limits);
+  probe.minsep_seconds = timer.Seconds();
+  probe.num_separators = seps.separators.size();
+  probe.separators_complete = seps.status == EnumerationStatus::kComplete;
+  if (!probe.separators_complete) return probe;
+
+  PmcOptions options;
+  options.limits.time_limit_seconds = PmcBudget() * budget_factor;
+  options.limits.num_threads = threads;
+  timer.Reset();
+  PmcResult pmcs = ListPotentialMaximalCliques(g, seps.separators, options);
+  probe.pmc_seconds = timer.Seconds();
+  probe.num_pmcs = pmcs.pmcs.size();
+  probe.pmcs_complete = pmcs.status == EnumerationStatus::kComplete;
+  return probe;
+}
+
 const std::vector<std::string>& AllSuiteNames() {
   static const std::vector<std::string> kNames = {
-      "minseps", "pmc", "enum", "ranked", "appcost", "huge"};
+      "minseps", "pmc", "ranked", "appcost", "huge"};
   return kNames;
 }
 
@@ -412,13 +342,30 @@ BenchReport RunBenchSuites(const BenchRunOptions& options,
   ctx.smoke = options.smoke;
   ctx.budget_factor = options.smoke ? kSmokeBudgetFactor : 1.0;
 
+  // One progress line per entry: suite, threads, and the cost / tier when
+  // the entry carries one.
+  const auto emit = [&](BenchEntry entry) {
+    if (progress != nullptr) {
+      *progress << entry.suite << "[t=" << entry.threads;
+      if (!entry.cost.empty()) *progress << ", " << entry.cost;
+      if (!entry.tier.empty()) *progress << ", " << entry.tier;
+      *progress << "] " << entry.family << "/" << entry.graph << ": "
+                << entry.count << " results in "
+                << FormatDouble(entry.wall_ms) << " ms (" << entry.status
+                << ")\n";
+    }
+    report.entries.push_back(std::move(entry));
+  };
+
   for (const std::string& suite : report.suites) {
     // The appcost suite runs its own instance list (application costs over
-    // TPC-H hypergraphs and graphical models), not the plain-graph
-    // families.
+    // TPC-H hypergraphs and graphical models), and the huge suite its own
+    // PACE-scale family, each at one thread count (the tier-2 path is
+    // serial; the exact attempts inside still honor --threads).
+    if (suite == "appcost" || suite == "huge") {
+      ctx.threads = options.threads > 0 ? options.threads : 1;
+    }
     if (suite == "appcost") {
-      SuiteContext app_ctx = ctx;
-      app_ctx.threads = options.threads > 0 ? options.threads : 1;
       int used_in_family = 0;
       std::string current_family;
       for (const AppCostCase& acase : AppCostCases()) {
@@ -426,40 +373,17 @@ BenchReport RunBenchSuites(const BenchRunOptions& options,
           current_family = acase.family;
           used_in_family = 0;
         }
-        if (app_ctx.smoke && used_in_family >= kSmokeGraphsPerFamily) {
-          continue;
-        }
+        if (ctx.smoke && used_in_family >= kSmokeGraphsPerFamily) continue;
         ++used_in_family;
-        BenchEntry entry = RunAppCost(app_ctx, acase);
-        if (progress != nullptr) {
-          *progress << "appcost[" << entry.cost << "] " << entry.family
-                    << "/" << entry.graph << ": " << entry.count
-                    << " results in " << FormatDouble(entry.wall_ms)
-                    << " ms (" << entry.status << ", cache "
-                    << FormatDouble(entry.cache_hit_rate) << ")\n";
-        }
-        report.entries.push_back(std::move(entry));
+        emit(RunAppCost(ctx, acase));
       }
       continue;
     }
-    // The huge suite runs its own PACE-scale family through the tiered
-    // pipeline, one serial point per graph (the tier-2 path is serial; the
-    // exact attempts inside still honor --threads).
     if (suite == "huge") {
-      SuiteContext huge_ctx = ctx;
-      huge_ctx.threads = options.threads > 0 ? options.threads : 1;
       for (const workloads::DatasetFamily& family :
            HugeFamilies(ctx.smoke)) {
         for (const workloads::DatasetGraph& dg : family.graphs) {
-          BenchEntry entry = RunHuge(huge_ctx, family, dg);
-          if (progress != nullptr) {
-            *progress << "huge[t=" << huge_ctx.threads << ", " << entry.tier
-                      << "] " << family.name << "/" << dg.name << ": "
-                      << entry.count << " results in "
-                      << FormatDouble(entry.wall_ms) << " ms ("
-                      << entry.status << ")\n";
-          }
-          report.entries.push_back(std::move(entry));
+          emit(RunHuge(ctx, family, dg));
         }
       }
       continue;
@@ -467,16 +391,9 @@ BenchReport RunBenchSuites(const BenchRunOptions& options,
     // The parallel-capable suites sweep serial vs. all-hardware so every
     // report carries its own baseline; --threads=N pins a single point. The
     // ranked suite sweeps too — its thread count drives the context
-    // initialization phase (the enumeration itself is serial); the legacy
-    // enum suite stays a single serial point.
-    std::vector<int> thread_points;
-    if (options.threads > 0) {
-      thread_points = {options.threads};
-    } else if (suite == "enum") {
-      thread_points = {1};
-    } else {
-      thread_points = {1, parallel::DefaultParallelThreads()};
-    }
+    // initialization phase (the enumeration itself is serial).
+    std::vector<int> thread_points = {1, parallel::DefaultParallelThreads()};
+    if (options.threads > 0) thread_points = {options.threads};
     for (int threads : thread_points) {
       ctx.threads = threads;
       for (const workloads::DatasetFamily& family :
@@ -486,23 +403,13 @@ BenchReport RunBenchSuites(const BenchRunOptions& options,
         for (const workloads::DatasetGraph& dg : family.graphs) {
           if (ctx.smoke && used >= kSmokeGraphsPerFamily) break;
           ++used;
-          BenchEntry entry;
           if (suite == "minseps") {
-            entry = RunMinSeps(ctx, family, dg);
+            emit(RunMinSeps(ctx, family, dg));
           } else if (suite == "pmc") {
-            entry = RunPmc(ctx, family, dg);
-          } else if (suite == "ranked") {
-            entry = RunRanked(ctx, family, dg);
+            emit(RunPmc(ctx, family, dg));
           } else {
-            entry = RunEnum(ctx, family, dg);
+            emit(RunRanked(ctx, family, dg));
           }
-          if (progress != nullptr) {
-            *progress << suite << "[t=" << threads << "] " << family.name
-                      << "/" << dg.name << ": " << entry.count
-                      << " results in " << FormatDouble(entry.wall_ms)
-                      << " ms (" << entry.status << ")\n";
-          }
-          report.entries.push_back(std::move(entry));
         }
       }
     }

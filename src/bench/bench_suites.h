@@ -6,6 +6,11 @@
 #include <string>
 #include <vector>
 
+#include "enumeration/tiered_enum.h"
+#include "graph/graph.h"
+#include "triang/context.h"
+#include "util/timer.h"
+
 namespace mintri {
 namespace bench {
 
@@ -25,24 +30,96 @@ double EnumBudget();    // paper: 30 min
 inline constexpr size_t kMaxSeparators = 200000;
 inline constexpr size_t kMaxResults = 100000;
 
+/// Context limits for a ranked run: `budget` seconds for each of the
+/// MinSep and PMC stages, kMaxSeparators separators, `threads` workers.
+ContextOptions BudgetedContextOptions(double budget, int threads);
+
+/// The --tier=exact pipeline (RankedTriang): one exact context per
+/// connected component, no Tier 0, no fallback.
+TierOptions ExactTier();
+
+/// What one budgeted drain of a ranked stream measured.
+struct DrainStats {
+  long long count = 0;
+  double wall_seconds = 0;          // since the drain started
+  double first_result_seconds = 0;  // 0 when nothing came out
+  /// Next() ran dry and no deadline cut the stream short.
+  bool complete = false;
+
+  /// Results per second after the first one (the paper's Table 2
+  /// enumeration rate); 0 unless at least two results came out.
+  double ResultsPerSec() const {
+    return count > 1 && wall_seconds > first_result_seconds
+               ? (count - 1) / (wall_seconds - first_result_seconds)
+               : 0.0;
+  }
+};
+
+/// The one timed drain loop behind every ranked number the benches report,
+/// suites and paper figures alike. The budget clock starts here, after the
+/// caller built `source`, and the same budget is its solver Deadline. Pulls
+/// Next() until the stream runs dry, the budget is spent, or kMaxResults
+/// results came out; `on_result(result, seconds)` sees each result with its
+/// time since the drain started. `Source` provides Next() (a std::optional),
+/// SetDeadline(const Deadline*) and truncated().
+template <typename Source, typename OnResult>
+DrainStats DrainStream(Source& source, double budget, OnResult&& on_result) {
+  DrainStats stats;
+  const Deadline deadline(budget);
+  source.SetDeadline(&deadline);
+  WallTimer timer;
+  while (timer.Seconds() < budget &&
+         stats.count < static_cast<long long>(kMaxResults)) {
+    auto result = source.Next();
+    if (!result.has_value()) {
+      stats.complete = !source.truncated();
+      break;
+    }
+    const double seconds = timer.Seconds();
+    if (++stats.count == 1) stats.first_result_seconds = seconds;
+    on_result(*result, seconds);
+  }
+  stats.wall_seconds = timer.Seconds();
+  source.SetDeadline(nullptr);
+  return stats;
+}
+
+/// One MinSep-then-PMC run, the pmc suite's entry and Fig. 5's tractability
+/// probe: the minimal separators under MinSepBudget() and kMaxSeparators,
+/// then, only when those completed, the PMCs under PmcBudget() (both
+/// budgets times `budget_factor`).
+struct PmcProbe {
+  bool separators_complete = false;
+  bool pmcs_complete = false;  // false too when the PMC stage never ran
+  size_t num_separators = 0;
+  size_t num_pmcs = 0;
+  double minsep_seconds = 0;
+  double pmc_seconds = 0;
+};
+PmcProbe ProbeMinSepsThenPmcs(const Graph& g, int threads,
+                              double budget_factor = 1.0);
+
 /// One benchmarked (suite, graph) pair of BENCH_core.json.
 struct BenchEntry {
-  std::string suite;   // "minseps" | "pmc" | "enum" | "ranked" | "appcost"
-                       // | "huge"
+  std::string suite;   // "minseps" | "pmc" | "ranked" | "appcost" | "huge"
   std::string family;  // workload family name (Fig. 5 naming)
   std::string graph;   // graph name within the family
   int n = 0;           // vertices
   int m = 0;           // edges
   int threads = 1;     // enumeration worker threads for this run
   long long count = 0;          // results produced within budget
-  double wall_ms = 0.0;         // wall time spent on this graph
-  /// count / wall seconds; the ranked suite instead reports triangulations
-  /// per second *after the first result*, the paper's Table 2 measure.
+  /// Wall time of the measured stage: the drain for the ranked suites (the
+  /// build, when it failed), the listing for minseps, the PMC stage for pmc
+  /// (the MinSep stage, when it gave up).
+  double wall_ms = 0.0;
+  /// The ranked suites (ranked, appcost, huge): results per second *after
+  /// the first result*, the paper's Table 2 measure, 0 when count <= 1.
+  /// minseps/pmc: count / wall seconds.
   double results_per_sec = 0.0;
-  /// Context initialization (seconds) for the context-building suites
-  /// (enum/ranked/appcost); 0 elsewhere.
+  /// Context initialization (seconds, summed over the enumerator's context
+  /// builds) for the ranked suites; 0 elsewhere.
   double init_seconds = 0.0;
-  /// The ranking cost ("width" for enum/ranked; "hypertree" | "fhw" |
+  /// The ranking cost ("width" for ranked/huge; "hypertree" | "fhw" |
   /// "state-space" for appcost entries; empty for the enumeration-only
   /// suites, which rank nothing).
   std::string cost;
@@ -53,9 +130,9 @@ struct BenchEntry {
   /// suites. scripts/bench_diff.py keys entries on it, and older reports
   /// also carry "scan" entries.
   std::string solver;
-  /// Solver repair cost for the ranked suite (0 elsewhere): candidate
-  /// evaluations, evaluations that reached the base Combine, and the
-  /// segment-tree point updates / range-min queries.
+  /// Solver repair cost of the ranked suites' streams (0 for minseps/pmc):
+  /// candidate evaluations, evaluations that reached the base Combine, and
+  /// the segment-tree point updates / range-min queries.
   long long candidate_evals = 0;
   long long combine_calls = 0;
   long long index_updates = 0;
@@ -65,7 +142,7 @@ struct BenchEntry {
   std::string status;
   /// The tiered pipeline's truthful stream label for the huge suite
   /// ("exact" | "atom-exact" | "heuristic"); empty for the suites that run
-  /// the direct exact stack.
+  /// --tier=exact.
   std::string tier;
 };
 

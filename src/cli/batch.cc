@@ -7,12 +7,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <thread>
 
 #include "cli/batch_shard.h"
 #include "cli/flags.h"
+#include "cli/tiered_query.h"
 #include "cost/cost_model_registry.h"
 #include "enumeration/tiered_enum.h"
 #include "parallel/thread_pool.h"
@@ -59,28 +61,16 @@ BatchRecord RunOneInstance(const std::string& spec,
     record.error = error;
     return record;
   }
-  if (options.cost == "width-then-fill" &&
-      instance->graph.ConnectedComponents().size() > 1) {
+  std::unique_ptr<TieredEnumerator> started = StartTieredQuery(
+      instance->graph, *model,
+      {options.cost, options.tier, options.time_limit, options.inner_threads},
+      &error);
+  if (started == nullptr) {
     record.status = "cost-error";
-    record.error = "width-then-fill requires a connected graph";
+    record.error = error;
     return record;
   }
-
-  ContextOptions ctx_options;
-  ctx_options.separator_limits.time_limit_seconds = options.time_limit;
-  ctx_options.pmc_limits.time_limit_seconds = options.time_limit;
-  ctx_options.num_threads = options.inner_threads;
-  TierOptions tier_options;
-  tier_options.mode = options.tier == "exact"
-                          ? TierOptions::Mode::kExact
-                          : options.tier == "heuristic"
-                                ? TierOptions::Mode::kHeuristic
-                                : TierOptions::Mode::kAuto;
-  tier_options.decomposable_cost = IsTierDecomposableCost(options.cost);
-  tier_options.exact_budget_seconds = options.time_limit;
-  TieredEnumerator enumerator(instance->graph, *model->cost,
-                              model->composition, ctx_options,
-                              SolverOptions{}, tier_options);
+  TieredEnumerator& enumerator = *started;
   record.init_seconds = enumerator.init_seconds();
   if (!enumerator.init_ok()) {
     record.status = "init-failed";

@@ -7,6 +7,7 @@
 #include "bench/bench_suites.h"
 #include "cli/batch.h"
 #include "cli/flags.h"
+#include "cli/tiered_query.h"
 #include "cost/cost_model_registry.h"
 #include "cost/standard_costs.h"
 #include "enumeration/ckk.h"
@@ -145,16 +146,16 @@ constexpr char kBenchUsage[] =
     "Runs the named benchmark suites over the built-in workload families and\n"
     "writes a machine-readable BENCH_core.json report. Suites: minseps (one\n"
     "ListMinimalSeparators pass per graph), pmc (minimal separators + PMC\n"
-    "enumeration), enum (ranked enumeration of minimal triangulations),\n"
-    "ranked (ranked enumeration with per-entry init_seconds and\n"
-    "after-first-result throughput, context init at the entry's thread\n"
-    "count), appcost (ranked enumeration under the application costs —\n"
-    "hypertree/fhw over the TPC-H query hypergraphs, state-space over the\n"
-    "graphical-model instances — with bag-score cache hit rates), huge (the\n"
-    "tiered pipeline on PACE-scale graphs of >= 1000 vertices, with the\n"
-    "per-entry tier label). The enum, ranked and appcost suites run the\n"
-    "--tier=exact pipeline. With no suite arguments (or the keyword 'all'),\n"
-    "all suites run.\n"
+    "enumeration), ranked (ranked enumeration of minimal triangulations,\n"
+    "context init at the entry's thread count), appcost (ranked enumeration\n"
+    "under the application costs — hypertree/fhw over the TPC-H query\n"
+    "hypergraphs, state-space over the graphical-model instances — with\n"
+    "bag-score cache hit rates), huge (the tiered pipeline on PACE-scale\n"
+    "graphs of >= 1000 vertices, with the per-entry tier label). The ranked\n"
+    "and appcost suites run the --tier=exact pipeline. Every ranked entry\n"
+    "reports init_seconds and, with the budget clock started after init,\n"
+    "results per second after the first result. With no suite arguments\n"
+    "(or the keyword 'all'), all suites run.\n"
     "\n"
     "  --out=FILE   output path (default BENCH_core.json; '-' for stdout)\n"
     "  --smoke      CI-sized run: few families, capped graphs, short budgets\n"
@@ -199,7 +200,7 @@ int RunBenchCommand(const std::vector<std::string>& args, std::ostream& out,
       options.suites.push_back(arg);
     } else {
       err << "unknown suite: " << arg
-          << " (expected minseps, pmc, enum, ranked, appcost, huge, or all)\n";
+          << " (expected minseps, pmc, ranked, appcost, huge, or all)\n";
       return 1;
     }
   }
@@ -315,30 +316,16 @@ int RunCli(const std::vector<std::string>& args, std::istream& in,
     return 1;
   }
 
-  ContextOptions ctx_options;
-  ctx_options.width_bound = options.bound;
-  ctx_options.separator_limits.time_limit_seconds = options.time_limit;
-  ctx_options.pmc_limits.time_limit_seconds = options.time_limit;
-  ctx_options.num_threads = options.threads;
-  // width-then-fill encodes (width, fill) in one number, so no single
-  // CostComposition is exact across components; stay exact by requiring a
-  // connected graph (single-component ranked product).
-  if (options.cost == "width-then-fill" &&
-      g.ConnectedComponents().size() > 1) {
-    err << "width-then-fill requires a connected graph\n";
+  std::unique_ptr<TieredEnumerator> started = StartTieredQuery(
+      g, *model,
+      {options.cost, options.tier, options.time_limit, options.threads,
+       options.bound},
+      &error);
+  if (started == nullptr) {
+    err << error << "\n";
     return 1;
   }
-
-  TierOptions tier_options;
-  tier_options.mode = options.tier == "exact"
-                          ? TierOptions::Mode::kExact
-                          : options.tier == "heuristic"
-                                ? TierOptions::Mode::kHeuristic
-                                : TierOptions::Mode::kAuto;
-  tier_options.decomposable_cost = IsTierDecomposableCost(options.cost);
-  tier_options.exact_budget_seconds = options.time_limit;
-  TieredEnumerator e(g, cost, model->composition, ctx_options,
-                     SolverOptions{}, tier_options);
+  TieredEnumerator& e = *started;
   const ContextBuildInfo& info = e.init_info();
   if (!e.init_ok()) {
     err << "initialization " << info.TerminationName() << " after "

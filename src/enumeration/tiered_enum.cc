@@ -76,7 +76,7 @@ TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
     }
 
     // Tier 0: stream-safe reduction + atom decomposition of this component.
-    PreprocessResult pre = Preprocess(sub, tier_options.preprocess);
+    PreprocessResult pre = Preprocess(sub);
     preprocess_info_.vertices_removed += pre.info.vertices_removed;
     preprocess_info_.num_atoms += pre.info.num_atoms;
     preprocess_info_.seconds += pre.info.seconds;
@@ -113,14 +113,6 @@ TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
     BuildAtomTree(first_atom, pre.atoms, comp_old_of_new);
   }
 
-  // Fold the Tier-0 summary into the aggregate build info (the ISSUE's
-  // "PreprocessInfo that ContextBuildInfo::Accumulate folds in": unit build
-  // infos were already accumulated above, these are the tier-0 extras).
-  init_info_.reduced_vertices =
-      static_cast<size_t>(preprocess_info_.vertices_removed);
-  init_info_.num_atoms = static_cast<size_t>(preprocess_info_.num_atoms);
-  init_info_.preprocess_seconds = preprocess_info_.seconds;
-
   tier_ = SolveTier::kExact;
   for (const Unit& unit : units_) {
     if (unit.tier == SolveTier::kHeuristic) tier_ = SolveTier::kHeuristic;
@@ -132,9 +124,7 @@ TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
     // Tier 0 fully reduced it — the input is chordal and its unique minimal
     // triangulation is the graph itself: emit exactly one result.
     if (g_.NumVertices() > 0) {
-      std::vector<size_t> none;
-      queue_.push({0, none});
-      enqueued_.insert(none);
+      queue_.push({0, {}});
     }
     return;
   }
@@ -145,8 +135,7 @@ TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
     if (!Materialize(static_cast<int>(c), 0)) feasible = false;
   }
   if (feasible) {
-    queue_.push({Compose(first), first});
-    enqueued_.insert(first);
+    queue_.push({Compose(first), std::move(first)});
   }
 }
 
@@ -460,14 +449,19 @@ std::optional<TieredResult> TieredEnumerator::Next() {
   QueueEntry top = queue_.top();
   queue_.pop();
 
-  // Successors: bump one coordinate at a time.
-  for (size_t c = 0; c < top.indices.size(); ++c) {
+  // Successors: each tuple has one canonical parent, the tuple with its last
+  // non-zero coordinate lowered by one, so a tuple bumps only coordinates at
+  // or after that one and is pushed exactly once. The parent precedes the
+  // child in (cost, indices) order (the unit streams are non-decreasing), so
+  // every tuple is queued before its turn and the pop order is the same as
+  // with every predecessor bumping it.
+  size_t last = top.indices.size();
+  while (last > 0 && top.indices[last - 1] == 0) --last;
+  for (size_t c = last == 0 ? 0 : last - 1; c < top.indices.size(); ++c) {
     std::vector<size_t> next_indices = top.indices;
     ++next_indices[c];
-    if (enqueued_.count(next_indices)) continue;
     if (!Materialize(static_cast<int>(c), next_indices[c])) continue;
-    queue_.push({Compose(next_indices), next_indices});
-    enqueued_.insert(std::move(next_indices));
+    queue_.push({Compose(next_indices), std::move(next_indices)});
   }
   return TieredResult{Assemble(top.indices), tier_};
 }

@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 #include <queue>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -50,12 +49,10 @@ struct TierOptions {
   };
   Mode mode = Mode::kAuto;
 
-  /// Tier-0 knobs; only applied when `decomposable_cost` (the defaults are
-  /// the stream-safe reductions).
-  PreprocessOptions preprocess;
-
-  /// Set by the caller per cost (see IsTierDecomposableCost). When false,
-  /// Tier 0 is skipped and the units are exactly the connected components.
+  /// Set by the caller per cost (see IsTierDecomposableCost). When true,
+  /// Tier 0 (the stream-safe Preprocess reductions) runs per component;
+  /// when false it is skipped and the units are exactly the connected
+  /// components.
   bool decomposable_cost = false;
 
   /// Shared wall-clock budget across all per-unit *exact* build attempts
@@ -119,7 +116,7 @@ class TieredEnumerator {
 
   /// Aggregated build breakdown over every unit (exact attempts and
   /// heuristic family builds both count), including the per-atom termination
-  /// tallies and the folded-in Tier-0 counters.
+  /// tallies. Tier 0 reports through preprocess_info().
   const ContextBuildInfo& init_info() const { return init_info_; }
   double init_seconds() const { return init_info().total_seconds; }
 
@@ -208,7 +205,6 @@ class TieredEnumerator {
   std::priority_queue<QueueEntry, std::vector<QueueEntry>,
                       std::greater<QueueEntry>>
       queue_;
-  std::set<std::vector<size_t>> enqueued_;
 };
 
 }  // namespace mintri

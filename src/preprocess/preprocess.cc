@@ -98,29 +98,27 @@ std::vector<VertexSet> CliqueMinimalSeparatorAtoms(const Graph& g) {
   return atoms;
 }
 
-PreprocessResult Preprocess(const Graph& g, const PreprocessOptions& options) {
+PreprocessResult Preprocess(const Graph& g) {
   WallTimer timer;
   PreprocessResult r;
   const int n = g.NumVertices();
   r.kept = g.Vertices();
   r.reduced = g;
 
-  if (options.reduce_simplicial) {
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (int v = 0; v < n; ++v) {
-        if (!r.kept.Contains(v)) continue;
-        VertexSet nb = r.reduced.Neighbors(v).Intersect(r.kept);
-        if (!r.reduced.IsClique(nb)) continue;
-        EliminatedVertex ev;
-        ev.vertex = v;
-        ev.bag = nb;
-        ev.bag.Insert(v);
-        r.eliminated.push_back(std::move(ev));
-        r.kept.Erase(v);
-        progress = true;
-      }
+  bool progress = true;
+  while (progress) {
+    progress = false;
+    for (int v = 0; v < n; ++v) {
+      if (!r.kept.Contains(v)) continue;
+      VertexSet nb = r.reduced.Neighbors(v).Intersect(r.kept);
+      if (!r.reduced.IsClique(nb)) continue;
+      EliminatedVertex ev;
+      ev.vertex = v;
+      ev.bag = nb;
+      ev.bag.Insert(v);
+      r.eliminated.push_back(std::move(ev));
+      r.kept.Erase(v);
+      progress = true;
     }
   }
 
@@ -129,11 +127,7 @@ PreprocessResult Preprocess(const Graph& g, const PreprocessOptions& options) {
     std::vector<VertexSet> comps;
     scanner.Components(r.reduced, r.kept.Complement(), &comps);
     for (const VertexSet& comp : comps) {
-      if (options.decompose_atoms) {
-        DecomposeConnectedPart(r.reduced, comp, &r.atoms);
-      } else {
-        r.atoms.push_back(comp);
-      }
+      DecomposeConnectedPart(r.reduced, comp, &r.atoms);
     }
     std::sort(r.atoms.begin(), r.atoms.end());
   }

@@ -7,23 +7,6 @@
 
 namespace mintri {
 
-/// Tier-0 options (the reduce stage of the tiered pipeline). The defaults
-/// are exactly the transformations that are *stream-safe*: they preserve the
-/// set of minimal triangulations up to the recorded lift, so the tiered
-/// enumerator can replay the full ranked stream of the original graph from
-/// the reduced one.
-struct PreprocessOptions {
-  /// Repeatedly eliminate simplicial vertices (N(v) a clique). Stream-safe:
-  /// v lies in the unique maximal clique N[v] of every minimal triangulation
-  /// and contributes no fill, so MT(G) is in bijection with MT(G - v).
-  bool reduce_simplicial = true;
-
-  /// Split the reduced graph into its clique-minimal-separator atoms
-  /// (Tarjan / Leimer). Stream-safe: MT(G) is the independent product of
-  /// MT(G[atom]) over the atoms, glued on the clique separators.
-  bool decompose_atoms = true;
-};
-
 /// One vertex removed by Tier 0, with the clique bag that lifts results
 /// back: `bag` is N[v] at elimination time (original labels), which is a
 /// maximal clique of every minimal triangulation of the pre-elimination
@@ -33,8 +16,8 @@ struct EliminatedVertex {
   VertexSet bag;
 };
 
-/// Summary counters for reporting (folded into ContextBuildInfo by the
-/// tiered enumerator, surfaced by --stats, batch records, and bench JSON).
+/// Summary counters for reporting (the tiered enumerator's
+/// preprocess_info(), surfaced by --stats and batch records).
 struct PreprocessInfo {
   int vertices_removed = 0;
   int num_atoms = 0;
@@ -60,9 +43,17 @@ struct PreprocessResult {
 };
 
 /// Runs the Tier-0 reductions on g (any graph; components are decomposed
-/// independently). Deterministic: single-threaded, fixed scan orders.
-PreprocessResult Preprocess(const Graph& g,
-                            const PreprocessOptions& options = {});
+/// independently). Both are *stream-safe*: they preserve the set of minimal
+/// triangulations up to the recorded lift, so the tiered enumerator can
+/// replay the full ranked stream of g from the reduced graph.
+///  - Simplicial elimination, repeated to a fixed point: v lies in the
+///    unique maximal clique N[v] of every minimal triangulation and adds no
+///    fill, so MT(G) is in bijection with MT(G - v).
+///  - Clique-minimal-separator atoms (Tarjan / Leimer) of what is left:
+///    MT(G) is the independent product of MT(G[atom]) over the atoms, glued
+///    on the clique separators.
+/// Deterministic: single-threaded, fixed scan orders.
+PreprocessResult Preprocess(const Graph& g);
 
 /// The clique-minimal-separator atoms of g (Leimer's unique decomposition),
 /// computed from the clique-tree adhesions of a minimal triangulation that

@@ -64,12 +64,6 @@ struct ContextBuildInfo {
   size_t num_ms_terminated = 0;
   size_t num_pmc_terminated = 0;
 
-  // Tier-0 preprocessing fold-in (set by the tiered enumerator from its
-  // PreprocessInfo; plain Build leaves them 0). Accumulate sums these too.
-  size_t reduced_vertices = 0;
-  size_t num_atoms = 0;
-  double preprocess_seconds = 0;
-
   /// The failure names ("ms-terminated" / "pmc-terminated") are the
   /// BENCH_core.json status labels for failed builds; a successful build
   /// reports "completed" here, which the bench pipeline never emits (it
@@ -100,9 +94,6 @@ struct ContextBuildInfo {
     num_builds += other.num_builds;
     num_ms_terminated += other.num_ms_terminated;
     num_pmc_terminated += other.num_pmc_terminated;
-    reduced_vertices += other.reduced_vertices;
-    num_atoms += other.num_atoms;
-    preprocess_seconds += other.preprocess_seconds;
     if (termination == Termination::kCompleted) {
       termination = other.termination;
     }

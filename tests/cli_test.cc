@@ -319,5 +319,34 @@ TEST(CliTest, BenchRankedEmitsOnlyIndexedEntries) {
   EXPECT_EQ(count("\"solver\": \"scan\""), 0u) << r.out;
 }
 
+TEST(CliTest, BenchResultsPerSecIsAfterFirstResultThroughput) {
+  // Every ranked suite reports results/s after the first result, so an
+  // entry with at most one result has no rate to report.
+  CliResult r = Invoke({"bench", "ranked", "appcost", "--smoke", "--quiet",
+                        "--threads=1", "--out=-"},
+                       "");
+  EXPECT_EQ(r.code, 0) << r.err;
+  size_t entries = 0;
+  for (size_t at = r.out.find("{\"suite\": "); at != std::string::npos;
+       at = r.out.find("{\"suite\": ", at + 1)) {
+    const size_t end = r.out.find('}', at);
+    const std::string entry = r.out.substr(at, end - at);
+    const auto number = [&entry](const std::string& key) {
+      const size_t pos = entry.find("\"" + key + "\": ");
+      EXPECT_NE(pos, std::string::npos) << key << " missing in " << entry;
+      return std::stod(entry.substr(pos + key.size() + 4));
+    };
+    ++entries;
+    if (number("count") <= 1) {
+      EXPECT_EQ(number("results_per_sec"), 0.0) << entry;
+    }
+  }
+  EXPECT_GT(entries, 0u) << r.out;
+  EXPECT_NE(r.out.find("\"suite\": \"appcost\""), std::string::npos);
+
+  // The enum suite is folded into ranked.
+  EXPECT_EQ(Invoke({"bench", "enum"}, "").code, 1);
+}
+
 }  // namespace
 }  // namespace mintri

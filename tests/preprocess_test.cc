@@ -11,14 +11,6 @@ namespace {
 
 using testutil::MakeGraph;
 
-// Decomposition only, no vertex elimination — for tests that want to see
-// the clique-minimal-separator atoms of the input itself.
-PreprocessOptions DecomposeOnly() {
-  PreprocessOptions options;
-  options.reduce_simplicial = false;
-  return options;
-}
-
 TEST(PreprocessTest, ChordalGraphFullyReduces) {
   // A tree is chordal: simplicial elimination consumes every vertex and no
   // atom remains.
@@ -59,13 +51,14 @@ TEST(PreprocessTest, CycleDoesNotReduceOrSplit) {
 
 TEST(PreprocessTest, CutVertexSplitsIntoAtoms) {
   // Bowtie: triangles {0,1,2} and {2,3,4} share the cut vertex 2 — a
-  // clique minimal separator of size 1.
+  // clique minimal separator of size 1. (Preprocess would eliminate the
+  // chordal bowtie outright, so this looks at the decomposition alone.)
   Graph g = MakeGraph(5, {{0, 1}, {0, 2}, {1, 2}, {2, 3}, {2, 4}, {3, 4}});
-  PreprocessResult r = Preprocess(g, DecomposeOnly());
-  ASSERT_EQ(r.atoms.size(), 2u);
-  EXPECT_EQ(r.atoms[0].Count(), 3);
-  EXPECT_EQ(r.atoms[1].Count(), 3);
-  EXPECT_TRUE(r.atoms[0].Intersect(r.atoms[1]).Count() == 1);
+  std::vector<VertexSet> atoms = CliqueMinimalSeparatorAtoms(g);
+  ASSERT_EQ(atoms.size(), 2u);
+  EXPECT_EQ(atoms[0].Count(), 3);
+  EXPECT_EQ(atoms[1].Count(), 3);
+  EXPECT_TRUE(atoms[0].Intersect(atoms[1]).Count() == 1);
 }
 
 TEST(PreprocessTest, CliqueEdgeSeparatorSplits) {
@@ -110,11 +103,15 @@ TEST(PreprocessTest, AtomsAreAtomsOnRandomGraphs) {
 }
 
 TEST(PreprocessTest, InfoCountsAtoms) {
-  Graph g = MakeGraph(5, {{0, 1}, {0, 2}, {1, 2}, {2, 3}, {2, 4}, {3, 4}});
-  PreprocessResult r = Preprocess(g, DecomposeOnly());
+  // Two C4s sharing the cut vertex 3: nothing is simplicial, and the cut
+  // vertex splits the graph into two 4-vertex atoms.
+  Graph g = MakeGraph(7, {{0, 1}, {1, 2}, {2, 3}, {3, 0},    // left cycle
+                          {3, 4}, {4, 5}, {5, 6}, {6, 3}});  // right cycle
+  PreprocessResult r = Preprocess(g);
+  EXPECT_EQ(r.info.vertices_removed, 0);
   EXPECT_EQ(r.info.num_atoms, 2);
-  EXPECT_EQ(r.info.largest_atom, 3);
-  EXPECT_EQ(r.info.smallest_atom, 3);
+  EXPECT_EQ(r.info.largest_atom, 4);
+  EXPECT_EQ(r.info.smallest_atom, 4);
   EXPECT_GE(r.info.seconds, 0.0);
 }
 
