@@ -317,8 +317,7 @@ int RunBatchCommand(const std::vector<std::string>& args, std::ostream& out,
     } else if (arg.rfind("--cost=", 0) == 0) {
       options.cost = arg.substr(7);
     } else if (arg.rfind("--top=", 0) == 0) {
-      if (!flags::ParseNumber(arg.substr(6), &options.top) ||
-          options.top < 1) {
+      if (!flags::ParseCount(arg.substr(6), &options.top)) {
         err << "invalid value for --top: " << arg.substr(6)
             << " (expected an integer >= 1)\n";
         return 1;
@@ -347,15 +346,13 @@ int RunBatchCommand(const std::vector<std::string>& args, std::ostream& out,
         return 1;
       }
     } else if (arg.rfind("--deadline=", 0) == 0) {
-      if (!flags::ParseNumber(arg.substr(11), &options.deadline) ||
-          !(options.deadline > 0)) {
+      if (!flags::ParseSeconds(arg.substr(11), &options.deadline)) {
         err << "invalid value for --deadline: " << arg.substr(11)
             << " (expected a positive number of seconds)\n";
         return 1;
       }
     } else if (arg.rfind("--time-limit=", 0) == 0) {
-      if (!flags::ParseNumber(arg.substr(13), &options.time_limit) ||
-          !(options.time_limit > 0)) {
+      if (!flags::ParseSeconds(arg.substr(13), &options.time_limit)) {
         err << "invalid value for --time-limit: " << arg.substr(13)
             << " (expected a positive number of seconds)\n";
         return 1;

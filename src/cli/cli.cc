@@ -12,6 +12,7 @@
 #include "cost/standard_costs.h"
 #include "enumeration/ckk.h"
 #include "enumeration/tiered_enum.h"
+#include "enumeration/tree_decomposition.h"
 #include "graph/graph_io.h"
 #include "parallel/thread_pool.h"
 
@@ -86,8 +87,9 @@ bool ParseArgs(const std::vector<std::string>& args, Options* options,
     if (auto cost = value_of("--cost=")) {
       options->cost = *cost;
     } else if (auto top = value_of("--top=")) {
-      if (!flags::ParseNumber(*top, &options->top)) {
-        err << "invalid value for --top: " << *top << "\n";
+      if (!flags::ParseCount(*top, &options->top)) {
+        err << "invalid value for --top: " << *top
+            << " (expected an integer >= 1)\n";
         return false;
       }
     } else if (auto algo = value_of("--algo=")) {
@@ -107,8 +109,9 @@ bool ParseArgs(const std::vector<std::string>& args, Options* options,
       }
       options->input = *input;
     } else if (auto time_limit = value_of("--time-limit=")) {
-      if (!flags::ParseNumber(*time_limit, &options->time_limit)) {
-        err << "invalid value for --time-limit: " << *time_limit << "\n";
+      if (!flags::ParseSeconds(*time_limit, &options->time_limit)) {
+        err << "invalid value for --time-limit: " << *time_limit
+            << " (expected a positive number of seconds)\n";
         return false;
       }
     } else if (auto threads = value_of("--threads=")) {

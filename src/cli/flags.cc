@@ -32,6 +32,14 @@ bool ParseNumber(const std::string& value, double* out) {
   return end != value.c_str() && *end == '\0' && errno != ERANGE;
 }
 
+bool ParseCount(const std::string& value, long long* out) {
+  return ParseNumber(value, out) && *out >= 1;
+}
+
+bool ParseSeconds(const std::string& value, double* out) {
+  return ParseNumber(value, out) && *out > 0;
+}
+
 bool ParseThreads(const std::string& value, int* out) {
   long long wide;
   if (!ParseNumber(value, &wide) || wide < 1 ||

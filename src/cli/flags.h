@@ -16,6 +16,12 @@ bool ParseNumber(const std::string& value, long long* out);
 bool ParseNumber(const std::string& value, int* out);
 bool ParseNumber(const std::string& value, double* out);
 
+/// The rule every subcommand applies to result counts and time budgets: a
+/// count (--top) is an integer >= 1, a budget (--time-limit, --deadline) a
+/// number of seconds > 0. NaN fails the comparison and is rejected.
+bool ParseCount(const std::string& value, long long* out);
+bool ParseSeconds(const std::string& value, double* out);
+
 /// A thread count must land in [1, MaxThreads()] — the same ceiling the
 /// parallel engines clamp to, so --threads=N never lies about the worker
 /// count. The range check runs on the wide parse (no silent int truncation

@@ -48,29 +48,29 @@ std::optional<CostModelInstance> ReadInstance(std::istream& in,
                                               InstanceKind kind,
                                               const std::string& name,
                                               std::string* error) {
+  // A reader explains a failure when a size field caused it.
+  std::string why;
+  auto malformed = [&](const std::string& what) {
+    return Fail(error, name + ": malformed " + what +
+                           (why.empty() ? "" : ": " + why));
+  };
   switch (kind) {
     case InstanceKind::kGraph: {
-      std::optional<Graph> g = ParseDimacs(in);
-      if (!g.has_value()) {
-        return Fail(error, name + ": malformed DIMACS/PACE .gr input");
-      }
+      std::optional<Graph> g = ParseDimacs(in, &why);
+      if (!g.has_value()) return malformed("DIMACS/PACE .gr input");
       CostModelInstance instance;
       instance.name = name;
       instance.graph = std::move(*g);
       return instance;
     }
     case InstanceKind::kHypergraph: {
-      std::optional<Hypergraph> h = ParseHypergraph(in);
-      if (!h.has_value()) {
-        return Fail(error, name + ": malformed .hg hypergraph input");
-      }
+      std::optional<Hypergraph> h = ParseHypergraph(in, &why);
+      if (!h.has_value()) return malformed(".hg hypergraph input");
       return FromHypergraph(name, std::move(*h));
     }
     case InstanceKind::kModel: {
-      std::optional<GraphicalModel> m = ParseUaiModel(in);
-      if (!m.has_value()) {
-        return Fail(error, name + ": malformed UAI factor-list input");
-      }
+      std::optional<GraphicalModel> m = ParseUaiModel(in, &why);
+      if (!m.has_value()) return malformed("UAI factor-list input");
       return FromModel(name, std::move(*m));
     }
   }

@@ -120,12 +120,4 @@ std::optional<TriangulationTree> RankedTriangulationEnumerator::NextTree() {
   return std::move(top.tree);
 }
 
-std::optional<RankedTreeDecompositionEnumerator::Result>
-RankedTreeDecompositionEnumerator::Next() {
-  std::optional<TriangulationTree> t = inner_.NextTree();
-  if (!t.has_value()) return std::nullopt;
-  Result r{CliqueTreeOf(*t), t->cost};
-  return r;
-}
-
 }  // namespace mintri

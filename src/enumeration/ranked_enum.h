@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "cost/bag_cost.h"
-#include "enumeration/tree_decomposition.h"
 #include "triang/context.h"
 #include "triang/min_triang_solver.h"
 
@@ -50,6 +49,12 @@ class RankedTriangulationEnumerator {
 
   /// Next() without the filled graph: the clique tree only, for callers
   /// that assemble their own result from it (TieredEnumerator's units).
+  ///
+  /// This is also the ranked enumeration of proper tree decompositions
+  /// (Proposition 6.1): CliqueTreeOf(tree) (tree_decomposition.h) is the
+  /// proper tree decomposition of each result, by increasing cost. Bag costs
+  /// give every clique tree of one triangulation the same cost, so the
+  /// canonical clique tree is a legitimate ranked representative.
   std::optional<TriangulationTree> NextTree();
 
   /// Per-enumeration wall-clock budget, polled by the solver inside its
@@ -115,28 +120,6 @@ class RankedTriangulationEnumerator {
   long long num_optimizer_calls_ = 0;
   bool exhausted_ = false;
   bool truncated_ = false;
-};
-
-/// Ranked enumeration of proper tree decompositions (Proposition 6.1): the
-/// clique tree of each minimal triangulation, by increasing cost. (Bag costs
-/// assign every clique tree of the same triangulation the same cost, so the
-/// canonical clique tree is a legitimate ranked representative; all clique
-/// trees of a given triangulation can be expanded with
-/// EnumerateCliqueTrees from clique_tree_enum.h.)
-class RankedTreeDecompositionEnumerator {
- public:
-  RankedTreeDecompositionEnumerator(const TriangulationContext& ctx,
-                                    const BagCost& cost)
-      : inner_(ctx, cost) {}
-
-  struct Result {
-    TreeDecomposition decomposition;
-    CostValue cost;
-  };
-  std::optional<Result> Next();
-
- private:
-  RankedTriangulationEnumerator inner_;
 };
 
 }  // namespace mintri

@@ -4,7 +4,17 @@
 
 namespace mintri {
 
-std::optional<Graph> ParseDimacs(std::istream& in) {
+bool WithinInputVertexLimit(long long n, std::string* error) {
+  if (n <= kMaxInputVertices) return true;
+  if (error != nullptr) {
+    *error = "declares " + std::to_string(n) +
+             " vertices, above the input limit of " +
+             std::to_string(kMaxInputVertices);
+  }
+  return false;
+}
+
+std::optional<Graph> ParseDimacs(std::istream& in, std::string* error) {
   std::string line;
   std::optional<Graph> g;
   while (std::getline(in, line)) {
@@ -12,9 +22,13 @@ std::optional<Graph> ParseDimacs(std::istream& in) {
     std::istringstream ls(line);
     if (line[0] == 'p') {
       std::string p, format;
-      int n = 0, m = 0;
-      if (!(ls >> p >> format >> n >> m) || n < 0) return std::nullopt;
-      g.emplace(n);
+      long long n = 0;
+      int m = 0;
+      if (!(ls >> p >> format >> n >> m) || n < 0 ||
+          !WithinInputVertexLimit(n, error)) {
+        return std::nullopt;
+      }
+      g.emplace(static_cast<int>(n));
       continue;
     }
     if (!g.has_value()) return std::nullopt;

@@ -2,9 +2,12 @@
 
 #include <sstream>
 
+#include "graph/graph_io.h"
+
 namespace mintri {
 
-std::optional<Hypergraph> ParseHypergraph(std::istream& in) {
+std::optional<Hypergraph> ParseHypergraph(std::istream& in,
+                                          std::string* error) {
   std::string line;
   std::optional<Hypergraph> h;
   int expected_edges = 0;
@@ -14,12 +17,13 @@ std::optional<Hypergraph> ParseHypergraph(std::istream& in) {
     std::istringstream ls(line);
     if (!h.has_value()) {
       std::string p, format;
-      int n = 0, m = 0;
+      long long n = 0;
+      int m = 0;
       if (!(ls >> p >> format >> n >> m) || p != "p" || format != "hg" ||
-          n < 0 || m < 0) {
+          n < 0 || m < 0 || !WithinInputVertexLimit(n, error)) {
         return std::nullopt;
       }
-      h.emplace(n);
+      h.emplace(static_cast<int>(n));
       expected_edges = m;
       continue;
     }

@@ -17,8 +17,10 @@ namespace mintri {
 ///   <v1> <v2> ... <vk>     (one hyperedge per line, 1-based vertex ids)
 /// Exactly m hyperedge lines must follow the problem line; empty or
 /// duplicate vertices within a line are rejected. Returns std::nullopt on
-/// malformed input.
-std::optional<Hypergraph> ParseHypergraph(std::istream& in);
+/// malformed input, and on n > kMaxInputVertices (graph_io.h) with *error
+/// (when non-null) naming the limit.
+std::optional<Hypergraph> ParseHypergraph(std::istream& in,
+                                          std::string* error = nullptr);
 std::optional<Hypergraph> ParseHypergraphString(const std::string& text);
 
 /// Writes the hypergraph in the same format.

@@ -1,92 +1,17 @@
 #include "inference/factor.h"
 
-#include <algorithm>
-#include <cassert>
+#include <cstddef>
+#include <utility>
 
 namespace mintri {
-
-namespace {
-
-size_t TableSize(const std::vector<int>& scope,
-                 const std::vector<int>& domains) {
-  size_t s = 1;
-  for (int v : scope) s *= static_cast<size_t>(domains[v]);
-  return s;
-}
-
-// Index of the sub-assignment of `scope` within a full assignment over
-// `vars` (both ascending; scope ⊆ vars).
-size_t SubIndex(const std::vector<int>& scope, const std::vector<int>& vars,
-                const std::vector<int>& assignment,
-                const std::vector<int>& domains) {
-  size_t index = 0;
-  size_t vi = 0;
-  for (int v : scope) {
-    while (vars[vi] != v) ++vi;
-    index = index * static_cast<size_t>(domains[v]) +
-            static_cast<size_t>(assignment[vi]);
-  }
-  return index;
-}
-
-}  // namespace
-
-Factor Factor::Scalar(double value) { return Factor{{}, {value}}; }
 
 Factor Factor::Ones(std::vector<int> scope, const std::vector<int>& domains) {
   Factor f;
   f.scope = std::move(scope);
-  f.table.assign(TableSize(f.scope, domains), 1.0);
+  size_t size = 1;
+  for (int v : f.scope) size *= static_cast<size_t>(domains[v]);
+  f.table.assign(size, 1.0);
   return f;
-}
-
-Factor Multiply(const Factor& a, const Factor& b,
-                const std::vector<int>& domains) {
-  Factor out;
-  std::set_union(a.scope.begin(), a.scope.end(), b.scope.begin(),
-                 b.scope.end(), std::back_inserter(out.scope));
-  out.table.assign(TableSize(out.scope, domains), 0.0);
-
-  std::vector<int> assignment(out.scope.size(), 0);
-  for (size_t idx = 0; idx < out.table.size(); ++idx) {
-    out.table[idx] =
-        a.table[SubIndex(a.scope, out.scope, assignment, domains)] *
-        b.table[SubIndex(b.scope, out.scope, assignment, domains)];
-    // Increment the mixed-radix assignment (last variable fastest).
-    for (int i = static_cast<int>(out.scope.size()) - 1; i >= 0; --i) {
-      if (++assignment[i] < domains[out.scope[i]]) break;
-      assignment[i] = 0;
-    }
-  }
-  return out;
-}
-
-Factor MarginalizeTo(const Factor& f, const std::vector<int>& keep,
-                     const std::vector<int>& domains) {
-  Factor out;
-  for (int v : f.scope) {
-    if (std::binary_search(keep.begin(), keep.end(), v)) {
-      out.scope.push_back(v);
-    }
-  }
-  out.table.assign(TableSize(out.scope, domains), 0.0);
-
-  std::vector<int> assignment(f.scope.size(), 0);
-  for (size_t idx = 0; idx < f.table.size(); ++idx) {
-    out.table[SubIndex(out.scope, f.scope, assignment, domains)] +=
-        f.table[idx];
-    for (int i = static_cast<int>(f.scope.size()) - 1; i >= 0; --i) {
-      if (++assignment[i] < domains[f.scope[i]]) break;
-      assignment[i] = 0;
-    }
-  }
-  return out;
-}
-
-double TotalMass(const Factor& f) {
-  double s = 0;
-  for (double v : f.table) s += v;
-  return s;
 }
 
 }  // namespace mintri

@@ -7,32 +7,15 @@ namespace mintri {
 
 /// A discrete factor (potential) over a sorted scope of variables, with a
 /// dense row-major table (scope[0] is the most significant digit of the
-/// index). Together with junction_tree.h this is the probabilistic-
-/// graphical-model substrate that makes the paper's inference motivation
-/// (Lauritzen–Spiegelhalter message passing over a chosen tree
-/// decomposition) executable end to end.
+/// index): the payload of a GraphicalModel (model_io.h), whose domain sizes
+/// the state-space cost ranks by.
 struct Factor {
   std::vector<int> scope;     // variable ids, strictly ascending
   std::vector<double> table;  // size = Π domains[scope[i]]
 
-  /// A scalar factor (empty scope) with the given value.
-  static Factor Scalar(double value);
-
   /// The constant-1 factor over `scope` (sorted ascending).
   static Factor Ones(std::vector<int> scope, const std::vector<int>& domains);
 };
-
-/// Pointwise product; the result's scope is the union of the scopes.
-Factor Multiply(const Factor& a, const Factor& b,
-                const std::vector<int>& domains);
-
-/// Sums out every variable not in `keep` (keep need not be a subset of the
-/// scope; extraneous variables are ignored).
-Factor MarginalizeTo(const Factor& f, const std::vector<int>& keep,
-                     const std::vector<int>& domains);
-
-/// Sum of all table entries.
-double TotalMass(const Factor& f);
 
 }  // namespace mintri
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "graph/graph_io.h"
+
 namespace mintri {
 
 namespace {
@@ -40,16 +42,19 @@ std::vector<double> GraphicalModel::DomainsAsWeights() const {
   return std::vector<double>(domains.begin(), domains.end());
 }
 
-std::optional<GraphicalModel> ParseUaiModel(std::istream& in) {
+std::optional<GraphicalModel> ParseUaiModel(std::istream& in,
+                                            std::string* error) {
   std::istringstream ts(StripComments(in));
   std::string kind;
   if (!(ts >> kind) || (kind != "MARKOV" && kind != "BAYES")) {
     return std::nullopt;
   }
-  int n = 0;
-  if (!(ts >> n) || n < 0) return std::nullopt;
+  long long n = 0;
+  if (!(ts >> n) || n < 0 || !WithinInputVertexLimit(n, error)) {
+    return std::nullopt;
+  }
   GraphicalModel model;
-  model.domains.resize(n);
+  model.domains.resize(static_cast<size_t>(n));
   for (int& d : model.domains) {
     if (!(ts >> d) || d < 1) return std::nullopt;
   }
@@ -59,10 +64,18 @@ std::optional<GraphicalModel> ParseUaiModel(std::istream& in) {
   // Scope lines: the listed order defines the table layout (last variable
   // fastest); remember it so the table blocks can be re-indexed into the
   // ascending row-major layout Factor requires.
-  std::vector<std::vector<int>> raw_scopes(m);
-  for (auto& scope : raw_scopes) {
+  std::vector<std::vector<int>> raw_scopes;
+  for (int i = 0; i < m; ++i) {
+    std::vector<int>& scope = raw_scopes.emplace_back();
     int k = 0;
-    if (!(ts >> k) || k < 0 || k > n) return std::nullopt;
+    if (!(ts >> k)) {
+      if (error != nullptr) {
+        *error = "declares " + std::to_string(m) +
+                 " factors but lists only " + std::to_string(i);
+      }
+      return std::nullopt;
+    }
+    if (k < 0 || k > n) return std::nullopt;
     scope.resize(k);
     for (int& v : scope) {
       if (!(ts >> v) || v < 0 || v >= n) return std::nullopt;
@@ -85,9 +98,23 @@ std::optional<GraphicalModel> ParseUaiModel(std::istream& in) {
     if (!(ts >> t) || t < 0 || static_cast<size_t>(t) != expected) {
       return std::nullopt;
     }
+    // Read the block before sizing the table, so a declared size the input
+    // does not back allocates nothing.
+    std::vector<double> raw_table;
+    for (size_t idx = 0; idx < expected; ++idx) {
+      double value = 0;
+      if (!(ts >> value) || value < 0) return std::nullopt;
+      raw_table.push_back(value);
+    }
     Factor f;
     f.scope = raw;
     std::sort(f.scope.begin(), f.scope.end());
+    if (f.scope == raw) {
+      // Already in the ascending layout (always so for WriteUaiModel output).
+      f.table = std::move(raw_table);
+      model.factors.push_back(std::move(f));
+      continue;
+    }
     f.table.assign(expected, 0.0);
     // raw_pos[k] = position in `raw` of the k-th ascending scope variable
     // (loop-invariant across the table walk).
@@ -100,8 +127,7 @@ std::optional<GraphicalModel> ParseUaiModel(std::istream& in) {
     // listed variable fastest), re-addressed into the ascending layout.
     std::vector<int> assignment(raw.size(), 0);
     for (size_t idx = 0; idx < expected; ++idx) {
-      double value = 0;
-      if (!(ts >> value) || value < 0) return std::nullopt;
+      const double value = raw_table[idx];
       size_t sorted_idx = 0;
       for (size_t k = 0; k < f.scope.size(); ++k) {
         sorted_idx =

@@ -17,8 +17,8 @@
 #include "enumeration/tree_decomposition.h"
 #include "hypergraph/edge_cover.h"
 #include "hypergraph/hypergraph_io.h"
-#include "inference/junction_tree.h"
 #include "inference/model_io.h"
+#include "junction_tree_oracle.h"
 #include "workloads/inference_models.h"
 #include "workloads/random_graphs.h"
 #include "workloads/tpch_queries.h"
@@ -251,7 +251,7 @@ TEST(StateSpaceCostTest, RegistryUsesModelDomains) {
   TotalStateSpaceCost reference(model.DomainsAsWeights());
   EXPECT_NEAR(t.cost, reference.Evaluate(instance.graph, t.bags), 1e-9);
 
-  JunctionTreeInference inference(model.domains, model.factors);
+  testutil::JunctionTreeInference inference(model.domains, model.factors);
   auto run = inference.Run(CliqueTreeOf(t));
   ASSERT_TRUE(run.has_value());
   EXPECT_FALSE(run->degenerate);
@@ -325,8 +325,8 @@ TEST(ModelIoTest, RoundTripPreservesInference) {
   WriteUaiModel(m, os);
   std::optional<GraphicalModel> parsed = ParseUaiModelString(os.str());
   ASSERT_TRUE(parsed.has_value());
-  JunctionTreeInference a(m.domains, m.factors);
-  JunctionTreeInference b(parsed->domains, parsed->factors);
+  testutil::JunctionTreeInference a(m.domains, m.factors);
+  testutil::JunctionTreeInference b(parsed->domains, parsed->factors);
   auto ra = a.BruteForce();
   auto rb = b.BruteForce();
   EXPECT_FALSE(ra.degenerate);

@@ -59,11 +59,13 @@ TEST_P(CkkPropertyTest, CompleteAndDuplicateFree) {
   auto [n, seed] = GetParam();
   double p = 0.2 + 0.07 * (seed % 6);
   Graph g = workloads::ConnectedErdosRenyi(n, p, 30000 + seed);
-  CkkEnumerator e(g);
+  FillInCost fill;
+  CkkEnumerator e(g, &fill);
   auto all = Drain(e);
   std::set<testutil::FillSet> produced;
   for (const auto& t : all) {
     EXPECT_TRUE(IsMinimalTriangulation(g, t.filled));
+    testutil::ExpectProperCliqueTree(g, t, fill);
     EXPECT_TRUE(produced.insert(t.FillEdgesSorted(g)).second)
         << "duplicate CKK result";
   }

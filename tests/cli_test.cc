@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -258,6 +259,55 @@ TEST(CliTest, BatchCommand) {
           .code,
       1);
   EXPECT_EQ(Invoke({"batch", "x.txt", "--time-limit=1e999"}, "").code, 1);
+  EXPECT_EQ(Invoke({"batch", "x.txt", "--time-limit=nan"}, "").code, 1);
+  // rank applies the same count and budget rule: these used to print
+  // nothing (--top) or silently run the heuristic tier (--time-limit).
+  for (const char* flag :
+       {"--top=0", "--top=-1", "--time-limit=-1", "--time-limit=nan"}) {
+    CliResult r = Invoke({"rank", flag}, kC4);
+    EXPECT_EQ(r.code, 1) << flag;
+    EXPECT_TRUE(r.out.empty()) << flag << "\n" << r.out;
+    EXPECT_NE(r.err.find("invalid value for --"), std::string::npos)
+        << flag << "\n" << r.err;
+  }
+}
+
+// Size fields the process cannot back used to abort it with std::bad_alloc:
+// Graph(n) is dense (n²/8 bytes), and the .uai reader sized its scope list
+// from the declared factor count. Each is now an ordinary input error.
+TEST(CliTest, OversizedInputsAreErrorsNotAborts) {
+  struct Case {
+    const char* input_flag;
+    const char* extension;
+    const char* text;
+    const char* reason;
+  };
+  const Case cases[] = {
+      {"--input=gr", ".gr", "p tw 10000000 0\n",
+       "declares 10000000 vertices, above the input limit of 65536"},
+      {"--input=hg", ".hg", "p hg 10000000 0\n",
+       "declares 10000000 vertices, above the input limit of 65536"},
+      {"--input=uai", ".uai", "MARKOV\n2\n2 2\n2000000000\n",
+       "declares 2000000000 factors but lists only 0"},
+  };
+  for (const Case& c : cases) {
+    CliResult r = Invoke({"rank", c.input_flag}, c.text);
+    EXPECT_EQ(r.code, 1) << c.input_flag;
+    EXPECT_NE(r.err.find(c.reason), std::string::npos)
+        << c.input_flag << "\n" << r.err;
+
+    // In a batch list the same input yields an error record, not a crash.
+    const std::string dir = ::testing::TempDir();
+    const std::string instance = dir + "oversized" + c.extension;
+    const std::string list = dir + "oversized_list.txt";
+    std::ofstream(instance) << c.text;
+    std::ofstream(list) << instance << "\n";
+    CliResult b = Invoke({"batch", list}, "");
+    EXPECT_EQ(b.code, 2) << c.input_flag << "\n" << b.err;
+    EXPECT_NE(b.out.find("\"status\": \"load-error\""), std::string::npos)
+        << b.out;
+    EXPECT_NE(b.out.find(c.reason), std::string::npos) << b.out;
+  }
 }
 
 TEST(CliTest, BatchShardingFlags) {

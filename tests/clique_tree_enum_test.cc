@@ -1,73 +1,66 @@
-#include "enumeration/clique_tree_enum.h"
+// Ranked enumeration of proper tree decompositions (Proposition 6.1): the
+// clique tree of every enumerated minimal triangulation, as CliqueTreeOf,
+// must be a proper tree decomposition of the input graph, and its width
+// must be the result's width.
 
 #include <gtest/gtest.h>
 
-#include "chordal/lb_triang.h"
+#include <optional>
+#include <string>
+
+#include "cost/standard_costs.h"
+#include "enumeration/ranked_enum.h"
 #include "enumeration/tree_decomposition.h"
 #include "test_util.h"
-#include "workloads/named_graphs.h"
 #include "workloads/random_graphs.h"
 
 namespace mintri {
 namespace {
 
-TEST(CliqueTreeEnumTest, PathHasCaterpillarCount) {
-  // P4's clique tree over cliques {01},{12},{23}: adhesions {1},{2};
-  // the only maximum spanning tree is the path itself -> 1 clique tree...
-  // Actually {01}-{23} have empty intersection (weight 0), so the unique
-  // maximum spanning tree is the chain.
-  auto trees = EnumerateCliqueTrees(workloads::Path(4));
-  EXPECT_EQ(trees.size(), 1u);
-}
-
-TEST(CliqueTreeEnumTest, StarOfTrianglesHasMultipleCliqueTrees) {
-  // Two triangles sharing vertex 0 plus an edge... use the paper's T2/T2'':
-  // the example graph's triangulation H2 has clique trees T2 and T2''.
-  Graph g = testutil::PaperExampleGraph();
-  Graph h2 = g;
-  h2.SaturateSet(VertexSet::Of(6, {0, 1}));  // saturate {u,v}
-  auto trees = EnumerateCliqueTrees(h2);
-  // Cliques: {u,v,w1}, {u,v,w2}, {u,v,w3}, {v,v'}. The three uvwi cliques
-  // pairwise intersect in {u,v} (weight 2): any spanning tree among them
-  // works (3 labeled trees on 3 nodes), and {v,v'} can hang off any of the
-  // three (x3) -> 9 clique trees.
-  EXPECT_EQ(trees.size(), 9u);
-  for (const CliqueTree& t : trees) {
-    TreeDecomposition td;
-    td.bags = t.cliques;
-    td.edges = t.edges;
-    EXPECT_TRUE(td.IsProperFor(g));
+// Drains up to `cap` results of `g` ranked by `cost`, checks each one's
+// clique tree and decomposition, and returns the number checked.
+int CheckEnumeratedCliqueTrees(const Graph& g, const BagCost& cost,
+                               const std::string& where, int cap = 200) {
+  auto ctx = TriangulationContext::Build(g);
+  EXPECT_TRUE(ctx.has_value()) << where;
+  if (!ctx.has_value()) return 0;
+  RankedTriangulationEnumerator e(*ctx, cost);
+  int count = 0;
+  while (count < cap) {
+    std::optional<Triangulation> t = e.Next();
+    if (!t.has_value()) break;
+    ++count;
+    const std::string at = where + " #" + std::to_string(count);
+    testutil::ExpectProperCliqueTree(g, *t, cost, at);
+    const TreeDecomposition td = CliqueTreeOf(*t);
+    EXPECT_EQ(td.bags.size(), t->bags.size()) << at;
+    EXPECT_EQ(td.edges.size(), t->bags.size() - 1) << at << ": not a tree";
+    EXPECT_EQ(td.Width(), t->Width()) << at;
+    EXPECT_TRUE(td.IsValidFor(t->filled)) << at;
+    EXPECT_TRUE(td.IsProperFor(g)) << at;
   }
+  return count;
 }
 
-TEST(CliqueTreeEnumTest, CompleteGraphHasOne) {
-  auto trees = EnumerateCliqueTrees(workloads::Complete(4));
-  EXPECT_EQ(trees.size(), 1u);
-  EXPECT_TRUE(trees[0].edges.empty());
+TEST(CliqueTreeEnumTest, PaperExampleCliqueTreesAreProper) {
+  // Figure 1's graph has exactly two minimal triangulations: width 2 (fill
+  // {u,v}) and width 3 (fill {w1,w2,w3}).
+  Graph g = testutil::PaperExampleGraph();
+  WidthCost width;
+  EXPECT_EQ(CheckEnumeratedCliqueTrees(g, width, "paper/width"), 2);
+  FillInCost fill;
+  EXPECT_EQ(CheckEnumeratedCliqueTrees(g, fill, "paper/fill"), 2);
 }
 
-TEST(CliqueTreeEnumTest, AllResultsAreValidCliqueTrees) {
+TEST(CliqueTreeEnumTest, RandomGraphCliqueTreesAreProper) {
+  WidthCost width;
+  FillInCost fill;
   for (int seed = 0; seed < 8; ++seed) {
     Graph g = workloads::ConnectedErdosRenyi(9, 0.3, 40000 + seed);
-    Graph h = LbTriangMinDegree(g);
-    auto trees = EnumerateCliqueTrees(h, /*limit=*/200);
-    EXPECT_FALSE(trees.empty());
-    for (const CliqueTree& t : trees) {
-      TreeDecomposition td;
-      td.bags = t.cliques;
-      td.edges = t.edges;
-      EXPECT_TRUE(td.IsValidFor(h));
-      EXPECT_TRUE(td.IsProperFor(g));
-    }
+    const std::string where = "seed " + std::to_string(seed);
+    EXPECT_GT(CheckEnumeratedCliqueTrees(g, width, where + "/width"), 0);
+    EXPECT_GT(CheckEnumeratedCliqueTrees(g, fill, where + "/fill"), 0);
   }
-}
-
-TEST(CliqueTreeEnumTest, LimitIsRespected) {
-  Graph g = testutil::PaperExampleGraph();
-  Graph h2 = g;
-  h2.SaturateSet(VertexSet::Of(6, {0, 1}));
-  auto trees = EnumerateCliqueTrees(h2, /*limit=*/4);
-  EXPECT_EQ(trees.size(), 4u);
 }
 
 }  // namespace

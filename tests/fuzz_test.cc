@@ -6,18 +6,29 @@
 // parallel mode reruns the separator/PMC pipeline through the
 // work-stealing engine (num_threads > 1) on the same deterministic seeds,
 // so the fuzzing also exercises the thread pool and sharded dedup table.
+// The input parsers (.gr, .hg, .uai) are fuzzed by deterministic mutations
+// of the tests/data seed files.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <iterator>
 #include <numeric>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "chordal/clique_tree.h"
+#include "graph/graph_io.h"
+#include "hypergraph/hypergraph_io.h"
+#include "inference/model_io.h"
 #include "pmc/potential_maximal_cliques.h"
 #include "test_util.h"
 #include "util/rng.h"
+#include "workloads/inference_models.h"
 #include "workloads/random_graphs.h"
+#include "workloads/tpch_queries.h"
 
 namespace mintri {
 namespace {
@@ -164,6 +175,138 @@ TEST_P(ParallelPipelineFuzz, ParallelEnginesMatchSerialOnRandomGraphs) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelPipelineFuzz, ::testing::Range(0, 12));
+
+// Parser fuzzing. Each input is a seed file with one to three edits: a byte
+// overwritten, a short run deleted, a truncation, or a huge or negative
+// number inserted. Half the edits land in the first 32 bytes, where the
+// size fields are. Every input must parse to std::nullopt or to an instance
+// within kMaxInputVertices whose graph builds and that survives a
+// write/parse round trip unchanged.
+constexpr int kParserMutations = 3000;
+
+std::string ReadSeed(const std::string& name) {
+  std::ifstream in(std::string(MINTRI_TEST_DATA_DIR) + "/" + name,
+                   std::ios::binary);
+  EXPECT_TRUE(in) << name;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+std::string Mutate(std::string text, Rng* rng) {
+  static const char* const kNumbers[] = {
+      "-1",         "0",          "-0",          "65537",
+      "2147483647", "2147483648", "-2147483649", "4294967297",
+      "10000000",   "1e9",        "nan",         "99999999999999999999"};
+  const int edits = 1 + static_cast<int>(rng->NextBounded(3));
+  for (int e = 0; e < edits; ++e) {
+    const size_t span = rng->NextBool(0.5)
+                            ? std::min<size_t>(text.size(), 32)
+                            : text.size();
+    const size_t pos = rng->NextBounded(span + 1);
+    switch (rng->NextBounded(4)) {
+      case 0:
+        if (pos < text.size()) {
+          text[pos] = static_cast<char>(rng->NextBounded(256));
+        }
+        break;
+      case 1:
+        text.erase(pos, 1 + rng->NextBounded(8));
+        break;
+      case 2:
+        text.resize(pos);
+        break;
+      default:
+        text.insert(pos, kNumbers[rng->NextBounded(std::size(kNumbers))]);
+        break;
+    }
+  }
+  return text;
+}
+
+// Runs `check` on kParserMutations mutants of `seeds` (round-robin).
+template <typename Check>
+void FuzzParser(const std::vector<std::string>& seeds, uint64_t rng_seed,
+                Check check) {
+  Rng rng(rng_seed);
+  int accepted = 0;
+  for (int i = 0; i < kParserMutations; ++i) {
+    const std::string input = Mutate(seeds[i % seeds.size()], &rng);
+    SCOPED_TRACE("mutation " + std::to_string(i));
+    if (check(input)) ++accepted;
+    if (::testing::Test::HasFailure()) return;
+  }
+  // Some mutants must still parse, or the checks above never ran.
+  EXPECT_GT(accepted, 0);
+}
+
+TEST(ParserFuzz, DimacsMutantsAreRejectedOrValid) {
+  std::vector<std::string> seeds;
+  for (const char* name :
+       {"c4.gr", "disconnected.gr", "paper_example.gr", "grid_32x32.gr"}) {
+    seeds.push_back(ReadSeed(name));
+  }
+  FuzzParser(seeds, 7101, [](const std::string& input) {
+    std::optional<Graph> g = ParseDimacsString(input);
+    if (!g.has_value()) return false;
+    EXPECT_LE(g->NumVertices(), kMaxInputVertices);
+    std::ostringstream out;
+    WriteDimacs(*g, out);
+    EXPECT_EQ(ParseDimacsString(out.str()), g);
+    return true;
+  });
+}
+
+TEST(ParserFuzz, HypergraphMutantsAreRejectedOrValid) {
+  std::ostringstream tpch;
+  WriteHypergraph(workloads::TpchQueryHypergraph(workloads::TpchQueryGraph(5)),
+                  tpch);
+  FuzzParser({ReadSeed("triangle.hg"), tpch.str()}, 7102,
+             [](const std::string& input) {
+               std::optional<Hypergraph> h = ParseHypergraphString(input);
+               if (!h.has_value()) return false;
+               EXPECT_LE(h->NumVertices(), kMaxInputVertices);
+               EXPECT_EQ(h->PrimalGraph().NumVertices(), h->NumVertices());
+               std::ostringstream out, again;
+               WriteHypergraph(*h, out);
+               std::optional<Hypergraph> reparsed =
+                   ParseHypergraphString(out.str());
+               EXPECT_TRUE(reparsed.has_value());
+               if (reparsed.has_value()) WriteHypergraph(*reparsed, again);
+               EXPECT_EQ(again.str(), out.str());
+               return true;
+             });
+}
+
+TEST(ParserFuzz, UaiMutantsAreRejectedOrValid) {
+  std::ostringstream grid;
+  WriteUaiModel(workloads::GridMrf(2, 3, 7), grid);
+  FuzzParser(
+      {ReadSeed("chain3.uai"), grid.str()}, 7103, [](const std::string& input) {
+        std::optional<GraphicalModel> m = ParseUaiModelString(input);
+        if (!m.has_value()) return false;
+        const int n = static_cast<int>(m->domains.size());
+        EXPECT_LE(n, kMaxInputVertices);
+        for (const Factor& f : m->factors) {
+          EXPECT_TRUE(std::is_sorted(f.scope.begin(), f.scope.end()));
+          size_t size = 1;
+          for (int v : f.scope) {
+            EXPECT_TRUE(v >= 0 && v < n) << v;
+            if (v >= 0 && v < n) size *= static_cast<size_t>(m->domains[v]);
+          }
+          EXPECT_EQ(f.table.size(), size);
+        }
+        EXPECT_EQ(m->MarkovGraph().NumVertices(), n);
+        std::ostringstream out, again;
+        WriteUaiModel(*m, out);
+        std::optional<GraphicalModel> reparsed =
+            ParseUaiModelString(out.str());
+        EXPECT_TRUE(reparsed.has_value());
+        if (reparsed.has_value()) WriteUaiModel(*reparsed, again);
+        EXPECT_EQ(again.str(), out.str());
+        return true;
+      });
+}
 
 }  // namespace
 }  // namespace mintri

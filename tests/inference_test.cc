@@ -1,14 +1,23 @@
-#include "inference/junction_tree.h"
+// The junction-tree oracle against brute force, and the state-space cost
+// against the oracle's clique-table totals on ranked decompositions.
+
+#include "junction_tree_oracle.h"
 
 #include <gtest/gtest.h>
 
 #include "cost/standard_costs.h"
 #include "enumeration/ranked_enum.h"
+#include "inference/model_io.h"
 #include "util/rng.h"
 #include "workloads/named_graphs.h"
 
 namespace mintri {
 namespace {
+
+using testutil::JunctionTreeInference;
+using testutil::MarginalizeTo;
+using testutil::Multiply;
+using testutil::TotalMass;
 
 Factor RandomFactor(std::vector<int> scope, const std::vector<int>& domains,
                     Rng* rng) {
@@ -88,7 +97,7 @@ TEST_P(JunctionTreeRandomTest, MatchesBruteForceOnRandomGridModels) {
     factors.push_back(RandomFactor({v}, domains, &rng));
   }
   JunctionTreeInference model(domains, factors);
-  EXPECT_EQ(model.MarkovGraph(), g);
+  EXPECT_EQ((GraphicalModel{domains, factors}.MarkovGraph()), g);
 
   // Run inference on EVERY proper tree decomposition (ranked by state
   // space): all must agree with brute force.

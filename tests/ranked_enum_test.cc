@@ -11,6 +11,7 @@
 #include "chordal/minimality.h"
 #include "cost/standard_costs.h"
 #include "enumeration/ckk.h"
+#include "enumeration/tree_decomposition.h"
 #include "test_util.h"
 #include "workloads/graphical_models.h"
 #include "workloads/named_graphs.h"
@@ -91,7 +92,7 @@ TEST_P(RankedEnumPropertyTest, CompleteDuplicateFreeAndSorted) {
     std::set<testutil::FillSet> produced;
     for (const auto& t : all) {
       EXPECT_TRUE(IsMinimalTriangulation(g, t.filled)) << cost.Name();
-      EXPECT_EQ(t.cost, cost.Evaluate(g, t.bags)) << cost.Name();
+      testutil::ExpectProperCliqueTree(g, t, cost, cost.Name());
       EXPECT_TRUE(produced.insert(t.FillEdgesSorted(g)).second)
           << "duplicate result under " << cost.Name();
     }
@@ -141,13 +142,13 @@ TEST(RankedEnumTest, TreeDecompositionsAreProper) {
   Graph g = testutil::PaperExampleGraph();
   TriangulationContext ctx = BuildCtx(g);
   WidthCost width;
-  RankedTreeDecompositionEnumerator e(ctx, width);
+  RankedTriangulationEnumerator e(ctx, width);
   int count = 0;
   CostValue last = -kInfiniteCost;
-  while (auto r = e.Next()) {
-    EXPECT_TRUE(r->decomposition.IsProperFor(g));
-    EXPECT_LE(last, r->cost);
-    last = r->cost;
+  while (auto t = e.NextTree()) {
+    EXPECT_TRUE(CliqueTreeOf(*t).IsProperFor(g));
+    EXPECT_LE(last, t->cost);
+    last = t->cost;
     ++count;
   }
   EXPECT_EQ(count, 2);
