@@ -15,7 +15,7 @@ scripts/bench_diff.py diffs with (imported from there, so the two tools
 cannot drift apart) and fails when the overlap is empty.
 
 --batch-stats switches to validating the aggregate-stats JSON written by
-`mintri batch --stats-json=...` (src/cli/batch_shard.cc:WriteBatchStatsJson).
+`mintri batch --stats-json=...` (src/cli/batch.cc:WriteBatchStatsJson).
 """
 
 import json
@@ -89,11 +89,9 @@ def check_fields(obj, spec, where):
                  f"expected {expected.__name__}")
 
 
-# The aggregate shape written by `mintri batch --stats-json=...`; one
-# worker_stats element per shard ("in-process" pseudo-worker at --workers=1).
+# The aggregate shape written by `mintri batch --stats-json=...`.
 BATCH_STATS = {
     "batch_stats_version": int,
-    "workers": int,
     "threads": int,
     "inner_threads": int,
     "cost": str,
@@ -114,17 +112,6 @@ BATCH_STATS = {
     "preprocess_seconds_total": float,
     "tier1_seconds_total": float,
     "tier2_seconds_total": float,
-    "worker_stats": list,
-}
-
-WORKER_STATS = {
-    "worker": int,
-    "first": int,
-    "count": int,
-    "ok": int,
-    "failed": int,
-    "wall_seconds": float,
-    "termination": str,
 }
 
 
@@ -139,10 +126,10 @@ def load_json(path):
 def validate_batch_stats(path):
     stats = load_json(path)
     check_fields(stats, BATCH_STATS, "batch stats")
-    if stats["batch_stats_version"] != 1:
+    if stats["batch_stats_version"] != 2:
         fail(f"unsupported batch_stats_version "
              f"{stats['batch_stats_version']}")
-    for key in ("workers", "threads", "inner_threads"):
+    for key in ("threads", "inner_threads"):
         if stats[key] < 1:
             fail(f"{key} must be >= 1, got {stats[key]}")
     if stats["instances"] != stats["ok"] + stats["failed"]:
@@ -167,31 +154,8 @@ def validate_batch_stats(path):
                                   "tier2_seconds_total")):
         fail("negative per-tier timing")
 
-    workers = stats["worker_stats"]
-    if len(workers) != stats["workers"]:
-        fail(f"worker_stats has {len(workers)} elements, "
-             f"expected {stats['workers']}")
-    next_first = 0
-    for i, w in enumerate(workers):
-        where = f"worker_stats[{i}]"
-        check_fields(w, WORKER_STATS, where)
-        if w["first"] != next_first:
-            fail(f"{where}: shard starts at {w['first']}, "
-                 f"expected {next_first} (non-contiguous partition)")
-        if w["count"] < 0 or w["ok"] + w["failed"] != w["count"]:
-            fail(f"{where}: ok {w['ok']} + failed {w['failed']} != "
-                 f"count {w['count']}")
-        if w["wall_seconds"] < 0:
-            fail(f"{where}: negative wall_seconds")
-        if not w["termination"]:
-            fail(f"{where}: empty termination")
-        next_first += w["count"]
-    if next_first != stats["instances"]:
-        fail(f"shards cover [0, {next_first}), "
-         f"expected [0, {stats['instances']})")
     print(f"validate_bench_json: OK: batch stats for {stats['instances']} "
-          f"instances across {stats['workers']} worker(s), "
-          f"{stats['ok']} ok / {stats['failed']} failed")
+          f"instances, {stats['ok']} ok / {stats['failed']} failed")
 
 
 def compare_smoke(report, baseline_path):

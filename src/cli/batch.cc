@@ -2,17 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <sstream>
-#include <thread>
 
-#include "cli/batch_shard.h"
 #include "cli/flags.h"
 #include "cli/tiered_query.h"
 #include "cost/cost_model_registry.h"
@@ -38,8 +33,20 @@ void AppendJsonCost(CostValue v, std::ostream& out) {
   out << os.str();
 }
 
+// Marks a record the --deadline cut short.
+void SetTimedOut(const BatchOptions& options, BatchRecord* record) {
+  std::ostringstream error;
+  error << "--deadline=" << options.deadline
+        << " expired before the instance finished";
+  record->status = "timeout";
+  record->error = error.str();
+}
+
 BatchRecord RunOneInstance(const std::string& spec,
                            const BatchOptions& options) {
+  // The instance's wall budget, polled by every stage of its query.
+  const Deadline deadline =
+      options.deadline > 0 ? Deadline(options.deadline) : Deadline::Never();
   BatchRecord record;
   record.instance = spec;
   record.cost_name = options.cost;
@@ -55,16 +62,17 @@ BatchRecord RunOneInstance(const std::string& spec,
   record.m = instance->graph.NumEdges();
 
   std::optional<CostModel> model =
-      MakeCostModel(options.cost, *instance, options.cache, &error);
+      MakeCostModel(options.cost, *instance, /*enable_cache=*/true, &error);
   if (!model.has_value()) {
     record.status = "cost-error";
     record.error = error;
     return record;
   }
-  std::unique_ptr<TieredEnumerator> started = StartTieredQuery(
-      instance->graph, *model,
-      {options.cost, options.tier, options.time_limit, options.inner_threads},
-      &error);
+  TieredQuery query{options.cost, options.tier, options.time_limit,
+                    options.inner_threads};
+  query.deadline = &deadline;
+  std::unique_ptr<TieredEnumerator> started =
+      StartTieredQuery(instance->graph, *model, query, &error);
   if (started == nullptr) {
     record.status = "cost-error";
     record.error = error;
@@ -73,8 +81,12 @@ BatchRecord RunOneInstance(const std::string& spec,
   TieredEnumerator& enumerator = *started;
   record.init_seconds = enumerator.init_seconds();
   if (!enumerator.init_ok()) {
-    record.status = "init-failed";
-    record.error = enumerator.init_info().TerminationName();
+    if (enumerator.truncated()) {
+      SetTimedOut(options, &record);
+    } else {
+      record.status = "init-failed";
+      record.error = enumerator.init_info().TerminationName();
+    }
     return record;
   }
   record.tier = TierName(enumerator.tier());
@@ -100,86 +112,64 @@ BatchRecord RunOneInstance(const std::string& spec,
     record.cache_hits = stats.hits;
     record.cache_misses = stats.misses;
   }
-  record.status = "ok";
+  // A stream the deadline cut before it delivered every requested row.
+  if (enumerator.truncated() &&
+      static_cast<long long>(record.results.size()) < options.top) {
+    SetTimedOut(options, &record);
+  } else {
+    record.status = "ok";
+  }
   return record;
 }
 
-// Fault-injection hook for the sharded-batch failure-path tests: the
-// MINTRI_BATCH_FAULT environment variable ("crash:<spec>" or "hang:<spec>")
-// makes the worker that owns <spec> die mid-record (an unterminated
-// JSON line, then _Exit) or emit the record and hang until the
-// coordinator's --deadline kills it. Inert unless the variable is set.
-struct FaultSpec {
-  bool crash = false;  // otherwise hang
-  std::string instance;
+/// Aggregate statistics over one `mintri batch` run. Serialized by
+/// WriteBatchStatsJson and validated by scripts/validate_bench_json.py
+/// --batch-stats.
+struct BatchAggregateStats {
+  int threads = 1;
+  int inner_threads = 1;
+  std::string cost;
+  int instances = 0;
+  int ok = 0;
+  int failed = 0;
+  double wall_seconds = 0;         // wall clock for the whole run
+  double init_seconds_total = 0;   // summed over ok records
+  long long cache_lookups = 0;     // summed bag-score cache counters
+  long long cache_hits = 0;
+  long long cache_misses = 0;
+  // Tiered-pipeline tallies, summed over ok records: how many streams
+  // resolved at each tier plus the Tier-0 and per-tier build wall clock.
+  long long tier_exact = 0;
+  long long tier_atom_exact = 0;
+  long long tier_heuristic = 0;
+  long long atoms_total = 0;
+  long long reduced_vertices_total = 0;
+  double preprocess_seconds_total = 0;
+  double tier1_seconds_total = 0;
+  double tier2_seconds_total = 0;
+
+  double CacheHitRate() const {
+    return cache_lookups > 0
+               ? static_cast<double>(cache_hits) / cache_lookups
+               : 0.0;
+  }
 };
 
-std::optional<FaultSpec> ParseFaultSpec() {
-  const char* raw = std::getenv("MINTRI_BATCH_FAULT");
-  if (raw == nullptr || *raw == '\0') return std::nullopt;
-  const std::string value(raw);
-  FaultSpec fault;
-  if (value.rfind("crash:", 0) == 0) {
-    fault.crash = true;
-    fault.instance = value.substr(6);
-  } else if (value.rfind("hang:", 0) == 0) {
-    fault.crash = false;
-    fault.instance = value.substr(5);
-  } else {
-    return std::nullopt;
-  }
-  return fault;
-}
-
-// Writes records as JSON Lines, honoring the fault hook. Returns the
-// per-instance (status, error) pairs for the shared failure summary.
-std::vector<std::pair<std::string, std::string>> WriteRecordsWithFaults(
-    const std::vector<BatchRecord>& records, std::ostream& sink) {
-  const std::optional<FaultSpec> fault = ParseFaultSpec();
-  std::vector<std::pair<std::string, std::string>> statuses;
-  for (const BatchRecord& r : records) {
-    std::ostringstream os;
-    WriteBatchRecord(r, os);
-    const std::string line = os.str();
-    if (fault.has_value() && fault->crash && r.instance == fault->instance) {
-      sink.write(line.data(), static_cast<std::streamsize>(line.size() / 2));
-      sink.flush();
-      std::_Exit(70);
-    }
-    sink << line;
-    if (fault.has_value() && !fault->crash && r.instance == fault->instance) {
-      sink.flush();
-      std::this_thread::sleep_for(std::chrono::hours(1));
-    }
-    statuses.emplace_back(r.status, r.error);
-  }
-  return statuses;
-}
-
-BatchAggregateStats AggregateInProcessStats(
-    const std::vector<BatchRecord>& records, const BatchOptions& options,
-    double wall_seconds) {
+BatchAggregateStats AggregateStats(const std::vector<BatchRecord>& records,
+                                   const BatchOptions& options,
+                                   double wall_seconds) {
   BatchAggregateStats stats;
-  stats.workers = 1;
   stats.threads = options.threads;
   stats.inner_threads = options.inner_threads;
   stats.cost = options.cost;
   stats.instances = static_cast<int>(records.size());
   stats.wall_seconds = wall_seconds;
-  WorkerShardStats ws;
-  ws.worker = 0;
-  ws.first = 0;
-  ws.count = static_cast<int>(records.size());
-  ws.wall_seconds = wall_seconds;
-  ws.termination = "in-process";
   for (const BatchRecord& r : records) {
     if (r.status == "ok") {
       ++stats.ok;
-      ++ws.ok;
       stats.init_seconds_total += r.init_seconds;
     } else {
       ++stats.failed;
-      ++ws.failed;
     }
     stats.cache_lookups += r.cache_lookups;
     stats.cache_hits += r.cache_hits;
@@ -193,8 +183,52 @@ BatchAggregateStats AggregateInProcessStats(
     stats.tier1_seconds_total += r.tier1_seconds;
     stats.tier2_seconds_total += r.tier2_seconds;
   }
-  stats.worker_stats.push_back(std::move(ws));
   return stats;
+}
+
+// The human-readable --stats summary.
+void PrintBatchStats(const BatchAggregateStats& stats, std::ostream& err) {
+  err << "batch: " << stats.instances << " instances, " << stats.ok
+      << " ok, " << stats.failed << " failed; threads=" << stats.threads
+      << " inner-threads=" << stats.inner_threads
+      << "; wall=" << stats.wall_seconds
+      << "s init_total=" << stats.init_seconds_total << "s\n";
+  err << "tiers: exact=" << stats.tier_exact
+      << " atom-exact=" << stats.tier_atom_exact
+      << " heuristic=" << stats.tier_heuristic
+      << "; preprocess: atoms=" << stats.atoms_total
+      << " reduced_vertices=" << stats.reduced_vertices_total
+      << " wall=" << stats.preprocess_seconds_total
+      << "s; builds: tier1=" << stats.tier1_seconds_total
+      << "s tier2=" << stats.tier2_seconds_total << "s\n";
+  err << "bag-score cache (aggregate): lookups=" << stats.cache_lookups
+      << " hits=" << stats.cache_hits << " misses=" << stats.cache_misses
+      << " hit_rate=" << stats.CacheHitRate() << "\n";
+}
+
+// The machine-readable --stats-json output.
+void WriteBatchStatsJson(const BatchAggregateStats& stats,
+                         std::ostream& out) {
+  out << "{\"batch_stats_version\": 2, \"threads\": " << stats.threads
+      << ", \"inner_threads\": " << stats.inner_threads << ", \"cost\": ";
+  AppendJsonString(stats.cost, out);
+  out << ", \"instances\": " << stats.instances << ", \"ok\": " << stats.ok
+      << ", \"failed\": " << stats.failed
+      << ", \"wall_seconds\": " << stats.wall_seconds
+      << ", \"init_seconds_total\": " << stats.init_seconds_total
+      << ", \"cache_lookups\": " << stats.cache_lookups
+      << ", \"cache_hits\": " << stats.cache_hits
+      << ", \"cache_misses\": " << stats.cache_misses
+      << ", \"cache_hit_rate\": " << stats.CacheHitRate()
+      << ", \"tier_exact\": " << stats.tier_exact
+      << ", \"tier_atom_exact\": " << stats.tier_atom_exact
+      << ", \"tier_heuristic\": " << stats.tier_heuristic
+      << ", \"atoms\": " << stats.atoms_total
+      << ", \"reduced_vertices\": " << stats.reduced_vertices_total
+      << ", \"preprocess_seconds_total\": " << stats.preprocess_seconds_total
+      << ", \"tier1_seconds_total\": " << stats.tier1_seconds_total
+      << ", \"tier2_seconds_total\": " << stats.tier2_seconds_total
+      << "}\n";
 }
 
 constexpr char kBatchUsage[] =
@@ -206,32 +240,23 @@ constexpr char kBatchUsage[] =
     "tpch-graph:<q> (join graph), gm:<name> (graphical model). Instances\n"
     "fan out across a thread pool — parallel across queries — and one JSON\n"
     "record per instance is emitted in input order, identical at every\n"
-    "--threads value. --workers=N additionally shards the list across N\n"
-    "child processes (contiguous ranges, deterministic in-order merge: the\n"
-    "output stream is byte-identical to --workers=1); a worker that\n"
-    "crashes or exceeds --deadline yields per-instance error records\n"
-    "instead of hanging the run.\n"
+    "--threads value.\n"
     "\n"
     "  --cost=NAME        width|fill|width-then-fill|state-space|\n"
     "                     hypertree|fhw              (default width)\n"
     "  --top=K            ranked results per instance (default 3)\n"
     "  --threads=N        instances processed concurrently (default 1)\n"
     "  --inner-threads=N  context-build threads per instance (default 1)\n"
-    "  --workers=N        shard across N child processes (default 1 =\n"
-    "                     in-process)\n"
-    "  --deadline=SEC     per-shard wall budget; a straggling worker is\n"
-    "                     killed and its unfinished instances reported as\n"
-    "                     worker-timeout records (default: none)\n"
+    "  --deadline=SEC     per-instance wall budget that every stage polls;\n"
+    "                     an instance cut short is a timeout record with\n"
+    "                     the results it emitted so far (default: none)\n"
     "  --time-limit=SEC   per-stage initialization budget (default 30)\n"
     "  --tier=auto|exact|heuristic  solve pipeline per instance (default\n"
     "                     auto); see `mintri rank --help`. Each record\n"
     "                     carries the truthful tier label\n"
-    "  --no-cache         disable the memoized bag-score cache\n"
-    "  --stats            per-worker + aggregate summary on stderr\n"
+    "  --stats            aggregate summary on stderr\n"
     "  --stats-json=FILE  machine-readable aggregate stats (validated by\n"
     "                     scripts/validate_bench_json.py --batch-stats)\n"
-    "  --worker-binary=P  mintri binary to spawn as workers (default:\n"
-    "                     this executable)\n"
     "  --mask-timings     zero init_seconds in records, for byte-exact\n"
     "                     output comparison (testing hook)\n"
     "  --out=FILE         output path (default '-' for stdout)\n"
@@ -262,6 +287,8 @@ std::vector<BatchRecord> RunBatch(const std::vector<std::string>& specs,
   }
   return records;
 }
+
+namespace {
 
 void WriteBatchRecord(const BatchRecord& r, std::ostream& out) {
   out << "{\"instance\": ";
@@ -300,6 +327,8 @@ void WriteBatchRecord(const BatchRecord& r, std::ostream& out) {
   out << "]}\n";
 }
 
+}  // namespace
+
 void WriteBatchJson(const std::vector<BatchRecord>& records,
                     std::ostream& out) {
   for (const BatchRecord& r : records) WriteBatchRecord(r, out);
@@ -336,15 +365,6 @@ int RunBatchCommand(const std::vector<std::string>& args, std::ostream& out,
             << ")\n";
         return 1;
       }
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      // Worker processes obey the same 1..MaxThreads() ceiling as threads:
-      // each worker is at least one OS thread on this box.
-      if (!flags::ParseThreads(arg.substr(10), &options.workers)) {
-        err << "invalid value for --workers: " << arg.substr(10)
-            << " (expected an integer in 1.." << flags::MaxThreads()
-            << ")\n";
-        return 1;
-      }
     } else if (arg.rfind("--deadline=", 0) == 0) {
       if (!flags::ParseSeconds(arg.substr(11), &options.deadline)) {
         err << "invalid value for --deadline: " << arg.substr(11)
@@ -365,20 +385,12 @@ int RunBatchCommand(const std::vector<std::string>& args, std::ostream& out,
             << " (expected auto, exact, or heuristic)\n";
         return 1;
       }
-    } else if (arg == "--no-cache") {
-      options.cache = false;
     } else if (arg == "--stats") {
       options.stats = true;
     } else if (arg.rfind("--stats-json=", 0) == 0) {
       options.stats_json = arg.substr(13);
       if (options.stats_json.empty()) {
         err << "invalid value for --stats-json: expected a file path\n";
-        return 1;
-      }
-    } else if (arg.rfind("--worker-binary=", 0) == 0) {
-      options.worker_binary = arg.substr(16);
-      if (options.worker_binary.empty()) {
-        err << "invalid value for --worker-binary: expected a binary path\n";
         return 1;
       }
     } else if (arg == "--mask-timings") {
@@ -428,31 +440,16 @@ int RunBatchCommand(const std::vector<std::string>& args, std::ostream& out,
   }
   std::ostream& sink = out_path == "-" ? out : file;
 
-  std::vector<std::pair<std::string, std::string>> statuses;
-  BatchAggregateStats stats;
-  if (options.workers > 1) {
-    std::string error;
-    const int failures =
-        RunShardedBatch(specs, options, sink, &statuses, &stats, &error);
-    if (failures < 0) {
-      err << error << "\n";
-      return 1;
-    }
-  } else {
-    WallTimer timer;
-    std::vector<BatchRecord> records = RunBatch(specs, options);
-    statuses = WriteRecordsWithFaults(records, sink);
-    stats = AggregateInProcessStats(records, options, timer.Seconds());
-  }
+  WallTimer timer;
+  const std::vector<BatchRecord> records = RunBatch(specs, options);
+  WriteBatchJson(records, sink);
+  const BatchAggregateStats stats =
+      AggregateStats(records, options, timer.Seconds());
 
-  int failures = 0;
-  for (size_t i = 0; i < statuses.size(); ++i) {
-    if (statuses[i].first != "ok") {
-      err << specs[i] << ": " << statuses[i].first
-          << (statuses[i].second.empty() ? "" : " (" + statuses[i].second + ")")
-          << "\n";
-      ++failures;
-    }
+  for (const BatchRecord& r : records) {
+    if (r.status == "ok") continue;
+    err << r.instance << ": " << r.status
+        << (r.error.empty() ? "" : " (" + r.error + ")") << "\n";
   }
   if (options.stats) PrintBatchStats(stats, err);
   if (!options.stats_json.empty()) {
@@ -463,10 +460,9 @@ int RunBatchCommand(const std::vector<std::string>& args, std::ostream& out,
     }
     WriteBatchStatsJson(stats, stats_file);
   }
-  err << stats.ok << "/" << statuses.size() << " instances ranked (cost "
-      << options.cost << ", " << options.workers << " workers, "
-      << options.threads << " threads)\n";
-  return failures == 0 ? 0 : 2;
+  err << stats.ok << "/" << stats.instances << " instances ranked (cost "
+      << options.cost << ", " << options.threads << " threads)\n";
+  return stats.failed == 0 ? 0 : 2;
 }
 
 }  // namespace mintri

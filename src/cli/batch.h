@@ -13,22 +13,17 @@ namespace mintri {
 /// The multi-query driver behind `mintri batch`: rank-enumerates every
 /// instance of a list, fanning instances across the PR-3 thread pool
 /// (parallel *across* queries; per-instance context construction is serial
-/// by default and parallel when inner_threads > 1). With workers > 1 the
-/// list is additionally sharded across child `mintri batch` processes
-/// (src/cli/batch_shard.h). Output order — and every ranked result — is
-/// independent of the thread and worker split.
+/// by default and parallel when inner_threads > 1). Output order — and every
+/// ranked result — is independent of the thread split.
 struct BatchOptions {
   std::string cost = "width";
   long long top = 3;           // ranked results per instance
   double time_limit = 30.0;    // per-stage context budget, seconds
   int threads = 1;             // instances processed concurrently
   int inner_threads = 1;       // context-build threads within one instance
-  bool cache = true;           // memoized bag-score cache (hypertree/fhw)
-  int workers = 1;             // worker processes (1 = in-process)
-  double deadline = 0;         // per-shard wall budget, seconds (0 = none)
-  bool stats = false;          // per-worker + aggregate summary on stderr
+  double deadline = 0;         // per-instance wall budget, seconds (0 = none)
+  bool stats = false;          // aggregate summary on stderr
   std::string stats_json;      // aggregate-stats JSON output path ("" = off)
-  std::string worker_binary;   // mintri binary to spawn ("" = self)
   std::string tier = "auto";   // solve pipeline: auto|exact|heuristic
   bool mask_timings = false;   // zero timing fields (testing hook)
 };
@@ -37,10 +32,9 @@ struct BatchOptions {
 struct BatchRecord {
   std::string instance;  // the spec as listed
   std::string cost_name;
-  /// In-process outcomes: "ok" | "load-error" | "cost-error" |
-  /// "init-failed". Coordinator-synthesized outcomes (sharded mode only,
-  /// when a worker fails before finishing its shard): "worker-crashed" |
-  /// "worker-timeout" | "worker-partial" | "worker-spawn-error".
+  /// "ok" | "load-error" | "cost-error" | "init-failed" | "timeout". A
+  /// "timeout" record is an instance the --deadline cut short: it carries
+  /// the results emitted before the budget ran out (possibly none).
   std::string status;
   std::string error;  // human-readable detail for non-ok statuses
   int n = 0;
@@ -71,12 +65,6 @@ struct BatchRecord {
 /// Runs the batch in-process. records[i] always corresponds to specs[i].
 std::vector<BatchRecord> RunBatch(const std::vector<std::string>& specs,
                                   const BatchOptions& options);
-
-/// Serializes one record as a single JSON-Lines line (trailing newline
-/// included). The byte-identity guarantee of the sharded merge rests on
-/// every emitter — worker and coordinator alike — going through this one
-/// function.
-void WriteBatchRecord(const BatchRecord& record, std::ostream& out);
 
 /// Serializes one JSON object per record, one per line (JSON Lines).
 void WriteBatchJson(const std::vector<BatchRecord>& records,

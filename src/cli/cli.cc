@@ -30,7 +30,6 @@ struct Options {
   double time_limit = 30.0;
   int threads = 1;
   std::string tier = "auto";
-  bool no_cache = false;
   bool stats = false;
   bool help = false;
   std::string file;  // empty: stdin
@@ -72,7 +71,6 @@ constexpr char kUsage[] =
     "                     atom blows the budget; heuristic skips the exact\n"
     "                     attempts. Every result line carries the truthful\n"
     "                     tier label (exact|atom-exact|heuristic)\n"
-    "  --no-cache         disable the memoized bag-score cache\n"
     "  --stats            print initialization + cache statistics to\n"
     "                     stderr\n"
     "  --help             show this message and exit\n";
@@ -127,8 +125,6 @@ bool ParseArgs(const std::vector<std::string>& args, Options* options,
         return false;
       }
       options->tier = *tier;
-    } else if (arg == "--no-cache") {
-      options->no_cache = true;
     } else if (arg == "--stats") {
       options->stats = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -285,7 +281,7 @@ int RunCli(const std::vector<std::string>& args, std::istream& in,
   const Graph& g = instance->graph;
 
   std::optional<CostModel> model =
-      MakeCostModel(options.cost, *instance, !options.no_cache, &error);
+      MakeCostModel(options.cost, *instance, /*enable_cache=*/true, &error);
   if (!model.has_value()) {
     err << error << "\n";
     return 1;

@@ -23,6 +23,7 @@ std::unique_ptr<TieredEnumerator> StartTieredQuery(const Graph& g,
   }
   tier_options.decomposable_cost = IsTierDecomposableCost(query.cost);
   tier_options.exact_budget_seconds = query.time_limit;
+  tier_options.deadline = query.deadline;
   return std::make_unique<TieredEnumerator>(g, *model.cost, model.composition,
                                             options, SolverOptions{},
                                             tier_options);

@@ -16,6 +16,8 @@ struct TieredQuery {
   double time_limit = 30.0;    // per-stage context budget and exact budget
   int threads = 1;             // context-build threads
   int width_bound = -1;        // MinTriangB width bound (-1: none)
+  /// The query's wall budget (null: none), polled by every stage.
+  const Deadline* deadline = nullptr;
 };
 
 /// Builds the query's tiered enumerator over g, ranked by `model` (made

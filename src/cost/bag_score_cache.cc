@@ -1,5 +1,7 @@
 #include "cost/bag_score_cache.h"
 
+#include "util/timer.h"
+
 namespace mintri {
 
 CostValue BagScoreCache::operator()(const VertexSet& bag) {
@@ -16,6 +18,9 @@ CostValue BagScoreCache::operator()(const VertexSet& bag) {
     ++misses_;
   }
   const CostValue value = score_(bag);
+  // A score finished after the thread's deadline may have been abandoned
+  // midway: hand it back to the pass that deadline cuts, but never keep it.
+  if (IsExpired(ThreadDeadline())) return value;
   std::lock_guard<std::mutex> lock(mutex_);
   uint32_t idx = 0;
   if (table_.Insert(bag, &idx)) values_.push_back(value);

@@ -24,6 +24,11 @@ namespace mintri {
 /// serialize other lookups); when two threads race on the same new bag, one
 /// insert wins and both return the winner's value — scores are
 /// deterministic functions of the bag, so either result is identical.
+///
+/// A score computed after the calling thread's deadline (ThreadDeadline(),
+/// util/timer.h) expired is returned but not stored: the edge-cover search
+/// gives up on an expired deadline, and its sentinel must not outlive the
+/// query that the deadline cut.
 class BagScoreCache {
  public:
   using Score = std::function<CostValue(const VertexSet&)>;

@@ -21,13 +21,16 @@ void EraseSorted(std::vector<int>* v, int id) {
 }  // namespace
 
 RankedTriangulationEnumerator::RankedTriangulationEnumerator(
-    const TriangulationContext& ctx, const BagCost& cost)
+    const TriangulationContext& ctx, const BagCost& cost,
+    const Deadline* deadline)
     : ctx_(ctx), solver_(ctx, cost) {
+  solver_.set_deadline(deadline);
   ++num_optimizer_calls_;
   std::optional<TriangulationTree> first = solver_.Solve({}, {});
   if (first.has_value()) {
     Push(std::move(*first), -1);
   } else {
+    truncated_ = solver_.truncated();
     exhausted_ = true;
   }
 }

@@ -40,9 +40,12 @@ namespace mintri {
 /// any time (the "anytime" usage the paper motivates).
 class RankedTriangulationEnumerator {
  public:
-  /// `ctx` and `cost` must outlive the enumerator.
+  /// `ctx` and `cost` must outlive the enumerator. The constructor runs the
+  /// first (full) solve under `deadline`, which then stays installed as by
+  /// SetDeadline.
   RankedTriangulationEnumerator(const TriangulationContext& ctx,
-                                const BagCost& cost);
+                                const BagCost& cost,
+                                const Deadline* deadline = nullptr);
 
   /// The next-cheapest minimal triangulation, saturated at pop time.
   std::optional<Triangulation> Next();

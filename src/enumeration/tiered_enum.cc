@@ -56,10 +56,14 @@ TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
                                    const ContextOptions& options,
                                    const SolverOptions& /*unused*/,
                                    const TierOptions& tier_options)
-    : g_(g), cost_(cost), composition_(composition) {
+    : g_(g),
+      cost_(cost),
+      composition_(composition),
+      deadline_(tier_options.deadline) {
   const bool exact = tier_options.mode == TierOptions::Mode::kExact;
   WallTimer budget_timer;
   for (const VertexSet& comp_vertices : g.ConnectedComponents()) {
+    if (CutByDeadline()) return;
     std::vector<int> comp_old_of_new(comp_vertices.Count());
     int next = 0;
     comp_vertices.ForEach([&](int v) { comp_old_of_new[next++] = v; });
@@ -76,7 +80,8 @@ TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
     }
 
     // Tier 0: stream-safe reduction + atom decomposition of this component.
-    PreprocessResult pre = Preprocess(sub);
+    PreprocessResult pre = Preprocess(sub, deadline_);
+    if (CutByDeadline()) return;
     preprocess_info_.vertices_removed += pre.info.vertices_removed;
     preprocess_info_.num_atoms += pre.info.num_atoms;
     preprocess_info_.seconds += pre.info.seconds;
@@ -107,8 +112,12 @@ TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
       atom.ForEach([&](int v) {
         old_of_new[atom_old_to_new[v]] = comp_old_of_new[v];
       });
-      AddUnit(asub, std::move(old_of_new), options, tier_options,
-              tier_options.exact_budget_seconds - budget_timer.Seconds());
+      if (!AddUnit(asub, std::move(old_of_new), options, tier_options,
+                   tier_options.exact_budget_seconds -
+                       budget_timer.Seconds())) {
+        init_ok_ = false;
+        return;
+      }
     }
     BuildAtomTree(first_atom, pre.atoms, comp_old_of_new);
   }
@@ -134,15 +143,25 @@ TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
   for (size_t c = 0; c < units_.size(); ++c) {
     if (!Materialize(static_cast<int>(c), 0)) feasible = false;
   }
-  if (feasible) {
+  if (truncated_) {
+    init_ok_ = false;  // a unit's first solve ran out of time
+  } else if (feasible) {
     queue_.push({Compose(first), std::move(first)});
   }
+}
+
+bool TieredEnumerator::CutByDeadline() {
+  if (!IsExpired(deadline_)) return false;
+  init_ok_ = false;
+  truncated_ = true;
+  return true;
 }
 
 bool TieredEnumerator::AddUnit(const Graph& sub, std::vector<int> old_of_new,
                                const ContextOptions& options,
                                const TierOptions& tier_options,
                                double remaining_budget) {
+  if (CutByDeadline()) return false;
   Unit unit;
   unit.old_of_new = std::move(old_of_new);
   // The unit subgraph renumbers vertices, so vertex-dependent costs
@@ -163,6 +182,7 @@ bool TieredEnumerator::AddUnit(const Graph& sub, std::vector<int> old_of_new,
   if (exact || (tier_options.mode == TierOptions::Mode::kAuto &&
                 remaining_budget > 0)) {
     ContextOptions unit_options = options;
+    unit_options.deadline = deadline_;
     if (!exact) {
       unit_options.separator_limits.time_limit_seconds =
           std::min(unit_options.separator_limits.time_limit_seconds,
@@ -174,6 +194,8 @@ bool TieredEnumerator::AddUnit(const Graph& sub, std::vector<int> old_of_new,
     auto ctx = TriangulationContext::Build(sub, unit_options, &unit_info);
     init_info_.Accumulate(unit_info);
     tier1_seconds_ += unit_info.total_seconds;
+    // A build the deadline cut is a timeout, not a reason to fall back.
+    if (CutByDeadline()) return false;
     if (ctx.has_value()) {
       unit.context = std::make_unique<TriangulationContext>(std::move(*ctx));
       unit.tier = SolveTier::kExact;
@@ -228,18 +250,21 @@ bool TieredEnumerator::AddUnit(const Graph& sub, std::vector<int> old_of_new,
                  pmcs.end());
     }
     ContextBuildInfo family_info;
-    unit.context =
-        std::make_unique<TriangulationContext>(TriangulationContext::
-            BuildFromFamily(sub, std::move(minseps), std::move(pmcs),
-                            &family_info));
+    std::optional<TriangulationContext> family =
+        TriangulationContext::BuildFromFamily(
+            sub, std::move(minseps), std::move(pmcs), &family_info, deadline_);
     init_info_.Accumulate(family_info);
     tier2_seconds_ += family_info.total_seconds;
+    if (CutByDeadline()) return false;
+    assert(family.has_value());
+    unit.context = std::make_unique<TriangulationContext>(std::move(*family));
     unit.tier = SolveTier::kHeuristic;
   }
 
   unit.enumerator = std::make_unique<RankedTriangulationEnumerator>(
       *unit.context,
-      unit.restricted_cost != nullptr ? *unit.restricted_cost : cost_);
+      unit.restricted_cost != nullptr ? *unit.restricted_cost : cost_,
+      deadline_);
   units_.push_back(std::move(unit));
   return true;
 }
@@ -284,18 +309,10 @@ void TieredEnumerator::BuildAtomTree(size_t first,
 }
 
 void TieredEnumerator::SetDeadline(const Deadline* deadline) {
+  deadline_ = deadline;
   for (Unit& unit : units_) {
     if (unit.enumerator != nullptr) unit.enumerator->SetDeadline(deadline);
   }
-}
-
-bool TieredEnumerator::truncated() const {
-  for (const Unit& unit : units_) {
-    if (unit.enumerator != nullptr && unit.enumerator->truncated()) {
-      return true;
-    }
-  }
-  return false;
 }
 
 long long TieredEnumerator::SumOverUnits(
@@ -333,6 +350,7 @@ bool TieredEnumerator::Materialize(int unit_id, size_t i) {
     auto t = unit.enumerator->Next();
     if (!t.has_value()) {
       unit.exhausted = true;
+      if (unit.enumerator->truncated()) truncated_ = true;
       break;
     }
     unit.produced.push_back(std::move(*t));
@@ -440,12 +458,15 @@ Triangulation TieredEnumerator::Assemble(const std::vector<size_t>& indices) {
   // The queue was ordered by the composed per-unit costs (a monotone
   // function of the global cost for every tier-decomposable cost); the
   // emitted cost is evaluated on the final bag set, so it is truthful.
+  // Next() drops it if the deadline expired meanwhile: an edge cover may
+  // have given up.
+  ScopedThreadDeadline scope(deadline_);
   out.cost = cost_.Evaluate(g_, bags);
   return out;
 }
 
 std::optional<TieredResult> TieredEnumerator::Next() {
-  if (queue_.empty()) return std::nullopt;
+  if (truncated_ || queue_.empty()) return std::nullopt;
   QueueEntry top = queue_.top();
   queue_.pop();
 
@@ -463,7 +484,12 @@ std::optional<TieredResult> TieredEnumerator::Next() {
     if (!Materialize(static_cast<int>(c), next_indices[c])) continue;
     queue_.push({Compose(next_indices), std::move(next_indices)});
   }
-  return TieredResult{Assemble(top.indices), tier_};
+  Triangulation result = Assemble(top.indices);
+  if (lifted_ && IsExpired(deadline_)) {
+    truncated_ = true;
+    return std::nullopt;
+  }
+  return TieredResult{std::move(result), tier_};
 }
 
 }  // namespace mintri

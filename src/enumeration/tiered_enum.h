@@ -60,6 +60,14 @@ struct TierOptions {
   /// tallied as ms-terminated attempts. Infinite disables the gate (each
   /// build still honors the per-stage ContextOptions limits).
   double exact_budget_seconds = std::numeric_limits<double>::infinity();
+
+  /// The query's wall-clock deadline (null: none; must outlive the
+  /// enumerator). Every construction stage honours it: Tier 0, each unit's
+  /// context build (ContextOptions::deadline), and each unit's first solve.
+  /// No stage starts once it has expired. A cut construction leaves
+  /// init_ok() false and truncated() true; afterwards the unit solvers keep
+  /// polling it, as after SetDeadline.
+  const Deadline* deadline = nullptr;
 };
 
 struct TieredResult {
@@ -97,16 +105,20 @@ class TieredEnumerator {
                    const SolverOptions& /*unused*/ = {},
                    const TierOptions& tier_options = {});
 
-  /// Only false in Mode::kExact when a component's build hit its limits
-  /// (construction stops there and Next() yields nothing); the
-  /// auto/heuristic modes always have Tier 2 to fall back on.
+  /// False in Mode::kExact when a component's build hit its limits, and in
+  /// every mode when TierOptions::deadline cut construction (truncated()
+  /// then says so). Construction stops there and Next() yields nothing; the
+  /// auto/heuristic modes otherwise always have Tier 2 to fall back on.
   bool init_ok() const { return init_ok_; }
 
-  /// Per-enumeration wall-clock budget, forwarded to every unit enumerator.
+  /// Per-enumeration wall-clock budget, forwarded to every unit enumerator
+  /// and polled by the result assembly's cost evaluation.
   void SetDeadline(const Deadline* deadline);
 
-  /// True when a deadline cut some unit's stream short.
-  bool truncated() const;
+  /// True when a deadline cut construction or some unit's stream short. A
+  /// truncated stream stays truncated: Next() yields nothing more, since
+  /// the product could no longer promise its order.
+  bool truncated() const { return truncated_; }
 
   long long num_optimizer_calls() const;
   long long num_candidate_evals() const;
@@ -162,8 +174,10 @@ class TieredEnumerator {
     VertexSet bag;
   };
 
-  /// Builds one unit (Tier 1, else Tier 2). False only in Mode::kExact,
-  /// when the exact build hit its limits and there is no fallback.
+  /// Builds one unit (Tier 1, else Tier 2). False when construction must
+  /// stop: in Mode::kExact when the exact build hit its limits and there is
+  /// no fallback, and in every mode when the deadline expired (truncated_
+  /// is then set).
   bool AddUnit(const Graph& sub, std::vector<int> old_of_new,
                const ContextOptions& options, const TierOptions& tier_options,
                double remaining_budget);
@@ -172,6 +186,9 @@ class TieredEnumerator {
   /// component labels, indexed from `first`).
   void BuildAtomTree(size_t first, const std::vector<VertexSet>& atoms,
                      const std::vector<int>& comp_old_of_new);
+  /// True (and construction stops: init_ok_ false, truncated_ true) once
+  /// the deadline has expired.
+  bool CutByDeadline();
   bool Materialize(int unit, size_t i);
   long long SumOverUnits(
       long long (RankedTriangulationEnumerator::*stat)() const) const;
@@ -181,7 +198,9 @@ class TieredEnumerator {
   const Graph& g_;
   const BagCost& cost_;
   CostComposition composition_;
+  const Deadline* deadline_ = nullptr;
   bool init_ok_ = true;
+  bool truncated_ = false;
   /// True once Tier 0 changed the unit structure (eliminated a vertex or
   /// split a component); selects the gluing assembly path.
   bool lifted_ = false;

@@ -54,16 +54,4 @@ void WriteDimacs(const Graph& g, std::ostream& out) {
   }
 }
 
-std::optional<Graph> ParseEdgeList(std::istream& in) {
-  int n = 0;
-  if (!(in >> n) || n < 0) return std::nullopt;
-  Graph g(n);
-  int u = 0, v = 0;
-  while (in >> u >> v) {
-    if (u < 0 || v < 0 || u >= n || v >= n) return std::nullopt;
-    g.AddEdge(u, v);
-  }
-  return g;
-}
-
 }  // namespace mintri

@@ -33,10 +33,6 @@ std::optional<Graph> ParseDimacsString(const std::string& text);
 /// Writes the graph in the same format.
 void WriteDimacs(const Graph& g, std::ostream& out);
 
-/// Parses a simple edge list: first line "<n>", then "<u> <v>" pairs
-/// (0-based). Returns std::nullopt on malformed input.
-std::optional<Graph> ParseEdgeList(std::istream& in);
-
 }  // namespace mintri
 
 #endif  // MINTRI_GRAPH_GRAPH_IO_H_

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "hypergraph/linear_program.h"
+#include "util/timer.h"
 
 namespace mintri {
 
@@ -52,18 +53,33 @@ int GreedyCover(const std::vector<VertexSet>& sets, const VertexSet& bag) {
   return used;
 }
 
-void BranchAndBound(const std::vector<VertexSet>& sets,
-                    const VertexSet& uncovered, int used, int* best) {
+// Exact set cover by branch and bound. The search polls `deadline` every
+// 1024 nodes; once it has expired, `abandoned` latches and the search
+// unwinds without finishing.
+struct CoverSearch {
+  const std::vector<VertexSet>& sets;
+  const Deadline* deadline;
+  unsigned nodes = 0;
+  bool abandoned = false;
+};
+
+void BranchAndBound(CoverSearch* search, const VertexSet& uncovered, int used,
+                    int* best) {
   if (uncovered.Empty()) {
     *best = std::min(*best, used);
     return;
   }
   if (used + 1 >= *best) return;  // even one more set cannot improve
+  if (search->deadline != nullptr && (++search->nodes & 1023u) == 0 &&
+      search->deadline->Expired()) {
+    search->abandoned = true;
+  }
+  if (search->abandoned) return;
   // Branch on the covering sets of the first uncovered vertex.
   int v = uncovered.First();
-  for (const VertexSet& s : sets) {
+  for (const VertexSet& s : search->sets) {
     if (!s.Contains(v)) continue;
-    BranchAndBound(sets, uncovered.Minus(s), used + 1, best);
+    BranchAndBound(search, uncovered.Minus(s), used + 1, best);
   }
 }
 
@@ -71,11 +87,14 @@ void BranchAndBound(const std::vector<VertexSet>& sets,
 
 int MinIntegralEdgeCover(const Hypergraph& h, const VertexSet& bag) {
   if (bag.Empty()) return 0;
+  const Deadline* deadline = ThreadDeadline();
+  if (IsExpired(deadline)) return kAbandonedCover;
   std::vector<VertexSet> sets = RelevantRestrictions(h, bag);
   int best = GreedyCover(sets, bag);
   if (best < 0) return -1;
-  BranchAndBound(sets, bag, 0, &best);
-  return best;
+  CoverSearch search{sets, deadline};
+  BranchAndBound(&search, bag, 0, &best);
+  return search.abandoned ? kAbandonedCover : best;
 }
 
 double MinFractionalEdgeCover(const Hypergraph& h, const VertexSet& bag) {
@@ -106,6 +125,8 @@ double MinFractionalEdgeCover(const Hypergraph& h, const VertexSet& bag) {
 }
 
 CostValue HypertreeBagScore(const Hypergraph& h, const VertexSet& bag) {
+  // An abandoned search scores +inf as well: the DP pass it ran in is cut
+  // by the same deadline and thrown away.
   const int cover = MinIntegralEdgeCover(h, bag);
   return cover < 0 ? kInfiniteCost : static_cast<CostValue>(cover);
 }

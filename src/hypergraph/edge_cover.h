@@ -8,10 +8,16 @@
 
 namespace mintri {
 
+/// MinIntegralEdgeCover's result when ThreadDeadline() (util/timer.h)
+/// expired before the search finished: no cover size is known.
+inline constexpr int kAbandonedCover = -2;
+
 /// The minimum number of hyperedges whose union contains `bag` (exact
 /// branch-and-bound set cover, seeded with the greedy bound). Returns -1
 /// when some vertex of the bag is in no hyperedge. This is the bag score of
-/// generalized hypertree width (Gottlob–Leone–Scarcello).
+/// generalized hypertree width (Gottlob–Leone–Scarcello). The search is
+/// exponential in the bag size, so it polls ThreadDeadline() and returns
+/// kAbandonedCover once that has expired.
 int MinIntegralEdgeCover(const Hypergraph& h, const VertexSet& bag);
 
 /// The minimum total weight of a fractional edge cover of `bag`
@@ -22,9 +28,9 @@ int MinIntegralEdgeCover(const Hypergraph& h, const VertexSet& bag);
 double MinFractionalEdgeCover(const Hypergraph& h, const VertexSet& bag);
 
 /// The edge-cover optima as WeightedWidthCost bag scores, with the
-/// uncoverable `-1` sentinel mapped to kInfiniteCost. Feeding the raw
-/// sentinel into a cost would make an invalid bag look like the *cheapest*
-/// one; infinity makes the DP reject it instead. These are the functions
+/// uncoverable `-1` and the kAbandonedCover sentinels mapped to
+/// kInfiniteCost. Feeding a raw sentinel into a cost would make the bag
+/// look like the *cheapest* one; infinity makes the DP reject it instead. These are the functions
 /// the cost factories below (and the memoized bag-score cache) evaluate.
 CostValue HypertreeBagScore(const Hypergraph& h, const VertexSet& bag);
 CostValue FractionalEdgeCoverBagScore(const Hypergraph& h,

@@ -46,6 +46,7 @@ std::vector<VertexSet> CliqueSeparatorCandidates(const Graph& g,
 /// the resulting atoms. Deterministic: candidates are scanned in sorted
 /// order and the split peels the lowest-numbered full component.
 void DecomposeConnectedPart(const Graph& g, VertexSet part,
+                            const Deadline* deadline,
                             std::vector<VertexSet>* atoms) {
   std::vector<VertexSet> candidates = CliqueSeparatorCandidates(g, part);
   std::vector<VertexSet> pending;
@@ -58,6 +59,7 @@ void DecomposeConnectedPart(const Graph& g, VertexSet part,
     if (!candidates.empty()) {
       VertexSet removed(g.NumVertices());
       for (const VertexSet& s : candidates) {
+        if (IsExpired(deadline)) break;
         if (p.Count() - s.Count() < 2) continue;  // can't leave 2 components
         if (!s.IsSubsetOf(p)) continue;
         removed.AssignComplementOf(p);
@@ -92,13 +94,13 @@ void DecomposeConnectedPart(const Graph& g, VertexSet part,
 std::vector<VertexSet> CliqueMinimalSeparatorAtoms(const Graph& g) {
   std::vector<VertexSet> atoms;
   for (const VertexSet& comp : g.ConnectedComponents()) {
-    DecomposeConnectedPart(g, comp, &atoms);
+    DecomposeConnectedPart(g, comp, /*deadline=*/nullptr, &atoms);
   }
   std::sort(atoms.begin(), atoms.end());
   return atoms;
 }
 
-PreprocessResult Preprocess(const Graph& g) {
+PreprocessResult Preprocess(const Graph& g, const Deadline* deadline) {
   WallTimer timer;
   PreprocessResult r;
   const int n = g.NumVertices();
@@ -106,7 +108,7 @@ PreprocessResult Preprocess(const Graph& g) {
   r.reduced = g;
 
   bool progress = true;
-  while (progress) {
+  while (progress && !IsExpired(deadline)) {
     progress = false;
     for (int v = 0; v < n; ++v) {
       if (!r.kept.Contains(v)) continue;
@@ -127,7 +129,7 @@ PreprocessResult Preprocess(const Graph& g) {
     std::vector<VertexSet> comps;
     scanner.Components(r.reduced, r.kept.Complement(), &comps);
     for (const VertexSet& comp : comps) {
-      DecomposeConnectedPart(r.reduced, comp, &r.atoms);
+      DecomposeConnectedPart(r.reduced, comp, deadline, &r.atoms);
     }
     std::sort(r.atoms.begin(), r.atoms.end());
   }

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "util/timer.h"
 
 namespace mintri {
 
@@ -52,8 +53,12 @@ struct PreprocessResult {
 ///  - Clique-minimal-separator atoms (Tarjan / Leimer) of what is left:
 ///    MT(G) is the independent product of MT(G[atom]) over the atoms, glued
 ///    on the clique separators.
-/// Deterministic: single-threaded, fixed scan orders.
-PreprocessResult Preprocess(const Graph& g);
+/// Deterministic: single-threaded, fixed scan orders. Polls `deadline`
+/// once per elimination sweep and once per clique-separator candidate it
+/// tries; once it has expired the result is incomplete and callers must
+/// discard it.
+PreprocessResult Preprocess(const Graph& g,
+                            const Deadline* deadline = nullptr);
 
 /// The clique-minimal-separator atoms of g (Leimer's unique decomposition),
 /// computed from the clique-tree adhesions of a minimal triangulation that

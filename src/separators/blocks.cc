@@ -21,12 +21,14 @@ std::vector<Block> BlocksOfSeparator(const Graph& g, const VertexSet& s) {
 }
 
 std::vector<Block> AllFullBlocks(const Graph& g,
-                                 const std::vector<VertexSet>& separators) {
+                                 const std::vector<VertexSet>& separators,
+                                 const Deadline* deadline) {
   std::vector<Block> out;
   // A full block is identified by its component (S = N(C)), so dedup on the
   // shared hash-table layout keyed by the components' cached hashes.
   VertexSetTable seen_components;
   for (const VertexSet& s : separators) {
+    if (IsExpired(deadline)) break;
     for (Block& b : BlocksOfSeparator(g, s)) {
       if (!b.full) continue;
       if (seen_components.Insert(b.component)) {

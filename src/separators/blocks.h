@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "util/timer.h"
 
 namespace mintri {
 
@@ -22,9 +23,11 @@ std::vector<Block> BlocksOfSeparator(const Graph& g, const VertexSet& s);
 
 /// All *full* blocks over a collection of minimal separators, deduplicated.
 /// Note that a full block is uniquely identified by its component C, since
-/// S = N(C).
+/// S = N(C). Polls `deadline` once per separator and stops early (the list
+/// is then incomplete) once it has expired.
 std::vector<Block> AllFullBlocks(const Graph& g,
-                                 const std::vector<VertexSet>& separators);
+                                 const std::vector<VertexSet>& separators,
+                                 const Deadline* deadline = nullptr);
 
 /// The realization R(S, C) = G[S ∪ C] ∪ K_S, relabeled to 0..|S∪C|-1 in
 /// increasing original-vertex order. If old_to_new is non-null it receives

@@ -45,7 +45,7 @@ std::optional<VertexSet> MinimalSeparatorEnumerator::Next() {
   // of G \ N[v], Berry et al.) once the queue has run dry. This keeps the
   // first result cheap, which is what the CKK baseline banks on.
   while (head_ >= table_.Size() && seed_cursor_ < g_.NumVertices()) {
-    if (DeadlineExpired()) {
+    if (IsExpired(deadline_)) {
       truncated_ = true;
       return std::nullopt;
     }
@@ -66,7 +66,7 @@ std::optional<VertexSet> MinimalSeparatorEnumerator::Next() {
   // G \ (S ∪ N(x)) are minimal separators. The deadline is polled per
   // vertex so one huge expansion cannot blow past the time budget.
   const bool completed = current_.ForEachWhile([&](int x) {
-    if (DeadlineExpired()) return false;
+    if (IsExpired(deadline_)) return false;
     removed_.AssignUnionOf(current_, g_.Neighbors(x));
     scanner_.ForEachComponent(
         g_, removed_,
@@ -79,32 +79,40 @@ std::optional<VertexSet> MinimalSeparatorEnumerator::Next() {
 
 namespace {
 
+// The serial batch path. Like the parallel engine it returns every
+// separator *discovered* (reported or still queued), in discovery order,
+// and caps the same way: once the discovered set would exceed max_results
+// the run is truncated to its first max_results members. So count and
+// status mean the same at every thread count.
 MinimalSeparatorsResult ListSerial(const Graph& g, int max_size,
                                    const EnumerationLimits& limits) {
   Deadline deadline(limits.time_limit_seconds);
   MinimalSeparatorsResult result;
   MinimalSeparatorEnumerator enumerator(g, max_size, &deadline);
+  bool truncated = false;
   while (true) {
     if (deadline.Expired()) {
-      if (!enumerator.Exhausted() || enumerator.Truncated()) {
-        result.status = EnumerationStatus::kTruncated;
-      }
-      return result;
+      truncated = !enumerator.Exhausted() || enumerator.Truncated();
+      break;
     }
     std::optional<VertexSet> s = enumerator.Next();
-    if (!s.has_value()) break;
-    // The count limit is checked after pulling one more result: with lazy
-    // seeding, Exhausted() alone cannot tell "cap hit exactly at the end of
-    // the answer set" apart from a genuine truncation, but one extra Next()
-    // can — nullopt means the cap-sized output was already complete.
-    if (result.separators.size() >= limits.max_results) {
-      result.status = EnumerationStatus::kTruncated;
-      return result;
+    if (!s.has_value()) {
+      truncated = enumerator.Truncated();
+      break;
     }
     result.separators.push_back(std::move(*s));
+    if (enumerator.NumDiscovered() > limits.max_results) {
+      truncated = true;
+      break;
+    }
   }
-  result.status = enumerator.Truncated() ? EnumerationStatus::kTruncated
-                                         : EnumerationStatus::kComplete;
+  const size_t count = std::min(enumerator.NumDiscovered(), limits.max_results);
+  result.separators.resize(std::min(result.separators.size(), count));
+  for (size_t i = result.separators.size(); i < count; ++i) {
+    result.separators.push_back(enumerator.Discovered(i));
+  }
+  result.status =
+      truncated ? EnumerationStatus::kTruncated : EnumerationStatus::kComplete;
   return result;
 }
 

@@ -120,6 +120,10 @@ class MinimalSeparatorEnumerator {
   /// still queued).
   size_t NumDiscovered() const { return table_.Size(); }
 
+  /// The i-th discovered separator (discovery order; the first ones are the
+  /// reported ones, in report order), i < NumDiscovered().
+  const VertexSet& Discovered(size_t i) const { return table_.At(i); }
+
   /// Pre-sizes the dedup arena and probe table for `expected` distinct
   /// separators. With an accurate estimate (a previous run on the same
   /// graph, a cached count in a service), the entire enumeration performs
@@ -129,10 +133,6 @@ class MinimalSeparatorEnumerator {
   void Reserve(size_t expected) { table_.Reserve(expected); }
 
  private:
-  bool DeadlineExpired() const {
-    return deadline_ != nullptr && deadline_->Expired();
-  }
-
   // Inserts s into the arena/queue unless seen or over the size bound.
   void Offer(const VertexSet& s);
 

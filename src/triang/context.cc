@@ -29,11 +29,19 @@ struct PmcWiring {
   std::vector<std::pair<int, std::vector<int>>> hosts;
 };
 
+// Clamps a MinSep/PMC stage's time limit to what is left of `deadline`.
+void ClampToDeadline(const Deadline* deadline, EnumerationLimits* limits) {
+  if (deadline == nullptr) return;
+  limits->time_limit_seconds =
+      std::min(limits->time_limit_seconds, deadline->RemainingSeconds());
+}
+
 }  // namespace
 
-void TriangulationContext::BuildBlocksAndWiring(TriangulationContext* ctx,
+bool TriangulationContext::BuildBlocksAndWiring(TriangulationContext* ctx,
                                                 bool allow_partial,
                                                 int num_threads,
+                                                const Deadline* deadline,
                                                 ContextBuildInfo* bi) {
   const Graph& g = ctx->graph_;
   WallTimer stage_timer;
@@ -41,7 +49,9 @@ void TriangulationContext::BuildBlocksAndWiring(TriangulationContext* ctx,
   // Step 3: full blocks, ascending by |S ∪ C| so that the DP sees children
   // before parents (children blocks are strictly smaller).
   ctx->blocks_.clear();
-  for (Block& b : AllFullBlocks(g, ctx->minseps_)) {
+  std::vector<Block> full_blocks = AllFullBlocks(g, ctx->minseps_, deadline);
+  if (IsExpired(deadline)) return false;
+  for (Block& b : full_blocks) {
     BlockEntry e;
     e.separator = std::move(b.separator);
     e.component = std::move(b.component);
@@ -136,13 +146,14 @@ void TriangulationContext::BuildBlocksAndWiring(TriangulationContext* ctx,
       (num_threads > 1 && ctx->pmcs_.size() >= kMinParallelWiring)
           ? num_threads
           : 1;
+  // The deadline is polled once per chunk of PMCs on either path.
+  constexpr size_t kChunk = 8;
   if (wiring_threads > 1) {
     std::atomic<size_t> cursor{0};
     parallel::RunOnThreads(wiring_threads, [&](int) {
       ComponentScanner scanner;
       std::vector<int> sep_scratch;
-      constexpr size_t kChunk = 8;
-      while (true) {
+      while (!IsExpired(deadline)) {
         size_t begin = cursor.fetch_add(kChunk, std::memory_order_relaxed);
         if (begin >= wiring.size()) break;
         size_t end = std::min(begin + kChunk, wiring.size());
@@ -155,9 +166,11 @@ void TriangulationContext::BuildBlocksAndWiring(TriangulationContext* ctx,
     ComponentScanner scanner;
     std::vector<int> sep_scratch;
     for (size_t pi = 0; pi < wiring.size(); ++pi) {
+      if (pi % kChunk == 0 && IsExpired(deadline)) break;
       wire_one(pi, scanner, sep_scratch);
     }
   }
+  if (IsExpired(deadline)) return false;
 
   // Deterministic merge, ascending by PMC then by associated separator.
   ctx->root_candidates_.clear();
@@ -174,6 +187,7 @@ void TriangulationContext::BuildBlocksAndWiring(TriangulationContext* ctx,
     }
   }
   bi->wiring_seconds = stage_timer.Seconds();
+  return true;
 }
 
 std::optional<TriangulationContext> TriangulationContext::Build(
@@ -204,6 +218,7 @@ std::optional<TriangulationContext> TriangulationContext::Build(
   EnumerationLimits sep_limits = options.separator_limits;
   sep_limits.num_threads = std::max(sep_limits.num_threads,
                                     options.num_threads);
+  ClampToDeadline(options.deadline, &sep_limits);
   MinimalSeparatorsResult seps =
       options.width_bound >= 0
           ? ListMinimalSeparatorsBounded(g, options.width_bound, sep_limits)
@@ -224,6 +239,7 @@ std::optional<TriangulationContext> TriangulationContext::Build(
   pmc_options.limits = options.pmc_limits;
   pmc_options.limits.num_threads =
       std::max(pmc_options.limits.num_threads, options.num_threads);
+  ClampToDeadline(options.deadline, &pmc_options.limits);
   if (options.width_bound >= 0) pmc_options.max_size = options.width_bound + 1;
   PmcResult pmcs = ListPotentialMaximalCliques(g, ctx.minseps_, pmc_options);
   bi.pmc_seconds = stage_timer.Seconds();
@@ -237,16 +253,20 @@ std::optional<TriangulationContext> TriangulationContext::Build(
   // Steps 3–4: full blocks + DP wiring. In the bounded-width context a PMC
   // may reference a never-materialized over-bound block; those PMCs are
   // skipped (allow_partial) exactly as before the wiring was factored out.
-  BuildBlocksAndWiring(&ctx, /*allow_partial=*/options.width_bound >= 0,
-                       options.num_threads, &bi);
+  if (!BuildBlocksAndWiring(&ctx, /*allow_partial=*/options.width_bound >= 0,
+                            options.num_threads, options.deadline, &bi)) {
+    finish(ContextBuildInfo::Termination::kTimedOut);
+    return std::nullopt;
+  }
 
   finish(ContextBuildInfo::Termination::kCompleted);
   return ctx;
 }
 
-TriangulationContext TriangulationContext::BuildFromFamily(
+std::optional<TriangulationContext> TriangulationContext::BuildFromFamily(
     const Graph& g, std::vector<VertexSet> minseps,
-    std::vector<VertexSet> pmcs, ContextBuildInfo* info) {
+    std::vector<VertexSet> pmcs, ContextBuildInfo* info,
+    const Deadline* deadline) {
   assert(g.NumVertices() > 0 && g.IsConnected());
   WallTimer total_timer;
   WallTimer stage_timer;
@@ -269,13 +289,16 @@ TriangulationContext TriangulationContext::BuildFromFamily(
   bi.pmc_seconds = stage_timer.Seconds();
   bi.num_pmcs = ctx.pmcs_.size();
 
-  BuildBlocksAndWiring(&ctx, /*allow_partial=*/true, /*num_threads=*/1, &bi);
+  const bool built = BuildBlocksAndWiring(&ctx, /*allow_partial=*/true,
+                                          /*num_threads=*/1, deadline, &bi);
 
-  bi.termination = ContextBuildInfo::Termination::kCompleted;
+  bi.termination = built ? ContextBuildInfo::Termination::kCompleted
+                         : ContextBuildInfo::Termination::kTimedOut;
   bi.num_builds = 1;
   bi.total_seconds = total_timer.Seconds();
   ctx.build_info_ = bi;
   if (info != nullptr) *info = bi;
+  if (!built) return std::nullopt;
   return ctx;
 }
 

@@ -9,6 +9,7 @@
 #include "graph/vertex_set_table.h"
 #include "pmc/potential_maximal_cliques.h"
 #include "separators/minimal_separators.h"
+#include "util/timer.h"
 
 namespace mintri {
 
@@ -29,6 +30,13 @@ struct ContextOptions {
   /// it asks for more. The built context is identical at every thread
   /// count.
   int num_threads = 1;
+  /// The query's wall-clock deadline (null: none), which every stage of
+  /// Build honours: MinSep and PMC through their time limits, clamped to
+  /// what is left of it when the stage starts, and the blocks and wiring
+  /// stages by polling it. A stage cut by it ends the build (the MinSep or
+  /// PMC stage then reports its usual termination; blocks and wiring report
+  /// kTimedOut). Must outlive the build.
+  const Deadline* deadline = nullptr;
 };
 
 /// How (and how fast) a context build ended — the Fig. 5 taxonomy: a graph
@@ -41,6 +49,7 @@ struct ContextBuildInfo {
     kCompleted,      // the context was fully built
     kMsTerminated,   // the minimal-separator enumeration hit its limits
     kPmcTerminated,  // the PMC enumeration hit its limits
+    kTimedOut,       // ContextOptions::deadline cut the blocks or wiring
   };
   Termination termination = Termination::kCompleted;
 
@@ -74,6 +83,8 @@ struct ContextBuildInfo {
         return "ms-terminated";
       case Termination::kPmcTerminated:
         return "pmc-terminated";
+      case Termination::kTimedOut:
+        return "timeout";
       default:
         return "completed";
     }
@@ -135,11 +146,12 @@ class TriangulationContext {
   /// triangulations, just not necessarily all of them. PMCs whose
   /// associated blocks are not realizable within the family are dropped
   /// (never an assertion failure, unlike the bounded-width exact build).
+  /// Returns std::nullopt only when `deadline` cut the blocks or wiring.
   /// The graph must be connected and non-empty.
-  static TriangulationContext BuildFromFamily(const Graph& g,
-                                              std::vector<VertexSet> minseps,
-                                              std::vector<VertexSet> pmcs,
-                                              ContextBuildInfo* info = nullptr);
+  static std::optional<TriangulationContext> BuildFromFamily(
+      const Graph& g, std::vector<VertexSet> minseps,
+      std::vector<VertexSet> pmcs, ContextBuildInfo* info = nullptr,
+      const Deadline* deadline = nullptr);
 
   const Graph& graph() const { return graph_; }
   const std::vector<VertexSet>& minimal_separators() const { return minseps_; }
@@ -169,9 +181,11 @@ class TriangulationContext {
   // Steps 3–4 of both builds: full blocks over ctx->minseps_ plus the DP
   // wiring of ctx->pmcs_. With allow_partial, PMCs whose associated blocks
   // are missing from the (restricted or width-bounded) block table are
-  // skipped instead of asserting.
-  static void BuildBlocksAndWiring(TriangulationContext* ctx,
+  // skipped instead of asserting. Returns false when `deadline` expired
+  // (the tables are then incomplete).
+  static bool BuildBlocksAndWiring(TriangulationContext* ctx,
                                    bool allow_partial, int num_threads,
+                                   const Deadline* deadline,
                                    ContextBuildInfo* bi);
 
   Graph graph_;

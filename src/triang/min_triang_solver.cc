@@ -264,7 +264,7 @@ std::optional<TriangulationTree> MinTriangSolver::Solve(
   // A deadline that is already gone: refuse before committing the new
   // constraint state or touching any table, so the cached ids, blocked
   // counters, and values all stay mutually consistent for the next attempt.
-  if ((full || any_delta) && deadline_ != nullptr && deadline_->Expired()) {
+  if ((full || any_delta) && IsExpired(deadline_)) {
     truncated_ = true;
     return std::nullopt;
   }
@@ -277,7 +277,15 @@ std::optional<TriangulationTree> MinTriangSolver::Solve(
     if (!full && !hosts_built_) BuildHosts();
     ++epoch_;
     ApplyConstraintDelta(exc_added, inc_added, exc_removed, inc_removed, full);
-    Repair(full);
+    {
+      // Bag scores too deep to take the deadline (the exact edge cover)
+      // poll it through the thread slot and give up once it expires.
+      ScopedThreadDeadline scope(deadline_);
+      Repair(full);
+    }
+    // A bag score may have given up between two rate-limited polls: one
+    // last check, so such a value never reaches a result.
+    if (IsExpired(deadline_)) truncated_ = true;
     if (truncated_) {
       // The repair stopped midway: value_/choice_ may mix old and new
       // epochs. The blocked counters and cached candidate values are still

@@ -82,9 +82,10 @@ class MinTriangSolver {
 
   /// Per-Solve wall-clock budget, polled inside the repair/full-pass
   /// candidate loops (a pathological cascade must not blow a per-query
-  /// budget the surrounding enumerators honor). Nullptr (the default)
-  /// disables polling; the pointee must outlive the solver or the next
-  /// set_deadline call. When the deadline expires mid-solve the call
+  /// budget the surrounding enumerators honor) and, as ThreadDeadline(), by
+  /// bag scores too deep to take it (the exact edge cover). Nullptr (the
+  /// default) disables polling; the pointee must outlive the solver or the
+  /// next set_deadline call. When the deadline expires mid-solve the call
   /// returns std::nullopt, truncated() turns true for that call, and the
   /// half-repaired tables are discarded: the next Solve runs a full pass
   /// (constraint bookkeeping stays exact, so correctness is unaffected).

@@ -49,6 +49,37 @@ class Deadline {
   double seconds_;
 };
 
+/// True when `deadline` is set and has expired.
+inline bool IsExpired(const Deadline* deadline) {
+  return deadline != nullptr && deadline->Expired();
+}
+
+/// The deadline of the query running on the calling thread, for work nested
+/// too deep to take one as a parameter: the exact edge-cover search inside a
+/// bag score polls it, and BagScoreCache stores no score computed after it
+/// expired. MinTriangSolver installs its deadline for each Solve. Null when
+/// none is installed.
+inline const Deadline*& ThreadDeadlineSlot() {
+  static thread_local const Deadline* slot = nullptr;
+  return slot;
+}
+inline const Deadline* ThreadDeadline() { return ThreadDeadlineSlot(); }
+
+/// Installs `deadline` as ThreadDeadline() for the scope's lifetime.
+class ScopedThreadDeadline {
+ public:
+  explicit ScopedThreadDeadline(const Deadline* deadline)
+      : previous_(ThreadDeadlineSlot()) {
+    ThreadDeadlineSlot() = deadline;
+  }
+  ~ScopedThreadDeadline() { ThreadDeadlineSlot() = previous_; }
+  ScopedThreadDeadline(const ScopedThreadDeadline&) = delete;
+  ScopedThreadDeadline& operator=(const ScopedThreadDeadline&) = delete;
+
+ private:
+  const Deadline* previous_;
+};
+
 }  // namespace mintri
 
 #endif  // MINTRI_UTIL_TIMER_H_

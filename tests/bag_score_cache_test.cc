@@ -2,16 +2,26 @@
 // lookups == hits + misses — under any interleaving, including the racy
 // window where two threads miss on the same new bag and one loses the
 // insert. The hammer test mirrors the `mintri batch` topology (one cache,
-// many worker threads) and runs under ThreadSanitizer in CI.
+// many worker threads) and runs under ThreadSanitizer in CI. The cache
+// also must never keep a score computed after the query's deadline expired:
+// an abandoned edge cover leaves no trace in a later query.
 
 #include "cost/bag_score_cache.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "cost/cost_model_registry.h"
+#include "enumeration/tiered_enum.h"
 #include "parallel/thread_pool.h"
+#include "test_util.h"
+#include "util/timer.h"
 
 namespace mintri {
 namespace {
@@ -76,6 +86,78 @@ TEST(BagScoreCacheTest, StatsStayConsistentUnderConcurrentHammer) {
   EXPECT_GE(stats.misses, kUniverse);
   EXPECT_EQ(stats.misses, scores.load());
   EXPECT_GT(stats.hits, 0);
+}
+
+TEST(BagScoreCacheTest, ScoresPastTheThreadDeadlineAreNotStored) {
+  int evaluations = 0;
+  BagScoreCache cache([&](const VertexSet& bag) {
+    ++evaluations;
+    return static_cast<CostValue>(bag.Count());
+  });
+  const VertexSet a = MakeBag(8, {0, 1, 2});
+  {
+    const Deadline expired(0);
+    ScopedThreadDeadline scope(&expired);
+    EXPECT_EQ(cache(a), 3);
+    EXPECT_EQ(cache(a), 3);
+  }
+  EXPECT_EQ(evaluations, 2);
+  EXPECT_EQ(cache(a), 3);
+  EXPECT_EQ(cache(a), 3);
+  EXPECT_EQ(evaluations, 3);
+  const BagScoreCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 3);
+  EXPECT_EQ(stats.hits, 1);
+}
+
+// The first `k` results of a heuristic-tier hypertree query on `instance`.
+std::vector<std::pair<CostValue, std::vector<VertexSet>>> FirstResults(
+    const CostModelInstance& instance, const CostModel& model, int k,
+    const Deadline* deadline, bool* truncated) {
+  TierOptions tier_options;
+  tier_options.mode = TierOptions::Mode::kHeuristic;
+  tier_options.decomposable_cost = true;
+  tier_options.deadline = deadline;
+  TieredEnumerator e(instance.graph, *model.cost, model.composition, {}, {},
+                     tier_options);
+  std::vector<std::pair<CostValue, std::vector<VertexSet>>> out;
+  while (static_cast<int>(out.size()) < k) {
+    std::optional<TieredResult> t = e.Next();
+    if (!t.has_value()) break;
+    std::vector<VertexSet> bags = t->triangulation.bags;
+    std::sort(bags.begin(), bags.end());
+    out.emplace_back(t->triangulation.cost, std::move(bags));
+  }
+  *truncated = e.truncated();
+  return out;
+}
+
+TEST(BagScoreCacheTest, AbandonedCoverLeavesNoTrace) {
+  // The 14×14 grid hypergraph: its exact edge covers dominate a hypertree
+  // query, so a deadline a fraction of the query's length lands inside one.
+  // That cover gives up; nothing it computed may reach the shared cache,
+  // so a later query on the same model answers like a fresh model does.
+  CostModelInstance instance;
+  instance.hypergraph = testutil::GridHypergraph(14);
+  instance.graph = instance.hypergraph->PrimalGraph();
+  std::string error;
+  std::optional<CostModel> shared =
+      MakeCostModel("hypertree", instance, /*enable_cache=*/true, &error);
+  ASSERT_TRUE(shared.has_value()) << error;
+
+  bool truncated = false;
+  const Deadline deadline(0.05);
+  FirstResults(instance, *shared, 3, &deadline, &truncated);
+  EXPECT_TRUE(truncated);
+
+  const auto again = FirstResults(instance, *shared, 3, nullptr, &truncated);
+  EXPECT_FALSE(truncated);
+  std::optional<CostModel> fresh =
+      MakeCostModel("hypertree", instance, /*enable_cache=*/true, &error);
+  ASSERT_TRUE(fresh.has_value()) << error;
+  const auto expected = FirstResults(instance, *fresh, 3, nullptr, &truncated);
+  ASSERT_EQ(expected.size(), 3u);
+  EXPECT_EQ(again, expected);
 }
 
 }  // namespace

@@ -91,11 +91,6 @@ TEST(BatchTest, CacheHitsReportedForEdgeCoverCosts) {
   EXPECT_EQ(records[0].status, "ok");
   EXPECT_GT(records[0].cache_lookups, 0);
   EXPECT_GT(records[0].cache_hits, 0);
-
-  options.cache = false;
-  records = RunBatch({"tpch:5"}, options);
-  EXPECT_EQ(records[0].cache_lookups, 0);
-  EXPECT_EQ(records[0].cache_hits, 0);
 }
 
 TEST(BatchTest, BadSpecsAreRecordedNotFatal) {

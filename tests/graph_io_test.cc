@@ -38,18 +38,5 @@ TEST(GraphIoTest, RoundTrips) {
   EXPECT_EQ(*parsed, g);
 }
 
-TEST(GraphIoTest, ParsesEdgeList) {
-  std::istringstream in("3\n0 1\n1 2\n");
-  auto g = ParseEdgeList(in);
-  ASSERT_TRUE(g.has_value());
-  EXPECT_EQ(g->NumVertices(), 3);
-  EXPECT_EQ(g->NumEdges(), 2);
-}
-
-TEST(GraphIoTest, EdgeListRejectsOutOfRange) {
-  std::istringstream in("2\n0 3\n");
-  EXPECT_FALSE(ParseEdgeList(in).has_value());
-}
-
 }  // namespace
 }  // namespace mintri

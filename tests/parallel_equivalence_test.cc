@@ -15,6 +15,7 @@
 #include "pmc/potential_maximal_cliques.h"
 #include "separators/minimal_separators.h"
 #include "workloads/families.h"
+#include "workloads/random_graphs.h"
 
 namespace mintri {
 namespace {
@@ -159,6 +160,30 @@ TEST_P(ParallelEquivalence, CompleteRunsAreDeterministic) {
   MinimalSeparatorsResult b = ListMinimalSeparators(g, limits);
   ASSERT_EQ(a.status, EnumerationStatus::kComplete);
   EXPECT_EQ(a.separators, b.separators);
+}
+
+// Count caps and time budgets together: every path counts the separators
+// it has *discovered* and stops once that set would exceed the cap. On this
+// 300-vertex random graph a few expansions discover the cap's 20,000
+// separators, while reporting them takes one expansion each. A serial path
+// that counted only reported separators would run into the budget first and
+// return fewer than the cap, so the count would depend on the thread count.
+TEST_P(ParallelEquivalence, CappedCountMatchesSerial) {
+  const Graph g = workloads::ConnectedErdosRenyi(300, 0.3, 7);
+  EnumerationLimits limits;
+  limits.max_results = 20000;
+  limits.time_limit_seconds = 3;
+  const MinimalSeparatorsResult serial = ListMinimalSeparators(g, limits);
+  limits.num_threads = threads();
+  const MinimalSeparatorsResult par = ListMinimalSeparators(g, limits);
+
+  EXPECT_EQ(serial.status, EnumerationStatus::kTruncated);
+  EXPECT_EQ(par.status, serial.status);
+  EXPECT_EQ(serial.separators.size(), limits.max_results);
+  EXPECT_EQ(par.separators.size(), serial.separators.size());
+  for (size_t i = 0; i < serial.separators.size(); i += 97) {
+    ASSERT_TRUE(IsMinimalSeparator(g, serial.separators[i])) << i;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, ParallelEquivalence,

@@ -1,128 +1,131 @@
-// The process-management utility under the batch coordinator: spawn,
-// poll-multiplexed pipe capture, deadline kill, exit-status decode.
-
-#include "util/subprocess.h"
+// Deadline coverage, stage by stage: `mintri batch --deadline` runs every
+// instance in process, so a slow stage must stop on its own once the
+// instance's deadline has expired instead of needing a process kill. Each
+// case hands one stage an already-expired deadline (or a short one) and
+// checks that it stops: Tier-0 preprocessing, the full-block and wiring
+// stages of both context builds, the exact integral edge cover, the solver,
+// and the tiered enumerator's construction.
 
 #include <gtest/gtest.h>
 
-#include <string>
+#include <vector>
 
+#include "chordal/clique_tree.h"
+#include "chordal/lb_triang.h"
+#include "cost/standard_costs.h"
+#include "enumeration/tiered_enum.h"
+#include "hypergraph/edge_cover.h"
+#include "preprocess/preprocess.h"
+#include "separators/blocks.h"
+#include "test_util.h"
+#include "triang/context.h"
+#include "triang/min_triang_solver.h"
 #include "util/timer.h"
+#include "workloads/named_graphs.h"
 
 namespace mintri {
-namespace subprocess {
 namespace {
 
-Command Sh(const std::string& script) {
-  return Command{{"/bin/sh", "-c", script}};
+// A deadline that has already expired.
+const Deadline& Expired() {
+  static const Deadline expired(0);
+  return expired;
 }
 
-// Inside a TEST body the unqualified name Run finds testing::Test::Run;
-// this namespace-scope alias keeps the call sites on the utility.
-Result RunOne(const Command& command, double deadline_seconds) {
-  return Run(command, deadline_seconds);
+TEST(SubprocessTest, PreprocessStopsOnExpiredDeadline) {
+  // A path reduces completely by simplicial elimination; with the deadline
+  // gone no sweep runs.
+  const Graph path = workloads::Path(50);
+  EXPECT_EQ(Preprocess(path).eliminated.size(), 50u);
+  EXPECT_TRUE(Preprocess(path, &Expired()).eliminated.empty());
 }
 
-TEST(SubprocessTest, CapturesStdoutAndStderr) {
-  const Result r = RunOne(Sh("printf out-data; printf err-data >&2"), 10);
-  EXPECT_TRUE(r.spawned);
-  EXPECT_FALSE(r.timed_out);
-  EXPECT_FALSE(r.signaled);
-  EXPECT_EQ(r.exit_code, 0);
-  EXPECT_EQ(r.stdout_data, "out-data");
-  EXPECT_EQ(r.stderr_data, "err-data");
-  EXPECT_EQ(DescribeTermination(r), "exit 0");
+TEST(SubprocessTest, BlocksStageStopsOnExpiredDeadline) {
+  const Graph g = workloads::Grid(4, 4);
+  const std::vector<VertexSet> seps = ListMinimalSeparators(g).separators;
+  ASSERT_FALSE(seps.empty());
+  EXPECT_FALSE(AllFullBlocks(g, seps).empty());
+  EXPECT_TRUE(AllFullBlocks(g, seps, &Expired()).empty());
 }
 
-TEST(SubprocessTest, DecodesNonzeroExit) {
-  const Result r = RunOne(Sh("exit 3"), 10);
-  EXPECT_TRUE(r.spawned);
-  EXPECT_FALSE(r.signaled);
-  EXPECT_EQ(r.exit_code, 3);
-  EXPECT_EQ(DescribeTermination(r), "exit 3");
+TEST(SubprocessTest, FamilyBuildStopsOnExpiredDeadline) {
+  // The Tier-2 build has no MinSep/PMC stage: the blocks and wiring stages
+  // are what the deadline cuts.
+  const Graph g = workloads::Grid(4, 4);
+  const Graph h = LbTriangMinDegree(g);
+  ContextBuildInfo info;
+  EXPECT_TRUE(TriangulationContext::BuildFromFamily(
+                  g, MinimalSeparatorsOfChordal(h), MaximalCliquesOfChordal(h),
+                  &info)
+                  .has_value());
+  EXPECT_STREQ(info.TerminationName(), "completed");
+  EXPECT_FALSE(TriangulationContext::BuildFromFamily(
+                   g, MinimalSeparatorsOfChordal(h),
+                   MaximalCliquesOfChordal(h), &info, &Expired())
+                   .has_value());
+  EXPECT_STREQ(info.TerminationName(), "timeout");
+  EXPECT_EQ(info.num_blocks, 0u);
 }
 
-TEST(SubprocessTest, DecodesSignalTermination) {
-  const Result r = RunOne(Sh("kill -9 $$"), 10);
-  EXPECT_TRUE(r.spawned);
-  EXPECT_FALSE(r.timed_out);
-  EXPECT_TRUE(r.signaled);
-  EXPECT_EQ(r.term_signal, 9);
-  EXPECT_NE(DescribeTermination(r).find("signal 9"), std::string::npos);
+TEST(SubprocessTest, ExactBuildStartsNoStageOnExpiredDeadline) {
+  const Graph g = workloads::Grid(4, 4);
+  ContextOptions options;
+  options.deadline = &Expired();
+  ContextBuildInfo info;
+  EXPECT_FALSE(TriangulationContext::Build(g, options, &info).has_value());
+  EXPECT_STREQ(info.TerminationName(), "ms-terminated");
+  EXPECT_EQ(info.num_minseps, 0u);
+  EXPECT_EQ(info.num_pmcs, 0u);
 }
 
-TEST(SubprocessTest, DeadlineKillsAStraggler) {
+TEST(SubprocessTest, EdgeCoverIsAbandonedOnExpiredDeadline) {
+  const Hypergraph h = testutil::GridHypergraph(4);
+  const VertexSet all = h.PrimalGraph().Vertices();
+  EXPECT_EQ(MinIntegralEdgeCover(h, all), 8);
+  ScopedThreadDeadline scope(&Expired());
+  EXPECT_EQ(MinIntegralEdgeCover(h, all), kAbandonedCover);
+  EXPECT_EQ(HypertreeBagScore(h, all), kInfiniteCost);
+}
+
+TEST(SubprocessTest, EdgeCoverSearchPollsTheDeadline) {
+  // The exact cover of all 400 vertices of the 20×20 grid is far beyond
+  // the branch and bound; a short deadline ends it mid-search.
+  const Hypergraph h = testutil::GridHypergraph(20);
+  const VertexSet all = h.PrimalGraph().Vertices();
+  const Deadline deadline(0.2);
+  ScopedThreadDeadline scope(&deadline);
   WallTimer timer;
-  const Result r = RunOne(Sh("sleep 600"), 0.3);
-  EXPECT_TRUE(r.spawned);
-  EXPECT_TRUE(r.timed_out);
-  EXPECT_TRUE(r.signaled);
-  // The coordinator must come back promptly, not after the child's 600s.
+  EXPECT_EQ(MinIntegralEdgeCover(h, all), kAbandonedCover);
   EXPECT_LT(timer.Seconds(), 30.0);
-  EXPECT_NE(DescribeTermination(r).find("deadline"), std::string::npos);
 }
 
-TEST(SubprocessTest, SpawnFailureIsReportedNotFatal) {
-  const Result r = RunOne(Command{{"/no/such/binary/anywhere"}}, 10);
-  // glibc posix_spawn reports exec failure directly; other libcs surface it
-  // as the conventional exit code 127. Accept either truthful report.
-  if (!r.spawned) {
-    EXPECT_FALSE(r.spawn_error.empty());
-    EXPECT_NE(DescribeTermination(r).find("spawn failed"), std::string::npos);
-  } else {
-    EXPECT_EQ(r.exit_code, 127);
+TEST(SubprocessTest, SolverRefusesOnExpiredDeadline) {
+  const Graph g = workloads::Grid(3, 3);
+  auto ctx = TriangulationContext::Build(g);
+  ASSERT_TRUE(ctx.has_value());
+  const WidthCost width;
+  MinTriangSolver solver(*ctx, width);
+  solver.set_deadline(&Expired());
+  EXPECT_FALSE(solver.Solve({}, {}).has_value());
+  EXPECT_TRUE(solver.truncated());
+}
+
+TEST(SubprocessTest, TieredConstructionStopsOnExpiredDeadline) {
+  const Graph g = workloads::Grid(4, 4);
+  const WidthCost width;
+  for (TierOptions::Mode mode :
+       {TierOptions::Mode::kExact, TierOptions::Mode::kAuto,
+        TierOptions::Mode::kHeuristic}) {
+    TierOptions tier_options;
+    tier_options.mode = mode;
+    tier_options.decomposable_cost = true;
+    tier_options.deadline = &Expired();
+    TieredEnumerator e(g, width, CostComposition::kMax, {}, {}, tier_options);
+    EXPECT_FALSE(e.init_ok());
+    EXPECT_TRUE(e.truncated());
+    EXPECT_FALSE(e.Next().has_value());
   }
-}
-
-TEST(SubprocessTest, ManyChildrenWithBulkOutputDoNotDeadlock) {
-  // Each child writes ~1 MiB — far past the 64 KiB pipe buffer — so this
-  // hangs forever unless the capture loop multiplexes across every child's
-  // pipe instead of draining them one at a time.
-  std::vector<Command> commands;
-  const int kChildren = 4;
-  for (int i = 0; i < kChildren; ++i) {
-    commands.push_back(
-        Sh("i=0; while [ $i -lt 1024 ]; do printf '%01024d' " +
-           std::to_string(i) + "; i=$((i+1)); done"));
-  }
-  const std::vector<Result> results = RunAll(commands, 60);
-  ASSERT_EQ(results.size(), static_cast<size_t>(kChildren));
-  for (const Result& r : results) {
-    EXPECT_TRUE(r.spawned);
-    EXPECT_EQ(r.exit_code, 0);
-    EXPECT_EQ(r.stdout_data.size(), 1024u * 1024u);
-  }
-}
-
-TEST(SubprocessTest, MixedOutcomesStayIndependent) {
-  // One healthy child, one crasher, one straggler: the deadline kill and
-  // the crash must not disturb the healthy child's capture.
-  const std::vector<Result> results =
-      RunAll({Sh("printf healthy"), Sh("printf partial; kill -9 $$"),
-              Sh("sleep 600")},
-             1.0);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(results[0].exit_code, 0);
-  EXPECT_EQ(results[0].stdout_data, "healthy");
-  EXPECT_FALSE(results[0].timed_out);
-  EXPECT_TRUE(results[1].signaled);
-  EXPECT_EQ(results[1].stdout_data, "partial");
-  EXPECT_FALSE(results[1].timed_out);
-  EXPECT_TRUE(results[2].timed_out);
-}
-
-TEST(SubprocessTest, SelfExecutablePathResolves) {
-  const std::string self = SelfExecutablePath();
-  ASSERT_FALSE(self.empty());
-  EXPECT_NE(self.find("subprocess_test"), std::string::npos);
-}
-
-TEST(SubprocessTest, WallSecondsIsPopulated) {
-  const Result r = RunOne(Sh("sleep 0.2"), 30);
-  EXPECT_EQ(r.exit_code, 0);
-  EXPECT_GE(r.wall_seconds, 0.15);
 }
 
 }  // namespace
-}  // namespace subprocess
 }  // namespace mintri

@@ -16,12 +16,28 @@
 #include "chordal/minimality.h"
 #include "cost/bag_cost.h"
 #include "graph/graph.h"
+#include "hypergraph/hypergraph.h"
 #include "separators/crossing.h"
 #include "separators/minimal_separators.h"
 #include "triang/triangulation.h"
+#include "workloads/named_graphs.h"
 
 namespace mintri {
 namespace testutil {
+
+/// The n×n grid as a hypergraph of its two-vertex edges. Under the
+/// hypertree cost its exact edge covers are the slowest bag scores in the
+/// repo: a 14×14 query takes about half a second, a 20×20 one minutes.
+inline Hypergraph GridHypergraph(int n) {
+  Hypergraph h(n * n);
+  for (const auto& [u, v] : workloads::Grid(n, n).Edges()) {
+    VertexSet e(n * n);
+    e.Insert(u);
+    e.Insert(v);
+    h.AddEdge(std::move(e));
+  }
+  return h;
+}
 
 inline Graph MakeGraph(int n,
                        std::initializer_list<std::pair<int, int>> edges) {
