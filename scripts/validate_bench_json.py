@@ -3,7 +3,7 @@
 
 Usage:
   validate_bench_json.py [--smoke] [--compare=BASELINE.json] BENCH_core.json
-  validate_bench_json.py --batch-stats STATS.json
+  validate_bench_json.py --batch-stats STATS.json [RECORDS.jsonl]
 
 Checks the shape produced by src/bench/bench_suites.cc:WriteBenchJson so the
 CI bench-smoke job fails loudly when the schema drifts instead of uploading
@@ -15,7 +15,11 @@ scripts/bench_diff.py diffs with (imported from there, so the two tools
 cannot drift apart) and fails when the overlap is empty.
 
 --batch-stats switches to validating the aggregate-stats JSON written by
-`mintri batch --stats-json=...` (src/cli/batch.cc:WriteBatchStatsJson).
+`mintri batch --stats-json=...` (src/cli/batch.cc:WriteBatchAggregate) and,
+when given, the batch's JSON Lines records. The aggregate and every record
+carry one "stats" object of the same shape
+(src/enumeration/run_stats.cc:WriteRunStatsJson), and the aggregate's
+counters must be the records' summed.
 """
 
 import json
@@ -81,6 +85,11 @@ def check_fields(obj, spec, where):
         if key not in obj:
             fail(f"{where}: missing key {key!r}")
         value = obj[key]
+        if isinstance(expected, dict):
+            if not isinstance(value, dict):
+                fail(f"{where}: {key!r} is not an object")
+            check_fields(value, expected, f"{where}.{key}")
+            continue
         # ints are acceptable where floats are expected (JSON "1" vs "1.0").
         if expected is float and isinstance(value, int):
             continue
@@ -88,6 +97,48 @@ def check_fields(obj, spec, where):
             fail(f"{where}: {key!r} has type {type(value).__name__}, "
                  f"expected {expected.__name__}")
 
+
+# One context-build record: the exact attempts or the heuristic family builds.
+BUILD = {
+    "builds": int,
+    "ms_terminated": int,
+    "pmc_terminated": int,
+    "seconds": float,
+    "minsep_seconds": float,
+    "pmc_seconds": float,
+    "blocks_seconds": float,
+    "wiring_seconds": float,
+    "minseps": int,
+    "pmcs": int,
+    "blocks": int,
+}
+
+# One run's stats record, the "stats" object of every batch record and of
+# the aggregate (and the line `mintri rank --stats` prints).
+RUN_STATS = {
+    "preprocess": {
+        "seconds": float,
+        "atoms": int,
+        "vertices_removed": int,
+        "largest_atom": int,
+        "smallest_atom": int,
+    },
+    "exact": BUILD,
+    "heuristic": BUILD,
+    "solver": {
+        "optimizer_calls": int,
+        "candidate_evals": int,
+        "combine_calls": int,
+        "index_updates": int,
+        "range_queries": int,
+    },
+    "cache": {
+        "lookups": int,
+        "hits": int,
+        "misses": int,
+        "hit_rate": float,
+    },
+}
 
 # The aggregate shape written by `mintri batch --stats-json=...`.
 BATCH_STATS = {
@@ -99,20 +150,59 @@ BATCH_STATS = {
     "ok": int,
     "failed": int,
     "wall_seconds": float,
-    "init_seconds_total": float,
-    "cache_lookups": int,
-    "cache_hits": int,
-    "cache_misses": int,
-    "cache_hit_rate": float,
     "tier_exact": int,
     "tier_atom_exact": int,
     "tier_heuristic": int,
-    "atoms": int,
-    "reduced_vertices": int,
-    "preprocess_seconds_total": float,
-    "tier1_seconds_total": float,
-    "tier2_seconds_total": float,
+    "stats": RUN_STATS,
 }
+
+# One `mintri batch` output line.
+BATCH_RECORD = {
+    "instance": str,
+    "cost": str,
+    "status": str,
+    "n": int,
+    "m": int,
+    "tier": str,
+    "stats": RUN_STATS,
+    "results": list,
+}
+
+BATCH_STATUSES = {"ok", "load-error", "cost-error", "init-failed", "timeout"}
+
+# Atom sizes aggregate as max / least non-zero, not as sums.
+NOT_SUMMED = {"preprocess.largest_atom", "preprocess.smallest_atom"}
+
+
+def counters(obj, prefix=""):
+    """The integer leaves of a stats object, keyed by dotted path."""
+    out = {}
+    for key, value in obj.items():
+        path = f"{prefix}{key}"
+        if isinstance(value, dict):
+            out.update(counters(value, path + "."))
+        elif isinstance(value, int):
+            out[path] = value
+    return out
+
+
+def check_run_stats(stats, where):
+    for path, value in counters(stats).items():
+        if value < 0:
+            fail(f"{where}: negative {path}")
+    for build in ("exact", "heuristic"):
+        b = stats[build]
+        if b["ms_terminated"] + b["pmc_terminated"] > b["builds"]:
+            fail(f"{where}: {build} has more terminated builds than builds")
+        if any(v < 0 for k, v in b.items() if k.endswith("seconds")):
+            fail(f"{where}: negative {build} timing")
+    if stats["preprocess"]["seconds"] < 0:
+        fail(f"{where}: negative preprocess timing")
+    cache = stats["cache"]
+    if cache["lookups"] != cache["hits"] + cache["misses"]:
+        fail(f"{where}: cache lookups {cache['lookups']} != hits + misses")
+    if not 0 <= cache["hit_rate"] <= 1:
+        fail(f"{where}: cache hit_rate {cache['hit_rate']} outside [0, 1]")
 
 
 def load_json(path):
@@ -123,10 +213,10 @@ def load_json(path):
         fail(f"cannot parse {path}: {e}")
 
 
-def validate_batch_stats(path):
+def validate_batch_stats(path, records_path=None):
     stats = load_json(path)
     check_fields(stats, BATCH_STATS, "batch stats")
-    if stats["batch_stats_version"] != 2:
+    if stats["batch_stats_version"] != 3:
         fail(f"unsupported batch_stats_version "
              f"{stats['batch_stats_version']}")
     for key in ("threads", "inner_threads"):
@@ -135,27 +225,47 @@ def validate_batch_stats(path):
     if stats["instances"] != stats["ok"] + stats["failed"]:
         fail(f"instances {stats['instances']} != ok {stats['ok']} + "
              f"failed {stats['failed']}")
-    if stats["wall_seconds"] < 0 or stats["init_seconds_total"] < 0:
+    if stats["wall_seconds"] < 0:
         fail("negative timing")
-    if stats["cache_lookups"] != stats["cache_hits"] + stats["cache_misses"]:
-        fail(f"cache_lookups {stats['cache_lookups']} != hits + misses")
-    if not 0 <= stats["cache_hit_rate"] <= 1:
-        fail(f"cache_hit_rate {stats['cache_hit_rate']} outside [0, 1]")
-    tier_total = (stats["tier_exact"] + stats["tier_atom_exact"]
-                  + stats["tier_heuristic"])
-    if tier_total > stats["ok"]:
-        fail(f"tier counters sum to {tier_total}, more than ok={stats['ok']}")
-    if any(stats[k] < 0 for k in ("tier_exact", "tier_atom_exact",
-                                  "tier_heuristic", "atoms",
-                                  "reduced_vertices")):
-        fail("negative tier/preprocess counter")
-    if any(stats[k] < 0 for k in ("preprocess_seconds_total",
-                                  "tier1_seconds_total",
-                                  "tier2_seconds_total")):
-        fail("negative per-tier timing")
+    tiers = ("tier_exact", "tier_atom_exact", "tier_heuristic")
+    if any(stats[k] < 0 for k in tiers):
+        fail("negative tier counter")
+    if sum(stats[k] for k in tiers) > stats["instances"]:
+        fail(f"tier counters sum to more than {stats['instances']} instances")
+    check_run_stats(stats["stats"], "batch stats")
 
+    if records_path is not None:
+        validate_batch_records(records_path, stats)
     print(f"validate_bench_json: OK: batch stats for {stats['instances']} "
           f"instances, {stats['ok']} ok / {stats['failed']} failed")
+
+
+def validate_batch_records(path, aggregate):
+    """Each record's shape, and the aggregate as the records summed."""
+    try:
+        with open(path) as f:
+            records = [json.loads(line) for line in f if line.strip()]
+    except (OSError, json.JSONDecodeError) as e:
+        fail(f"cannot parse {path}: {e}")
+    if len(records) != aggregate["instances"]:
+        fail(f"{len(records)} records, aggregate says "
+             f"{aggregate['instances']} instances")
+    summed = {}
+    for i, record in enumerate(records):
+        where = f"records[{i}]"
+        check_fields(record, BATCH_RECORD, where)
+        if record["status"] not in BATCH_STATUSES:
+            fail(f"{where}: unknown status {record['status']!r}")
+        check_run_stats(record["stats"], where)
+        for key, value in counters(record["stats"]).items():
+            summed[key] = summed.get(key, 0) + value
+    ok = sum(r["status"] == "ok" for r in records)
+    if ok != aggregate["ok"]:
+        fail(f"{ok} ok records, aggregate says {aggregate['ok']}")
+    for key, value in counters(aggregate["stats"]).items():
+        if key not in NOT_SUMMED and summed.get(key, 0) != value:
+            fail(f"aggregate stats.{key} = {value}, records sum to "
+                 f"{summed.get(key, 0)}")
 
 
 def compare_smoke(report, baseline_path):
@@ -185,12 +295,12 @@ def main():
     for a in sys.argv[1:]:
         if a.startswith("--compare="):
             compare_baseline = a[len("--compare="):]
-    if len(args) != 1:
-        fail("usage: validate_bench_json.py [--smoke] [--compare=BASELINE] "
-             "BENCH_core.json | --batch-stats STATS.json")
-    if batch_stats:
-        validate_batch_stats(args[0])
+    if batch_stats and len(args) in (1, 2):
+        validate_batch_stats(*args)
         return
+    if batch_stats or len(args) != 1:
+        fail("usage: validate_bench_json.py [--smoke] [--compare=BASELINE] "
+             "BENCH_core.json | --batch-stats STATS.json [RECORDS.jsonl]")
 
     report = load_json(args[0])
 

@@ -117,7 +117,7 @@ void RunTiered(BenchEntry* e, const SuiteContext& ctx, const Graph& g,
   e->init_seconds = enumerator.init_seconds();
   if (!enumerator.init_ok()) {
     FinishEntry(e, 0, timer.Seconds(),
-                enumerator.init_info().TerminationName());
+                enumerator.stats().exact.TerminationName());
     return;
   }
   // Only the auto-mode suite labels its tier: the exact-mode ones would
@@ -131,10 +131,11 @@ void RunTiered(BenchEntry* e, const SuiteContext& ctx, const Graph& g,
   e->wall_ms = stats.wall_seconds * 1000.0;
   e->results_per_sec = stats.ResultsPerSec();
   e->status = stats.complete ? "complete" : "truncated";
-  e->candidate_evals = enumerator.num_candidate_evals();
-  e->combine_calls = enumerator.num_combine_calls();
-  e->index_updates = enumerator.num_index_updates();
-  e->range_queries = enumerator.num_range_queries();
+  const RunStats run = enumerator.stats();
+  e->candidate_evals = run.candidate_evals;
+  e->combine_calls = run.combine_calls;
+  e->index_updates = run.index_updates;
+  e->range_queries = run.range_queries;
 }
 
 // The ranked and appcost suites run the --tier=exact pipeline: one exact

@@ -79,22 +79,22 @@ BatchRecord RunOneInstance(const std::string& spec,
     return record;
   }
   TieredEnumerator& enumerator = *started;
-  record.init_seconds = enumerator.init_seconds();
+  // Called on every return from here on: the record's telemetry as of then.
+  const auto take_stats = [&] {
+    record.stats = enumerator.stats();
+    if (model->cache != nullptr) record.stats.cache = model->cache->stats();
+  };
   if (!enumerator.init_ok()) {
+    take_stats();
     if (enumerator.truncated()) {
       SetTimedOut(options, &record);
     } else {
       record.status = "init-failed";
-      record.error = enumerator.init_info().TerminationName();
+      record.error = record.stats.exact.TerminationName();
     }
     return record;
   }
   record.tier = TierName(enumerator.tier());
-  record.atoms = enumerator.preprocess_info().num_atoms;
-  record.reduced_vertices = enumerator.preprocess_info().vertices_removed;
-  record.preprocess_seconds = enumerator.preprocess_info().seconds;
-  record.tier1_seconds = enumerator.tier1_seconds();
-  record.tier2_seconds = enumerator.tier2_seconds();
   for (long long rank = 1; rank <= options.top; ++rank) {
     std::optional<TieredResult> t = enumerator.Next();
     if (!t.has_value()) break;
@@ -106,12 +106,7 @@ BatchRecord RunOneInstance(const std::string& spec,
     row.bags = static_cast<int>(t->triangulation.bags.size());
     record.results.push_back(row);
   }
-  if (model->cache != nullptr) {
-    const BagScoreCache::Stats stats = model->cache->stats();
-    record.cache_lookups = stats.lookups;
-    record.cache_hits = stats.hits;
-    record.cache_misses = stats.misses;
-  }
+  take_stats();
   // A stream the deadline cut before it delivered every requested row.
   if (enumerator.truncated() &&
       static_cast<long long>(record.results.size()) < options.top) {
@@ -122,113 +117,35 @@ BatchRecord RunOneInstance(const std::string& spec,
   return record;
 }
 
-/// Aggregate statistics over one `mintri batch` run. Serialized by
-/// WriteBatchStatsJson and validated by scripts/validate_bench_json.py
-/// --batch-stats.
-struct BatchAggregateStats {
-  int threads = 1;
-  int inner_threads = 1;
-  std::string cost;
-  int instances = 0;
-  int ok = 0;
-  int failed = 0;
-  double wall_seconds = 0;         // wall clock for the whole run
-  double init_seconds_total = 0;   // summed over ok records
-  long long cache_lookups = 0;     // summed bag-score cache counters
-  long long cache_hits = 0;
-  long long cache_misses = 0;
-  // Tiered-pipeline tallies, summed over ok records: how many streams
-  // resolved at each tier plus the Tier-0 and per-tier build wall clock.
-  long long tier_exact = 0;
-  long long tier_atom_exact = 0;
-  long long tier_heuristic = 0;
-  long long atoms_total = 0;
-  long long reduced_vertices_total = 0;
-  double preprocess_seconds_total = 0;
-  double tier1_seconds_total = 0;
-  double tier2_seconds_total = 0;
-
-  double CacheHitRate() const {
-    return cache_lookups > 0
-               ? static_cast<double>(cache_hits) / cache_lookups
-               : 0.0;
-  }
-};
-
-BatchAggregateStats AggregateStats(const std::vector<BatchRecord>& records,
-                                   const BatchOptions& options,
-                                   double wall_seconds) {
-  BatchAggregateStats stats;
-  stats.threads = options.threads;
-  stats.inner_threads = options.inner_threads;
-  stats.cost = options.cost;
-  stats.instances = static_cast<int>(records.size());
-  stats.wall_seconds = wall_seconds;
-  for (const BatchRecord& r : records) {
-    if (r.status == "ok") {
-      ++stats.ok;
-      stats.init_seconds_total += r.init_seconds;
-    } else {
-      ++stats.failed;
-    }
-    stats.cache_lookups += r.cache_lookups;
-    stats.cache_hits += r.cache_hits;
-    stats.cache_misses += r.cache_misses;
-    if (r.tier == "exact") ++stats.tier_exact;
-    if (r.tier == "atom-exact") ++stats.tier_atom_exact;
-    if (r.tier == "heuristic") ++stats.tier_heuristic;
-    stats.atoms_total += r.atoms;
-    stats.reduced_vertices_total += r.reduced_vertices;
-    stats.preprocess_seconds_total += r.preprocess_seconds;
-    stats.tier1_seconds_total += r.tier1_seconds;
-    stats.tier2_seconds_total += r.tier2_seconds;
-  }
-  return stats;
-}
-
-// The human-readable --stats summary.
-void PrintBatchStats(const BatchAggregateStats& stats, std::ostream& err) {
-  err << "batch: " << stats.instances << " instances, " << stats.ok
-      << " ok, " << stats.failed << " failed; threads=" << stats.threads
-      << " inner-threads=" << stats.inner_threads
-      << "; wall=" << stats.wall_seconds
-      << "s init_total=" << stats.init_seconds_total << "s\n";
-  err << "tiers: exact=" << stats.tier_exact
-      << " atom-exact=" << stats.tier_atom_exact
-      << " heuristic=" << stats.tier_heuristic
-      << "; preprocess: atoms=" << stats.atoms_total
-      << " reduced_vertices=" << stats.reduced_vertices_total
-      << " wall=" << stats.preprocess_seconds_total
-      << "s; builds: tier1=" << stats.tier1_seconds_total
-      << "s tier2=" << stats.tier2_seconds_total << "s\n";
-  err << "bag-score cache (aggregate): lookups=" << stats.cache_lookups
-      << " hits=" << stats.cache_hits << " misses=" << stats.cache_misses
-      << " hit_rate=" << stats.CacheHitRate() << "\n";
-}
-
-// The machine-readable --stats-json output.
-void WriteBatchStatsJson(const BatchAggregateStats& stats,
+// The aggregate over one run, one JSON line: the run's shape, the per-tier
+// tallies and every record's stats accumulated. Validated by
+// scripts/validate_bench_json.py --batch-stats.
+void WriteBatchAggregate(const std::vector<BatchRecord>& records,
+                         const BatchOptions& options, double wall_seconds,
                          std::ostream& out) {
-  out << "{\"batch_stats_version\": 2, \"threads\": " << stats.threads
-      << ", \"inner_threads\": " << stats.inner_threads << ", \"cost\": ";
-  AppendJsonString(stats.cost, out);
-  out << ", \"instances\": " << stats.instances << ", \"ok\": " << stats.ok
-      << ", \"failed\": " << stats.failed
-      << ", \"wall_seconds\": " << stats.wall_seconds
-      << ", \"init_seconds_total\": " << stats.init_seconds_total
-      << ", \"cache_lookups\": " << stats.cache_lookups
-      << ", \"cache_hits\": " << stats.cache_hits
-      << ", \"cache_misses\": " << stats.cache_misses
-      << ", \"cache_hit_rate\": " << stats.CacheHitRate()
-      << ", \"tier_exact\": " << stats.tier_exact
-      << ", \"tier_atom_exact\": " << stats.tier_atom_exact
-      << ", \"tier_heuristic\": " << stats.tier_heuristic
-      << ", \"atoms\": " << stats.atoms_total
-      << ", \"reduced_vertices\": " << stats.reduced_vertices_total
-      << ", \"preprocess_seconds_total\": " << stats.preprocess_seconds_total
-      << ", \"tier1_seconds_total\": " << stats.tier1_seconds_total
-      << ", \"tier2_seconds_total\": " << stats.tier2_seconds_total
-      << "}\n";
+  size_t ok = 0;
+  int tier_exact = 0;
+  int tier_atom_exact = 0;
+  int tier_heuristic = 0;
+  RunStats total;
+  for (const BatchRecord& r : records) {
+    ok += r.status == "ok";
+    tier_exact += r.tier == "exact";
+    tier_atom_exact += r.tier == "atom-exact";
+    tier_heuristic += r.tier == "heuristic";
+    total.Accumulate(r.stats);
+  }
+  out << "{\"batch_stats_version\": 3, \"threads\": " << options.threads
+      << ", \"inner_threads\": " << options.inner_threads << ", \"cost\": ";
+  AppendJsonString(options.cost, out);
+  out << ", \"instances\": " << records.size() << ", \"ok\": " << ok
+      << ", \"failed\": " << records.size() - ok
+      << ", \"wall_seconds\": " << wall_seconds
+      << ", \"tier_exact\": " << tier_exact
+      << ", \"tier_atom_exact\": " << tier_atom_exact
+      << ", \"tier_heuristic\": " << tier_heuristic << ", \"stats\": ";
+  WriteRunStatsJson(total, out);
+  out << "}\n";
 }
 
 constexpr char kBatchUsage[] =
@@ -254,11 +171,10 @@ constexpr char kBatchUsage[] =
     "  --tier=auto|exact|heuristic  solve pipeline per instance (default\n"
     "                     auto); see `mintri rank --help`. Each record\n"
     "                     carries the truthful tier label\n"
-    "  --stats            aggregate summary on stderr\n"
-    "  --stats-json=FILE  machine-readable aggregate stats (validated by\n"
-    "                     scripts/validate_bench_json.py --batch-stats)\n"
-    "  --mask-timings     zero init_seconds in records, for byte-exact\n"
-    "                     output comparison (testing hook)\n"
+    "  --stats            the aggregate stats as one JSON line on stderr\n"
+    "  --stats-json=FILE  the same aggregate object, written to FILE\n"
+    "                     (validated by scripts/validate_bench_json.py\n"
+    "                     --batch-stats)\n"
     "  --out=FILE         output path (default '-' for stdout)\n"
     "  --help             show this message and exit\n";
 
@@ -277,14 +193,6 @@ std::vector<BatchRecord> RunBatch(const std::vector<std::string>& specs,
       records[i] = RunOneInstance(specs[i], options);
     }
   });
-  if (options.mask_timings) {
-    for (BatchRecord& r : records) {
-      r.init_seconds = 0;
-      r.preprocess_seconds = 0;
-      r.tier1_seconds = 0;
-      r.tier2_seconds = 0;
-    }
-  }
   return records;
 }
 
@@ -297,24 +205,14 @@ void WriteBatchRecord(const BatchRecord& r, std::ostream& out) {
   AppendJsonString(r.cost_name, out);
   out << ", \"status\": ";
   AppendJsonString(r.status, out);
-  out << ", \"n\": " << r.n << ", \"m\": " << r.m << ", \"init_seconds\": ";
-  AppendJsonCost(r.init_seconds, out);
-  out << ", \"cache_lookups\": " << r.cache_lookups
-      << ", \"cache_hits\": " << r.cache_hits
-      << ", \"cache_misses\": " << r.cache_misses << ", \"tier\": ";
+  out << ", \"n\": " << r.n << ", \"m\": " << r.m << ", \"tier\": ";
   AppendJsonString(r.tier, out);
-  out << ", \"atoms\": " << r.atoms
-      << ", \"reduced_vertices\": " << r.reduced_vertices
-      << ", \"preprocess_seconds\": ";
-  AppendJsonCost(r.preprocess_seconds, out);
-  out << ", \"tier1_seconds\": ";
-  AppendJsonCost(r.tier1_seconds, out);
-  out << ", \"tier2_seconds\": ";
-  AppendJsonCost(r.tier2_seconds, out);
   if (!r.error.empty()) {
     out << ", \"error\": ";
     AppendJsonString(r.error, out);
   }
+  out << ", \"stats\": ";
+  WriteRunStatsJson(r.stats, out);
   out << ", \"results\": [";
   for (size_t i = 0; i < r.results.size(); ++i) {
     const BatchRecord::Row& row = r.results[i];
@@ -393,8 +291,6 @@ int RunBatchCommand(const std::vector<std::string>& args, std::ostream& out,
         err << "invalid value for --stats-json: expected a file path\n";
         return 1;
       }
-    } else if (arg == "--mask-timings") {
-      options.mask_timings = true;
     } else if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(6);
     } else if (!arg.empty() && arg[0] == '-') {
@@ -443,26 +339,29 @@ int RunBatchCommand(const std::vector<std::string>& args, std::ostream& out,
   WallTimer timer;
   const std::vector<BatchRecord> records = RunBatch(specs, options);
   WriteBatchJson(records, sink);
-  const BatchAggregateStats stats =
-      AggregateStats(records, options, timer.Seconds());
+  std::ostringstream stats;
+  WriteBatchAggregate(records, options, timer.Seconds(), stats);
 
+  size_t failed = 0;
   for (const BatchRecord& r : records) {
     if (r.status == "ok") continue;
+    ++failed;
     err << r.instance << ": " << r.status
         << (r.error.empty() ? "" : " (" + r.error + ")") << "\n";
   }
-  if (options.stats) PrintBatchStats(stats, err);
+  if (options.stats) err << stats.str();
   if (!options.stats_json.empty()) {
     std::ofstream stats_file(options.stats_json);
     if (!stats_file) {
       err << "cannot write " << options.stats_json << "\n";
       return 1;
     }
-    WriteBatchStatsJson(stats, stats_file);
+    stats_file << stats.str();
   }
-  err << stats.ok << "/" << stats.instances << " instances ranked (cost "
-      << options.cost << ", " << options.threads << " threads)\n";
-  return stats.failed == 0 ? 0 : 2;
+  err << records.size() - failed << "/" << records.size()
+      << " instances ranked (cost " << options.cost << ", " << options.threads
+      << " threads)\n";
+  return failed == 0 ? 0 : 2;
 }
 
 }  // namespace mintri

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "cost/bag_cost.h"
+#include "enumeration/run_stats.h"
 
 namespace mintri {
 
@@ -22,10 +23,9 @@ struct BatchOptions {
   int threads = 1;             // instances processed concurrently
   int inner_threads = 1;       // context-build threads within one instance
   double deadline = 0;         // per-instance wall budget, seconds (0 = none)
-  bool stats = false;          // aggregate summary on stderr
+  bool stats = false;          // aggregate stats line on stderr
   std::string stats_json;      // aggregate-stats JSON output path ("" = off)
   std::string tier = "auto";   // solve pipeline: auto|exact|heuristic
-  bool mask_timings = false;   // zero timing fields (testing hook)
 };
 
 /// One instance's outcome (one JSON record in the batch report).
@@ -39,19 +39,12 @@ struct BatchRecord {
   std::string error;  // human-readable detail for non-ok statuses
   int n = 0;
   int m = 0;
-  double init_seconds = 0;
-  long long cache_lookups = 0;
-  long long cache_hits = 0;
-  long long cache_misses = 0;
   /// The stream's truthful tier label ("exact" | "atom-exact" |
   /// "heuristic"); empty for records that never reached the solver.
   std::string tier;
-  /// Tier-0 preprocessing summary and the per-tier build wall clock.
-  int atoms = 0;
-  int reduced_vertices = 0;
-  double preprocess_seconds = 0;
-  double tier1_seconds = 0;  // exact context builds (incl. failed attempts)
-  double tier2_seconds = 0;  // heuristic restricted-family builds
+  /// The query's telemetry; zeros for records that never reached the
+  /// solver.
+  RunStats stats;
   struct Row {
     int rank = 0;
     CostValue cost = 0;

@@ -11,6 +11,7 @@
 #include "cost/cost_model_registry.h"
 #include "cost/standard_costs.h"
 #include "enumeration/ckk.h"
+#include "enumeration/run_stats.h"
 #include "enumeration/tiered_enum.h"
 #include "enumeration/tree_decomposition.h"
 #include "graph/graph_io.h"
@@ -71,8 +72,9 @@ constexpr char kUsage[] =
     "                     atom blows the budget; heuristic skips the exact\n"
     "                     attempts. Every result line carries the truthful\n"
     "                     tier label (exact|atom-exact|heuristic)\n"
-    "  --stats            print initialization + cache statistics to\n"
-    "                     stderr\n"
+    "  --stats            print the run's stats (Tier 0, the exact and\n"
+    "                     heuristic builds apart, solver and cache\n"
+    "                     counters) as one JSON line on stderr\n"
     "  --help             show this message and exit\n";
 
 bool ParseArgs(const std::vector<std::string>& args, Options* options,
@@ -288,12 +290,12 @@ int RunCli(const std::vector<std::string>& args, std::istream& in,
   }
   const BagCost& cost = *model->cost;
 
-  auto print_cache_stats = [&]() {
-    if (!options.stats || model->cache == nullptr) return;
-    const BagScoreCache::Stats stats = model->cache->stats();
-    err << "bag-score cache: lookups=" << stats.lookups
-        << " hits=" << stats.hits << " misses=" << stats.misses
-        << " hit_rate=" << stats.HitRate() << "\n";
+  // --stats: the run's record, with the cache counters, as one JSON line.
+  auto print_stats = [&](RunStats stats) {
+    if (!options.stats) return;
+    if (model->cache != nullptr) stats.cache = model->cache->stats();
+    WriteRunStatsJson(stats, err);
+    err << "\n";
   };
 
   if (options.algo == "ckk") {
@@ -307,7 +309,7 @@ int RunCli(const std::vector<std::string>& args, std::istream& in,
       if (!t.has_value()) break;
       PrintResult(options, g, static_cast<int>(rank), *t, out);
     }
-    print_cache_stats();
+    print_stats(RunStats{});
     return 0;
   }
   if (options.algo != "ranked") {
@@ -325,29 +327,16 @@ int RunCli(const std::vector<std::string>& args, std::istream& in,
     return 1;
   }
   TieredEnumerator& e = *started;
-  const ContextBuildInfo& info = e.init_info();
   if (!e.init_ok()) {
+    const RunStats stats = e.stats();
+    const ContextBuildInfo& info = stats.exact;
     err << "initialization " << info.TerminationName() << " after "
         << info.total_seconds << "s (budget " << options.time_limit
         << "s per stage; minseps " << info.minsep_seconds << "s/"
         << info.num_minseps << ", pmcs " << info.pmc_seconds << "s/"
         << info.num_pmcs << ") — graph not poly-MS feasible at this budget\n";
+    print_stats(stats);
     return 2;
-  }
-  if (options.stats) {
-    err << "graph: n=" << g.NumVertices() << " m=" << g.NumEdges() << "\n";
-    err << "init: total=" << info.total_seconds << "s minseps="
-        << info.minsep_seconds << "s (" << info.num_minseps << ") pmcs="
-        << info.pmc_seconds << "s (" << info.num_pmcs << ") blocks="
-        << info.blocks_seconds << "s (" << info.num_blocks << ") wiring="
-        << info.wiring_seconds << "s threads=" << options.threads << "\n";
-    const PreprocessInfo& pre = e.preprocess_info();
-    err << "tier[" << options.tier << "]: " << TierName(e.tier())
-        << " atoms=" << pre.num_atoms
-        << " reduced_vertices=" << pre.vertices_removed
-        << " preprocess=" << pre.seconds << "s builds=" << info.num_builds
-        << " ms_terminated=" << info.num_ms_terminated
-        << " pmc_terminated=" << info.num_pmc_terminated << "\n";
   }
   for (long long rank = 1; rank <= options.top; ++rank) {
     auto t = e.Next();
@@ -355,14 +344,7 @@ int RunCli(const std::vector<std::string>& args, std::istream& in,
     PrintResult(options, g, static_cast<int>(rank), t->triangulation, out,
                 TierName(t->tier));
   }
-  if (options.stats) {
-    err << "solver: optimizer_calls=" << e.num_optimizer_calls()
-        << " candidate_evals=" << e.num_candidate_evals()
-        << " combine_calls=" << e.num_combine_calls()
-        << " index_updates=" << e.num_index_updates()
-        << " range_queries=" << e.num_range_queries() << "\n";
-  }
-  print_cache_stats();
+  print_stats(e.stats());
   return 0;
 }
 

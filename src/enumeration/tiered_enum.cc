@@ -82,18 +82,7 @@ TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
     // Tier 0: stream-safe reduction + atom decomposition of this component.
     PreprocessResult pre = Preprocess(sub, deadline_);
     if (CutByDeadline()) return;
-    preprocess_info_.vertices_removed += pre.info.vertices_removed;
-    preprocess_info_.num_atoms += pre.info.num_atoms;
-    preprocess_info_.seconds += pre.info.seconds;
-    preprocess_info_.largest_atom =
-        std::max(preprocess_info_.largest_atom, pre.info.largest_atom);
-    if (pre.info.smallest_atom > 0) {
-      preprocess_info_.smallest_atom =
-          preprocess_info_.smallest_atom == 0
-              ? pre.info.smallest_atom
-              : std::min(preprocess_info_.smallest_atom,
-                         pre.info.smallest_atom);
-    }
+    stats_.preprocess.Accumulate(pre.info);
     if (pre.info.vertices_removed > 0 || pre.atoms.size() > 1) {
       lifted_ = true;
     }
@@ -192,8 +181,7 @@ bool TieredEnumerator::AddUnit(const Graph& sub, std::vector<int> old_of_new,
     }
     ContextBuildInfo unit_info;
     auto ctx = TriangulationContext::Build(sub, unit_options, &unit_info);
-    init_info_.Accumulate(unit_info);
-    tier1_seconds_ += unit_info.total_seconds;
+    stats_.exact.Accumulate(unit_info);
     // A build the deadline cut is a timeout, not a reason to fall back.
     if (CutByDeadline()) return false;
     if (ctx.has_value()) {
@@ -210,7 +198,7 @@ bool TieredEnumerator::AddUnit(const Graph& sub, std::vector<int> old_of_new,
     skipped.termination = ContextBuildInfo::Termination::kMsTerminated;
     skipped.num_builds = 1;
     skipped.num_ms_terminated = 1;
-    init_info_.Accumulate(skipped);
+    stats_.exact.Accumulate(skipped);
   }
 
   if (!built) {
@@ -220,6 +208,8 @@ bool TieredEnumerator::AddUnit(const Graph& sub, std::vector<int> old_of_new,
     // genuine minimal separators / PMCs of the graph, and each seed's
     // clique tree wires completely within its own family, so the DP stream
     // is never empty and its first result costs at most the cheaper seed.
+    // The build's total_seconds covers the seeding too.
+    WallTimer family_timer;
     Graph h1 = LbTriangMinDegree(sub);
     std::vector<int> order(sub.NumVertices());
     std::iota(order.begin(), order.end(), 0);
@@ -253,8 +243,8 @@ bool TieredEnumerator::AddUnit(const Graph& sub, std::vector<int> old_of_new,
     std::optional<TriangulationContext> family =
         TriangulationContext::BuildFromFamily(
             sub, std::move(minseps), std::move(pmcs), &family_info, deadline_);
-    init_info_.Accumulate(family_info);
-    tier2_seconds_ += family_info.total_seconds;
+    family_info.total_seconds = family_timer.Seconds();
+    stats_.heuristic.Accumulate(family_info);
     if (CutByDeadline()) return false;
     assert(family.has_value());
     unit.context = std::make_unique<TriangulationContext>(std::move(*family));
@@ -315,39 +305,29 @@ void TieredEnumerator::SetDeadline(const Deadline* deadline) {
   }
 }
 
-long long TieredEnumerator::SumOverUnits(
-    long long (RankedTriangulationEnumerator::*stat)() const) const {
-  long long sum = 0;
+RunStats TieredEnumerator::stats() const {
+  RunStats stats = stats_;
   for (const Unit& unit : units_) {
-    if (unit.enumerator != nullptr) sum += ((*unit.enumerator).*stat)();
+    const RankedTriangulationEnumerator& e = *unit.enumerator;
+    stats.optimizer_calls += e.num_optimizer_calls();
+    stats.candidate_evals += e.num_candidate_evals();
+    stats.combine_calls += e.num_combine_calls();
+    stats.index_updates += e.num_index_updates();
+    stats.range_queries += e.num_range_queries();
   }
-  return sum;
+  return stats;
 }
 
-long long TieredEnumerator::num_optimizer_calls() const {
-  return SumOverUnits(&RankedTriangulationEnumerator::num_optimizer_calls);
-}
-
-long long TieredEnumerator::num_candidate_evals() const {
-  return SumOverUnits(&RankedTriangulationEnumerator::num_candidate_evals);
-}
-
-long long TieredEnumerator::num_combine_calls() const {
-  return SumOverUnits(&RankedTriangulationEnumerator::num_combine_calls);
-}
-
-long long TieredEnumerator::num_index_updates() const {
-  return SumOverUnits(&RankedTriangulationEnumerator::num_index_updates);
-}
-
-long long TieredEnumerator::num_range_queries() const {
-  return SumOverUnits(&RankedTriangulationEnumerator::num_range_queries);
+ContextBuildInfo TieredEnumerator::init_info() const {
+  ContextBuildInfo info = stats_.exact;
+  info.Accumulate(stats_.heuristic);
+  return info;
 }
 
 bool TieredEnumerator::Materialize(int unit_id, size_t i) {
   Unit& unit = units_[unit_id];
   while (unit.produced.size() <= i && !unit.exhausted) {
-    auto t = unit.enumerator->Next();
+    auto t = unit.enumerator->NextTree();
     if (!t.has_value()) {
       unit.exhausted = true;
       if (unit.enumerator->truncated()) truncated_ = true;

@@ -10,6 +10,7 @@
 
 #include "cost/bag_cost.h"
 #include "enumeration/ranked_enum.h"
+#include "enumeration/run_stats.h"
 #include "preprocess/preprocess.h"
 
 namespace mintri {
@@ -120,29 +121,25 @@ class TieredEnumerator {
   /// the product could no longer promise its order.
   bool truncated() const { return truncated_; }
 
-  long long num_optimizer_calls() const;
-  long long num_candidate_evals() const;
-  long long num_combine_calls() const;
-  long long num_index_updates() const;
-  long long num_range_queries() const;
+  /// The run so far: Tier 0, the exact attempts and the heuristic family
+  /// builds apart, and the solver counters summed over the units. The
+  /// cache counters are left to the caller, which owns the cost model.
+  RunStats stats() const;
 
-  /// Aggregated build breakdown over every unit (exact attempts and
-  /// heuristic family builds both count), including the per-atom termination
-  /// tallies. Tier 0 reports through preprocess_info().
-  const ContextBuildInfo& init_info() const { return init_info_; }
-  double init_seconds() const { return init_info().total_seconds; }
+  // Views of stats() that perfbench reads.
+  /// The exact and heuristic builds accumulated.
+  ContextBuildInfo init_info() const;
+  double init_seconds() const {
+    return stats_.exact.total_seconds + stats_.heuristic.total_seconds;
+  }
+  const PreprocessInfo& preprocess_info() const { return stats_.preprocess; }
+  double tier1_seconds() const { return stats_.exact.total_seconds; }
+  long long num_optimizer_calls() const { return stats().optimizer_calls; }
+  long long num_candidate_evals() const { return stats().candidate_evals; }
+  long long num_combine_calls() const { return stats().combine_calls; }
 
   /// The truthful label of the stream (and of every result it emits).
   SolveTier tier() const { return tier_; }
-
-  /// Tier-0 summary over all components (zeros when Tier 0 never ran).
-  const PreprocessInfo& preprocess_info() const { return preprocess_info_; }
-
-  /// Wall clock spent in per-unit *exact* context builds (successful and
-  /// budget-terminated attempts alike).
-  double tier1_seconds() const { return tier1_seconds_; }
-  /// Wall clock spent building heuristic restricted-family contexts.
-  double tier2_seconds() const { return tier2_seconds_; }
 
   /// The next-cheapest minimal triangulation (original vertex ids) with its
   /// tier label. Heuristic streams are non-decreasing in κ within the
@@ -190,8 +187,6 @@ class TieredEnumerator {
   /// the deadline has expired.
   bool CutByDeadline();
   bool Materialize(int unit, size_t i);
-  long long SumOverUnits(
-      long long (RankedTriangulationEnumerator::*stat)() const) const;
   CostValue Compose(const std::vector<size_t>& indices) const;
   Triangulation Assemble(const std::vector<size_t>& indices);
 
@@ -205,10 +200,8 @@ class TieredEnumerator {
   /// split a component); selects the gluing assembly path.
   bool lifted_ = false;
   SolveTier tier_ = SolveTier::kExact;
-  ContextBuildInfo init_info_;
-  PreprocessInfo preprocess_info_;
-  double tier1_seconds_ = 0;
-  double tier2_seconds_ = 0;
+  /// Everything of stats() but the solver counters.
+  RunStats stats_;
   /// Tier-0-eliminated vertices, in elimination order.
   std::vector<LiftBag> lift_bags_;
   std::vector<Unit> units_;

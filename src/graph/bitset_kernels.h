@@ -21,8 +21,7 @@
 //     not defined).
 //   * The unprefixed top-level functions dispatch per call: buffers of
 //     at least kSimdMinWords words go to `avx2::` when the CPU supports
-//     AVX2 (checked once, at static-initialization time) and the
-//     MINTRI_FORCE_SCALAR environment variable is not set; everything
+//     AVX2 (checked once, at static-initialization time); everything
 //     else inlines the scalar loop. Small-universe graphs (< 193
 //     vertices fit in 3 words) therefore never pay a dispatch call.
 //
@@ -32,9 +31,9 @@
 //     option, forced ON by the sanitizer options) removes the AVX2 path
 //     entirely; -DMINTRI_FORCE_AVX2 builds the whole tree with -mavx2 so
 //     the compiler may also auto-vectorize the scalar path.
-//   * Run time: MINTRI_FORCE_SCALAR=1 in the environment pins dispatch
-//     to the scalar path in an AVX2-capable binary (used by the
-//     differential tests to cover both sides in one process).
+//   * There is no run-time switch: the differential tests call `scalar::`
+//     and `avx2::` directly, and a scalar binary is a MINTRI_DISABLE_SIMD
+//     build.
 //
 // Alignment: VertexSet stores its words in a WordStorage (below): up to
 // 2 words inline in the object (small-buffer optimization — no heap
@@ -59,7 +58,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <new>
 #include <vector>
 
@@ -652,8 +650,8 @@ inline constexpr bool CompiledWithAvx2Kernels() {
   return MINTRI_HAVE_AVX2_KERNELS != 0;
 }
 
-/// Raw CPU capability, independent of the MINTRI_FORCE_SCALAR override
-/// (the differential tests use this to decide whether avx2:: is runnable).
+/// CPU capability (the differential tests use this to decide whether
+/// avx2:: is runnable).
 inline bool CpuHasAvx2() {
 #if MINTRI_HAVE_AVX2_KERNELS
   return __builtin_cpu_supports("avx2") != 0;
@@ -664,17 +662,10 @@ inline bool CpuHasAvx2() {
 
 namespace detail {
 
-inline bool DetectAvx2() {
-  if (!CpuHasAvx2()) return false;
-  const char* force = std::getenv("MINTRI_FORCE_SCALAR");
-  if (force != nullptr && force[0] != '\0' && force[0] != '0') return false;
-  return true;
-}
-
 // Dynamic-initialized at load time; a kernel called before this TU's
 // static init reads the zero-initialized `false` and safely takes the
 // scalar path.
-inline const bool kUseAvx2 = DetectAvx2();
+inline const bool kUseAvx2 = CpuHasAvx2();
 
 }  // namespace detail
 

@@ -347,7 +347,7 @@ bool IsPmc(const Graph& g, const VertexSet& omega) {
 PmcResult ListPotentialMaximalCliques(const Graph& g,
                                       const std::vector<VertexSet>& separators,
                                       const PmcOptions& options) {
-  (void)separators;  // kept in the signature for API symmetry and future use
+  (void)separators;  // unread; see the header
   const int n = g.NumVertices();
   PmcResult result;
   if (n == 0) return result;

@@ -41,9 +41,9 @@ struct PmcOptions {
 /// each prefix graph are obtained from the PMCs of the previous prefix and
 /// the minimal separators of both, filtered through IsPmc.
 ///
-/// `separators` must be the complete list of minimal separators of g (e.g.,
-/// from ListMinimalSeparators); it is used for the final step and to size
-/// internal structures.
+/// `separators` (the minimal separators of g) is not read: the last prefix
+/// step enumerates MinSep(g) again. The parameter stays for callers that
+/// already pass the list.
 PmcResult ListPotentialMaximalCliques(const Graph& g,
                                       const std::vector<VertexSet>& separators,
                                       const PmcOptions& options = {});

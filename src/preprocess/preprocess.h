@@ -1,6 +1,7 @@
 #ifndef MINTRI_PREPROCESS_PREPROCESS_H_
 #define MINTRI_PREPROCESS_PREPROCESS_H_
 
+#include <algorithm>
 #include <vector>
 
 #include "graph/graph.h"
@@ -17,14 +18,27 @@ struct EliminatedVertex {
   VertexSet bag;
 };
 
-/// Summary counters for reporting (the tiered enumerator's
-/// preprocess_info(), surfaced by --stats and batch records).
+/// Summary counters for reporting (RunStats::preprocess).
 struct PreprocessInfo {
   int vertices_removed = 0;
   int num_atoms = 0;
   int largest_atom = 0;
-  int smallest_atom = 0;
+  int smallest_atom = 0;  // 0: no atom seen
   double seconds = 0;
+
+  /// Adds another run's summary in (one per component): counts and seconds
+  /// sum, largest_atom keeps the maximum and smallest_atom the least
+  /// non-zero value.
+  void Accumulate(const PreprocessInfo& other) {
+    vertices_removed += other.vertices_removed;
+    num_atoms += other.num_atoms;
+    seconds += other.seconds;
+    largest_atom = std::max(largest_atom, other.largest_atom);
+    if (other.smallest_atom > 0 &&
+        (smallest_atom == 0 || other.smallest_atom < smallest_atom)) {
+      smallest_atom = other.smallest_atom;
+    }
+  }
 };
 
 struct PreprocessResult {

@@ -8,22 +8,18 @@
 
 #include <sstream>
 
+#include "test_util.h"
+
 namespace mintri {
 namespace {
 
 // Serialization with wall-clock timings masked: every ranked result, count,
 // and cache statistic must be thread-count-invariant; elapsed seconds are
 // not.
-std::string Serialize(std::vector<BatchRecord> records) {
-  for (BatchRecord& r : records) {
-    r.init_seconds = 0;
-    r.preprocess_seconds = 0;
-    r.tier1_seconds = 0;
-    r.tier2_seconds = 0;
-  }
+std::string Serialize(const std::vector<BatchRecord>& records) {
   std::ostringstream os;
   WriteBatchJson(records, os);
-  return os.str();
+  return testutil::MaskTimings(os.str());
 }
 
 std::vector<std::string> TpchSpecs() {
@@ -89,8 +85,8 @@ TEST(BatchTest, CacheHitsReportedForEdgeCoverCosts) {
   std::vector<BatchRecord> records = RunBatch({"tpch:5"}, options);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].status, "ok");
-  EXPECT_GT(records[0].cache_lookups, 0);
-  EXPECT_GT(records[0].cache_hits, 0);
+  EXPECT_GT(records[0].stats.cache.lookups, 0);
+  EXPECT_GT(records[0].stats.cache.hits, 0);
 }
 
 TEST(BatchTest, BadSpecsAreRecordedNotFatal) {
@@ -116,7 +112,7 @@ TEST(BatchTest, JsonShape) {
   std::string json = Serialize(RunBatch({"tpch:5"}, options));
   for (const char* key :
        {"\"instance\": \"tpch:5\"", "\"cost\": \"fhw\"",
-        "\"status\": \"ok\"", "\"cache_lookups\": ", "\"cache_hits\": ",
+        "\"status\": \"ok\"", "\"cache\": {\"lookups\": ", "\"hits\": ",
         "\"results\": [{\"rank\": 1, "}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << "\n" << json;
   }

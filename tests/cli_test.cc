@@ -100,13 +100,13 @@ TEST(CliTest, NumericFlagOverflowIsRejected) {
 }
 
 TEST(CliTest, StatsReportSolverCounters) {
-  // --stats ends with the solver's repair counters; the segment-tree index
-  // does real work on any stream that needs a repair.
+  // --stats' record carries the solver's repair counters; the segment-tree
+  // index does real work on any stream that needs a repair.
   CliResult r = Invoke({"--cost=fill", "--top=10", "--stats"}, kC4);
   EXPECT_EQ(r.code, 0) << r.err;
-  const size_t line = r.err.find("solver: optimizer_calls=");
+  const size_t line = r.err.find("\"solver\": {\"optimizer_calls\": ");
   ASSERT_NE(line, std::string::npos) << r.err;
-  const std::string key = "index_updates=";
+  const std::string key = "\"index_updates\": ";
   const size_t at = r.err.find(key, line);
   ASSERT_NE(at, std::string::npos) << r.err;
   EXPECT_GT(std::stoll(r.err.substr(at + key.size())), 0) << r.err;
@@ -223,8 +223,9 @@ TEST(CliTest, StatsReportCacheHitRate) {
   CliResult r =
       Invoke({"rank", "--cost=fhw", "--top=5", "--stats", "tpch:5"}, "");
   EXPECT_EQ(r.code, 0) << r.err;
-  EXPECT_NE(r.err.find("bag-score cache: lookups="), std::string::npos)
-      << r.err;
+  const size_t cache = r.err.find("\"cache\": {\"lookups\": ");
+  ASSERT_NE(cache, std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("\"hit_rate\": ", cache), std::string::npos) << r.err;
 }
 
 TEST(CliTest, BatchCommand) {

@@ -215,7 +215,7 @@ TEST(RankedForestTest, FailedBuildStopsConstruction) {
   EXPECT_EQ(e.init_info().num_builds, 2u);
   EXPECT_EQ(e.init_info().num_ms_terminated, 1u);
   EXPECT_STREQ(e.init_info().TerminationName(), "ms-terminated");
-  EXPECT_EQ(e.tier2_seconds(), 0.0);
+  EXPECT_EQ(e.stats().heuristic.total_seconds, 0.0);
   EXPECT_FALSE(e.Next().has_value());
 }
 

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <regex>
 #include <set>
 #include <string>
 #include <utility>
@@ -24,6 +25,14 @@
 
 namespace mintri {
 namespace testutil {
+
+/// `json` with every `"..._seconds": <number>` value replaced by 0: the
+/// batch writers' wall-clock fields vary run to run, every other byte of a
+/// record must not.
+inline std::string MaskTimings(const std::string& json) {
+  static const std::regex kTimer("\"(\\w*seconds)\": [-+.0-9eE]+");
+  return std::regex_replace(json, kTimer, "\"$1\": 0");
+}
 
 /// The n×n grid as a hypergraph of its two-vertex edges. Under the
 /// hypertree cost its exact edge covers are the slowest bag scores in the

@@ -429,7 +429,56 @@ TEST(TieredEnumTest, ExhaustedBudgetFallsBackWithTruthfulTally) {
   ASSERT_TRUE(r.has_value());
   testutil::ExpectProperCliqueTree(g, r->triangulation, width);
   EXPECT_TRUE(IsMinimalTriangulation(g, r->triangulation.filled));
-  EXPECT_GT(e.tier2_seconds(), 0.0);
+  EXPECT_GT(e.stats().heuristic.total_seconds, 0.0);
+}
+
+// An exact attempt its stage limit abandons and the heuristic family that
+// answers instead report apart. The 500-cycle has 124,250 minimal
+// separators, which take seconds to list (about 40k/s in Release); the
+// MinSep stage gets 0.1 s. The shared exact budget stays unlimited, so a
+// slow Tier 0 (sanitizer builds) cannot skip the attempt.
+TEST(TieredEnumTest, AbandonedExactAttemptReportsApartFromTheFamily) {
+  const int n = 500;
+  const Graph g = workloads::Cycle(n);
+  WidthCost width;
+  ContextOptions options;
+  options.separator_limits.time_limit_seconds = 0.1;
+  TieredEnumerator e(g, width, CostComposition::kMax, options, {},
+                     AutoOptions(true));
+  ASSERT_TRUE(e.init_ok());
+  EXPECT_EQ(e.tier(), SolveTier::kHeuristic);
+  const RunStats stats = e.stats();
+
+  // The exact record: one ms-terminated build with the separators it found
+  // before the cut, and no PMC stage.
+  EXPECT_EQ(stats.exact.num_builds, 1u);
+  EXPECT_EQ(stats.exact.num_ms_terminated, 1u);
+  EXPECT_GT(stats.exact.num_minseps, 0u);
+  EXPECT_LT(stats.exact.num_minseps, static_cast<size_t>(n * (n - 3) / 2));
+  EXPECT_EQ(stats.exact.num_pmcs, 0u);
+  EXPECT_GT(stats.exact.total_seconds, 0.0);
+
+  // The heuristic record: one completed family build. Each LB-Triang seed
+  // of C_n is a triangulated polygon with n - 2 triangles and n - 3 chords,
+  // and its time covers the seeding on top of the stages.
+  const ContextBuildInfo& family = stats.heuristic;
+  EXPECT_EQ(family.num_builds, 1u);
+  EXPECT_EQ(family.num_ms_terminated + family.num_pmc_terminated, 0u);
+  EXPECT_GE(family.num_pmcs, static_cast<size_t>(n - 2));
+  EXPECT_LE(family.num_pmcs, static_cast<size_t>(2 * (n - 2)));
+  EXPECT_GE(family.num_minseps, static_cast<size_t>(n - 3));
+  EXPECT_GT(family.total_seconds, 0.0);
+  EXPECT_GE(family.total_seconds, family.minsep_seconds + family.pmc_seconds +
+                                      family.blocks_seconds +
+                                      family.wiring_seconds);
+
+  // The merged view perfbench reads is the two records accumulated.
+  const ContextBuildInfo merged = e.init_info();
+  EXPECT_EQ(merged.num_builds, 2u);
+  EXPECT_EQ(merged.num_minseps, stats.exact.num_minseps + family.num_minseps);
+  EXPECT_EQ(merged.num_pmcs, family.num_pmcs);
+  EXPECT_EQ(e.tier1_seconds(), stats.exact.total_seconds);
+  EXPECT_EQ(e.init_seconds(), stats.exact.total_seconds + family.total_seconds);
 }
 
 TEST(TieredEnumTest, ChordalInputEmitsExactlyOneResult) {
