@@ -197,23 +197,10 @@ void BM_TableInsertDedup(benchmark::State& state) {
 }
 BENCHMARK(BM_TableInsertDedup);
 
-void BM_QueuePushPop(benchmark::State& state) {
-  // Single-item Push/Next/Finish round-trip on a 1-worker queue: the
-  // per-item mutex cost the batch API amortizes.
-  parallel::WorkStealingQueue queue(1);
-  uint64_t item = 0;
-  for (auto _ : state) {
-    queue.Push(0, 42);
-    benchmark::DoNotOptimize(queue.Next(0, &item));
-    queue.Finish();
-  }
-}
-BENCHMARK(BM_QueuePushPop);
-
 void BM_QueuePushPopBatched(benchmark::State& state) {
-  // The same traffic through PushBatch/NextBatch/FinishBatch, batch size
-  // matching the engines' kPopBatch. Per-item cost should be a fraction
-  // of BM_QueuePushPop.
+  // PushBatch/NextBatch/FinishBatch round-trip on a 1-worker queue, batch
+  // size matching the engines' kPopBatch: the per-item cost of the queue
+  // traffic both engines generate.
   constexpr size_t kBatch = 16;
   parallel::WorkStealingQueue queue(1);
   uint64_t items[kBatch];

@@ -58,11 +58,4 @@ bool IsChordal(const Graph& g) {
   return IsPerfectEliminationOrdering(g, order);
 }
 
-std::vector<int> PerfectEliminationOrdering(const Graph& g) {
-  std::vector<int> order = MaximumCardinalitySearch(g);
-  std::reverse(order.begin(), order.end());
-  assert(IsPerfectEliminationOrdering(g, order));
-  return order;
-}
-
 }  // namespace mintri

@@ -22,10 +22,6 @@ bool IsPerfectEliminationOrdering(const Graph& g,
 /// Linear(-ish)-time chordality test: MCS followed by the PEO check.
 bool IsChordal(const Graph& g);
 
-/// A perfect elimination ordering of a chordal graph (first-eliminated
-/// first); must only be called when IsChordal(g) holds.
-std::vector<int> PerfectEliminationOrdering(const Graph& g);
-
 }  // namespace mintri
 
 #endif  // MINTRI_CHORDAL_CHORDALITY_H_

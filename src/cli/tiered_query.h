@@ -13,7 +13,10 @@ namespace mintri {
 struct TieredQuery {
   std::string cost = "width";  // registry cost name
   std::string tier = "auto";   // auto | exact | heuristic
-  double time_limit = 30.0;    // per-stage context budget and exact budget
+  /// Caps each MinSep/PMC stage, and is the exact budget
+  /// (TierOptions::exact_budget_seconds): the wall time from the start of
+  /// construction, Tier 0 included, after which no exact build starts.
+  double time_limit = 30.0;
   int threads = 1;             // context-build threads
   int width_bound = -1;        // MinTriangB width bound (-1: none)
   /// The query's wall budget (null: none), polled by every stage.

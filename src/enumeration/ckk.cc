@@ -23,7 +23,7 @@ Triangulation CkkEnumerator::Extend(const std::vector<VertexSet>& seed) {
   for (const VertexSet& s : seed) saturated.SaturateSet(s);
   ++num_triangulator_calls_;
   Graph h = triangulator_(saturated);
-  Triangulation t = TriangulationFromChordal(g_, std::move(h));
+  Triangulation t = TriangulationFromChordal(std::move(h));
   if (cost_ != nullptr) t.cost = cost_->Evaluate(g_, t.bags);
   return t;
 }

@@ -5,8 +5,8 @@
 #include <numeric>
 #include <utility>
 
-#include "chordal/clique_tree.h"
 #include "chordal/lb_triang.h"
+#include "triang/triangulation.h"
 #include "util/timer.h"
 
 namespace mintri {
@@ -210,19 +210,18 @@ bool TieredEnumerator::AddUnit(const Graph& sub, std::vector<int> old_of_new,
     // is never empty and its first result costs at most the cheaper seed.
     // The build's total_seconds covers the seeding too.
     WallTimer family_timer;
-    Graph h1 = LbTriangMinDegree(sub);
     std::vector<int> order(sub.NumVertices());
     std::iota(order.begin(), order.end(), 0);
-    Graph h2 = LbTriang(sub, order);
-    std::vector<VertexSet> minseps = MinimalSeparatorsOfChordal(h1);
-    std::vector<VertexSet> more_seps = MinimalSeparatorsOfChordal(h2);
-    minseps.insert(minseps.end(),
-                   std::make_move_iterator(more_seps.begin()),
-                   std::make_move_iterator(more_seps.end()));
-    std::vector<VertexSet> pmcs = MaximalCliquesOfChordal(h1);
-    std::vector<VertexSet> more_pmcs = MaximalCliquesOfChordal(h2);
-    pmcs.insert(pmcs.end(), std::make_move_iterator(more_pmcs.begin()),
-                std::make_move_iterator(more_pmcs.end()));
+    std::vector<VertexSet> minseps;
+    std::vector<VertexSet> pmcs;
+    for (const Graph& seed : {LbTriangMinDegree(sub), LbTriang(sub, order)}) {
+      TriangulationTree tree = CliqueTreeOfChordal(seed);
+      minseps.insert(minseps.end(),
+                     std::make_move_iterator(tree.separators.begin()),
+                     std::make_move_iterator(tree.separators.end()));
+      pmcs.insert(pmcs.end(), std::make_move_iterator(tree.bags.begin()),
+                  std::make_move_iterator(tree.bags.end()));
+    }
     if (options.width_bound >= 0) {
       // Honor a width bound in the fallback too: keep only family members
       // within the bound; a PMC that then loses a block is dropped by the

@@ -56,8 +56,11 @@ struct TierOptions {
   /// components.
   bool decomposable_cost = false;
 
-  /// Shared wall-clock budget across all per-unit *exact* build attempts
-  /// (Tier 1). Once spent, remaining units go straight to Tier 2 and are
+  /// Auto mode's wall-clock budget for the per-unit *exact* build attempts
+  /// (Tier 1). It runs from the start of construction, so Tier 0 and every
+  /// earlier unit's build (exact attempt or Tier-2 family) spend it too.
+  /// Each exact build's MinSep/PMC stages are clamped to what is left;
+  /// once it is spent, remaining units go straight to Tier 2 and are
   /// tallied as ms-terminated attempts. Infinite disables the gate (each
   /// build still honors the per-stage ContextOptions limits).
   double exact_budget_seconds = std::numeric_limits<double>::infinity();

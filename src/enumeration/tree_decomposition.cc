@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "chordal/clique_tree.h"
 #include "chordal/minimality.h"
 
 namespace mintri {
@@ -88,7 +87,7 @@ bool TreeDecomposition::IsProperFor(const Graph& g) const {
   Graph h = g;
   for (const VertexSet& b : bags) h.SaturateSet(b);
   if (!IsMinimalTriangulation(g, h)) return false;
-  std::vector<VertexSet> cliques = MaximalCliquesOfChordal(h);
+  std::vector<VertexSet> cliques = CliqueTreeOfChordal(h).bags;
   std::vector<VertexSet> sorted_bags = bags;
   std::sort(sorted_bags.begin(), sorted_bags.end());
   if (std::adjacent_find(sorted_bags.begin(), sorted_bags.end()) !=

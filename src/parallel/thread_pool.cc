@@ -31,17 +31,11 @@ void RunOnThreads(int num_threads, const std::function<void(int)>& fn) {
 WorkStealingQueue::WorkStealingQueue(int num_workers)
     : workers_(num_workers) {}
 
-void WorkStealingQueue::Push(int worker, uint64_t item) {
-  outstanding_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(workers_[worker].mutex);
-  workers_[worker].deque.push_back(item);
-}
-
 void WorkStealingQueue::PushBatch(int worker, const uint64_t* items,
                                   size_t count) {
   if (count == 0) return;
-  // Counter first, then the items become visible — same ordering as Push,
-  // so a worker can never observe queued work with outstanding_ == 0.
+  // Counter first, then the items become visible, so a worker can never
+  // observe queued work with outstanding_ == 0.
   outstanding_.fetch_add(count, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(workers_[worker].mutex);
   std::deque<uint64_t>& dq = workers_[worker].deque;
@@ -75,19 +69,6 @@ bool WorkStealingQueue::TryPop(int worker, uint64_t* item) {
   return false;
 }
 
-bool WorkStealingQueue::Next(int worker, uint64_t* item) {
-  while (true) {
-    if (cancelled_.load(std::memory_order_relaxed)) return false;
-    if (TryPop(worker, item)) return true;
-    // Every deque was momentarily empty. If nothing is in flight either,
-    // no further work can appear (Finish of in-flight items is the only
-    // producer left) — the acquire pairs with Finish's release so the
-    // emptiness we just observed is final.
-    if (outstanding_.load(std::memory_order_acquire) == 0) return false;
-    std::this_thread::yield();
-  }
-}
-
 size_t WorkStealingQueue::TryPopBatch(int worker, uint64_t* items,
                                       size_t max_items) {
   {
@@ -117,13 +98,13 @@ size_t WorkStealingQueue::NextBatch(int worker, uint64_t* items,
     if (cancelled_.load(std::memory_order_relaxed)) return 0;
     const size_t got = TryPopBatch(worker, items, max_items);
     if (got > 0) return got;
+    // Every deque was momentarily empty. If nothing is in flight either,
+    // no further work can appear (FinishBatch of in-flight items is the only
+    // producer left) — the acquire pairs with FinishBatch's release so the
+    // emptiness we just observed is final.
     if (outstanding_.load(std::memory_order_acquire) == 0) return 0;
     std::this_thread::yield();
   }
-}
-
-void WorkStealingQueue::Finish() {
-  outstanding_.fetch_sub(1, std::memory_order_release);
 }
 
 void WorkStealingQueue::FinishBatch(size_t count) {

@@ -29,16 +29,16 @@ void RunOnThreads(int num_threads, const std::function<void(int)>& fn);
 
 /// A work-stealing multi-queue of opaque 64-bit work items (the enumeration
 /// engines pack sharded-table references into them). Each worker owns a
-/// deque: Push appends to the owner's back, Next pops the owner's back
-/// (LIFO, cache-warm) and falls back to stealing from the front of a victim
-/// (FIFO, coarse chunks first). Termination is detected with an outstanding
-/// counter: an item counts from Push until the matching Finish, so work
-/// spawned *while processing* an item can never be missed — Next only
-/// returns false once every queue is empty and no item is still in flight
-/// (or after Cancel).
+/// deque: PushBatch appends to the owner's back, NextBatch pops from the
+/// owner's back (LIFO, cache-warm) and falls back to stealing from the front
+/// of a victim (FIFO, coarse chunks first). Termination is detected with an
+/// outstanding counter: an item counts from PushBatch until the matching
+/// FinishBatch, so work spawned *while processing* an item can never be
+/// missed — NextBatch only returns 0 once every queue is empty and no item
+/// is still in flight (or after Cancel).
 ///
 /// The deques are mutex-striped (one lock per worker) rather than lock-free:
-/// the enumeration engines pop one item and then do an expansion that is
+/// the enumeration engines pop a batch and then do expansions that are
 /// orders of magnitude more expensive than the lock, so contention is not
 /// the bottleneck and the simple version is ThreadSanitizer-clean by
 /// construction.
@@ -49,43 +49,32 @@ class WorkStealingQueue {
   WorkStealingQueue(const WorkStealingQueue&) = delete;
   WorkStealingQueue& operator=(const WorkStealingQueue&) = delete;
 
-  /// Enqueues an item onto `worker`'s deque.
-  void Push(int worker, uint64_t item);
-
   /// Enqueues `count` items onto `worker`'s deque under one lock
   /// acquisition (and one outstanding-counter bump). The enumeration inner
   /// loops discover several new work items per expansion; pushing them one
-  /// Push() at a time made the queue mutex the second-hottest line in the
-  /// engine profile after the dedup probe.
+  /// at a time made the queue mutex the second-hottest line in the engine
+  /// profile after the dedup probe.
   void PushBatch(int worker, const uint64_t* items, size_t count);
-
-  /// Dequeues the next item for `worker`: its own deque first, then steals.
-  /// Spins (yielding) while other workers still hold in-flight items that
-  /// may spawn more work. Returns false only when the whole enumeration is
-  /// drained or Cancel() was called.
-  bool Next(int worker, uint64_t* item);
 
   /// Dequeues up to `max_items` items for `worker` under one lock: a batch
   /// from the back of its own deque, or — when that is empty — a *single*
   /// stolen item (stealing coarse chunks would defeat the balance the
-  /// front-steal heuristic buys). Blocks/spins exactly like Next; returns 0
-  /// only when the enumeration is drained or cancelled. Every returned item
-  /// must be matched by one Finish() (or covered by one FinishBatch).
+  /// front-steal heuristic buys). Spins (yielding) while other workers
+  /// still hold in-flight items that may spawn more work; returns 0 only
+  /// when the enumeration is drained or Cancel() was called. Every returned
+  /// item must be covered by a FinishBatch.
   size_t NextBatch(int worker, uint64_t* items, size_t max_items);
 
-  /// After processing an item obtained from Next(), the worker must call
-  /// Finish() exactly once so termination detection can make progress.
-  void Finish();
-
-  /// Finish() for `count` items at once — one atomic instead of `count`.
+  /// Marks `count` items obtained from NextBatch as processed, so
+  /// termination detection can make progress — one atomic for the batch.
   /// CAUTION: only call after every item of the batch is fully processed
-  /// AND all work spawned while processing them has been Pushed; deferring
+  /// AND all work spawned while processing them has been pushed; deferring
   /// the decrement any longer only delays termination, but decrementing
   /// before the spawned pushes would let the outstanding counter hit zero
   /// while undelivered work exists (missed-work bug).
   void FinishBatch(size_t count);
 
-  /// Makes every current and future Next() call return false; used when a
+  /// Makes every current and future NextBatch() call return 0; used when a
   /// deadline expires or a result cap is hit.
   void Cancel();
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <utility>
 
-#include "chordal/clique_tree.h"
 #include "chordal/lb_triang.h"
+#include "triang/triangulation.h"
 #include "util/timer.h"
 
 namespace mintri {
@@ -25,19 +25,13 @@ std::vector<VertexSet> CliqueSeparatorCandidates(const Graph& g,
   std::vector<int> new_to_old(sub.NumVertices());
   part.ForEach([&](int v) { new_to_old[old_to_new[v]] = v; });
 
-  Graph h0 = LbTriangMinDegree(sub);
-  CliqueTree tree = BuildCliqueTree(h0);
-  for (const auto& [a, b] : tree.edges) {
-    VertexSet adhesion = tree.cliques[a].Intersect(tree.cliques[b]);
-    if (adhesion.Empty()) continue;
+  for (const VertexSet& sep :
+       CliqueTreeOfChordal(LbTriangMinDegree(sub)).separators) {
     VertexSet s(g.NumVertices());
-    adhesion.ForEach([&](int v) { s.Insert(new_to_old[v]); });
-    if (!g.IsClique(s)) continue;
-    candidates.push_back(std::move(s));
+    sep.ForEach([&](int v) { s.Insert(new_to_old[v]); });
+    if (g.IsClique(s)) candidates.push_back(std::move(s));
   }
   std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
   return candidates;
 }
 

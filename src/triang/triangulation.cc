@@ -1,10 +1,9 @@
 #include "triang/triangulation.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
-#include "chordal/clique_tree.h"
+#include "chordal/chordality.h"
 
 namespace mintri {
 
@@ -36,47 +35,51 @@ Triangulation Saturate(const Graph& original, TriangulationTree tree) {
   return t;
 }
 
-Triangulation TriangulationFromChordal(const Graph& original, Graph h,
-                                       CostValue cost) {
-  (void)original;  // kept in the signature to document the contract
-  Triangulation t;
-  CliqueTree tree = BuildCliqueTree(h);
-  t.filled = std::move(h);
-  t.bags = std::move(tree.cliques);
-  t.cost = cost;
-
-  // Orient the clique tree as parent pointers rooted at bag 0.
-  const int k = static_cast<int>(t.bags.size());
-  std::vector<std::vector<int>> adj(k);
-  for (const auto& [i, j] : tree.edges) {
-    adj[i].push_back(j);
-    adj[j].push_back(i);
-  }
-  t.parent.assign(k, -2);
-  std::vector<int> stack;
-  for (int root = 0; root < k; ++root) {
-    if (t.parent[root] != -2) continue;
-    t.parent[root] = -1;
-    stack.push_back(root);
-    while (!stack.empty()) {
-      int u = stack.back();
-      stack.pop_back();
-      for (int v : adj[u]) {
-        if (t.parent[v] == -2) {
-          t.parent[v] = u;
-          stack.push_back(v);
-        }
-      }
+TriangulationTree CliqueTreeOfChordal(const Graph& h) {
+  const int n = h.NumVertices();
+  TriangulationTree tree;
+  std::vector<int> bag_of(n);
+  std::vector<int> visit_index(n);
+  VertexSet visited(n);
+  int prev_size = 0;
+  const std::vector<int> order = MaximumCardinalitySearch(h);
+  for (int i = 0; i < n; ++i) {
+    const int v = order[i];
+    // madj(v): the neighbours visited before v. In MCS order on a chordal
+    // graph it either extends the current bag (it is that whole bag) or
+    // starts a new maximal clique whose adhesion to its parent is madj(v).
+    VertexSet madj = h.Neighbors(v).Intersect(visited);
+    const int size = madj.Count();
+    if (tree.bags.empty() || size <= prev_size) {
+      // The parent is the bag of madj(v)'s last-visited vertex; an empty
+      // madj starts a new component's root.
+      int last = -1;
+      madj.ForEach([&](int u) {
+        if (last < 0 || visit_index[u] > visit_index[last]) last = u;
+      });
+      tree.parent.push_back(last < 0 ? -1 : bag_of[last]);
+      if (last >= 0) tree.separators.push_back(madj);
+      madj.Insert(v);
+      tree.bags.push_back(std::move(madj));
+    } else {
+      tree.bags.back().Insert(v);
     }
+    bag_of[v] = static_cast<int>(tree.bags.size()) - 1;
+    visit_index[v] = i;
+    visited.Insert(v);
+    prev_size = size;
   }
+  std::sort(tree.separators.begin(), tree.separators.end());
+  tree.separators.erase(
+      std::unique(tree.separators.begin(), tree.separators.end()),
+      tree.separators.end());
+  return tree;
+}
 
-  std::set<VertexSet> seps;
-  for (int i = 0; i < k; ++i) {
-    if (t.parent[i] < 0) continue;
-    VertexSet adhesion = t.bags[i].Intersect(t.bags[t.parent[i]]);
-    if (!adhesion.Empty()) seps.insert(std::move(adhesion));
-  }
-  t.separators.assign(seps.begin(), seps.end());
+Triangulation TriangulationFromChordal(Graph h) {
+  Triangulation t;
+  static_cast<TriangulationTree&>(t) = CliqueTreeOfChordal(h);
+  t.filled = std::move(h);
   return t;
 }
 

@@ -51,13 +51,19 @@ struct Triangulation : TriangulationTree {
 /// Triangulation: `filled` is `original` with every bag saturated.
 Triangulation Saturate(const Graph& original, TriangulationTree tree);
 
-/// Packages a chordal supergraph `h` of `original` as a Triangulation:
-/// computes maximal cliques (MCS), a clique tree (an O(k²) maximum-weight
-/// spanning tree over the k cliques) and the adhesion separators. `h` must
-/// be chordal. For callers that hold only a graph: the CKK baseline and
-/// tests. The ranked layers never call it; they already have clique trees.
-Triangulation TriangulationFromChordal(const Graph& original, Graph h,
-                                       CostValue cost = 0);
+/// The clique tree of a chordal graph `h`, from one maximum-cardinality
+/// search (Blair–Peyton): `bags` are exactly the maximal cliques of `h`,
+/// (bags, parent) is a clique tree — a forest with one root per connected
+/// component — and `separators` are its sorted, distinct, non-empty
+/// adhesions, i.e. the minimal separators of `h`. `cost` is left 0.
+/// Precondition: IsChordal(h). O(n²/64 + m) beyond the search itself.
+TriangulationTree CliqueTreeOfChordal(const Graph& h);
+
+/// Packages a chordal graph `h` (a triangulation the caller already holds,
+/// e.g. the CKK baseline's) as a Triangulation with `filled` = h and the
+/// tree of CliqueTreeOfChordal. The ranked layers never call it; they
+/// already have clique trees.
+Triangulation TriangulationFromChordal(Graph h);
 
 }  // namespace mintri
 

@@ -1,12 +1,16 @@
-#include "chordal/clique_tree.h"
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "chordal/chordality.h"
 #include "chordal/lb_triang.h"
+#include "cost/standard_costs.h"
+#include "separators/minimal_separators.h"
 #include "test_util.h"
+#include "triang/triangulation.h"
 #include "workloads/named_graphs.h"
 #include "workloads/random_graphs.h"
 
@@ -15,111 +19,103 @@ namespace {
 
 using testutil::MakeGraph;
 
+// Every maximal clique of g, by trying all 2^n vertex subsets (n <= 12).
+std::vector<VertexSet> MaximalCliquesBruteForce(const Graph& g) {
+  const int n = g.NumVertices();
+  std::vector<VertexSet> out;
+  for (uint64_t mask = 1; mask < (uint64_t{1} << n); ++mask) {
+    VertexSet c(n);
+    for (int v = 0; v < n; ++v) {
+      if ((mask >> v) & 1) c.Insert(v);
+    }
+    if (!g.IsClique(c)) continue;
+    bool maximal = true;
+    for (int v = 0; v < n && maximal; ++v) {
+      if (!c.Contains(v) && c.IsSubsetOf(g.Neighbors(v))) maximal = false;
+    }
+    if (maximal) out.push_back(std::move(c));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Checks CliqueTreeOfChordal(h) through TriangulationFromChordal: a proper
+// clique tree of h (one root per component, running intersection, the
+// separators its distinct non-empty adhesions), whose bags are exactly the
+// brute-force maximal cliques and whose separators are exactly MinSep(h).
+void ExpectCliqueTreeMatchesBruteForce(const Graph& h,
+                                       const std::string& where) {
+  ASSERT_TRUE(IsChordal(h)) << where;
+  const WidthCost width;
+  Triangulation t = TriangulationFromChordal(h);
+  t.cost = width.Evaluate(h, t.bags);
+  testutil::ExpectProperCliqueTree(h, t, width, where);
+
+  std::vector<VertexSet> bags = t.bags;
+  std::sort(bags.begin(), bags.end());
+  EXPECT_EQ(bags, MaximalCliquesBruteForce(h)) << where;
+  std::vector<VertexSet> brute = MinimalSeparatorsBruteForce(h);
+  std::sort(brute.begin(), brute.end());
+  EXPECT_EQ(t.separators, brute) << where;
+}
+
 TEST(CliqueTreeTest, PathCliquesAreEdges) {
-  Graph g = workloads::Path(4);
-  auto cliques = MaximalCliquesOfChordal(g);
-  EXPECT_EQ(cliques.size(), 3u);
-  for (const VertexSet& c : cliques) EXPECT_EQ(c.Count(), 2);
+  const TriangulationTree tree = CliqueTreeOfChordal(workloads::Path(4));
+  EXPECT_EQ(tree.bags.size(), 3u);
+  for (const VertexSet& c : tree.bags) EXPECT_EQ(c.Count(), 2);
+  ASSERT_EQ(tree.separators.size(), 2u);  // {1}, {2}
+  EXPECT_EQ(tree.separators[0], VertexSet::Of(4, {1}));
+  EXPECT_EQ(tree.separators[1], VertexSet::Of(4, {2}));
 }
 
 TEST(CliqueTreeTest, CompleteGraphHasOneClique) {
-  Graph g = workloads::Complete(5);
-  auto cliques = MaximalCliquesOfChordal(g);
-  ASSERT_EQ(cliques.size(), 1u);
-  EXPECT_EQ(cliques[0].Count(), 5);
-  CliqueTree tree = BuildCliqueTree(g);
-  EXPECT_TRUE(tree.edges.empty());
+  const TriangulationTree tree = CliqueTreeOfChordal(workloads::Complete(5));
+  ASSERT_EQ(tree.bags.size(), 1u);
+  EXPECT_EQ(tree.bags[0].Count(), 5);
+  EXPECT_EQ(tree.parent, std::vector<int>{-1});
+  EXPECT_TRUE(tree.separators.empty());
 }
 
-TEST(CliqueTreeTest, ChordalBoundOnCliqueCount) {
-  // Theorem 2.2(2): a chordal graph has < n maximal cliques... (<= n; < n
-  // for n >= 2 connected). Validate on random chordal graphs produced by
-  // LB-Triang.
-  for (int seed = 0; seed < 10; ++seed) {
-    Graph g = workloads::ConnectedErdosRenyi(10, 0.3, seed);
+TEST(CliqueTreeTest, EmptyGraphHasNoBags) {
+  const TriangulationTree tree = CliqueTreeOfChordal(Graph(0));
+  EXPECT_TRUE(tree.bags.empty());
+  EXPECT_TRUE(tree.parent.empty());
+}
+
+TEST(CliqueTreeTest, ConnectedChordalMatchesBruteForce) {
+  // Theorem 2.2(2): a connected chordal graph on n >= 2 vertices has fewer
+  // than n maximal cliques.
+  for (int seed = 0; seed < 40; ++seed) {
+    const int n = 2 + seed % 11;
+    Graph g = workloads::ConnectedErdosRenyi(n, 0.15 + 0.02 * (seed % 10),
+                                             100 + seed);
     Graph h = LbTriangMinDegree(g);
-    ASSERT_TRUE(IsChordal(h));
-    auto cliques = MaximalCliquesOfChordal(h);
-    EXPECT_LT(cliques.size(), 10u);
-    // Each clique is indeed a clique, and maximal.
-    for (size_t i = 0; i < cliques.size(); ++i) {
-      EXPECT_TRUE(h.IsClique(cliques[i]));
-      for (size_t j = 0; j < cliques.size(); ++j) {
-        if (i != j) {
-          EXPECT_FALSE(cliques[i].IsSubsetOf(cliques[j]));
-        }
-      }
-    }
+    ExpectCliqueTreeMatchesBruteForce(h, "seed " + std::to_string(seed));
+    EXPECT_LT(CliqueTreeOfChordal(h).bags.size(), static_cast<size_t>(n));
   }
 }
 
-TEST(CliqueTreeTest, TreeHasJunctionProperty) {
-  for (int seed = 0; seed < 10; ++seed) {
-    Graph g = workloads::ConnectedErdosRenyi(12, 0.25, 100 + seed);
-    Graph h = LbTriangMinDegree(g);
-    CliqueTree tree = BuildCliqueTree(h);
-    const int k = static_cast<int>(tree.cliques.size());
-    ASSERT_EQ(tree.edges.size(), static_cast<size_t>(k - 1));
-    // Junction property per vertex, via the "running intersection" check on
-    // a rooted orientation.
-    std::vector<std::vector<int>> adj(k);
-    for (auto& [a, b] : tree.edges) {
-      adj[a].push_back(b);
-      adj[b].push_back(a);
-    }
-    for (int v = 0; v < h.NumVertices(); ++v) {
-      // Collect holder nodes and check connectivity by BFS.
-      std::vector<int> holders;
-      for (int i = 0; i < k; ++i) {
-        if (tree.cliques[i].Contains(v)) holders.push_back(i);
-      }
-      ASSERT_FALSE(holders.empty());
-      std::vector<bool> inset(k, false), seen(k, false);
-      for (int i : holders) inset[i] = true;
-      std::vector<int> stack = {holders[0]};
-      seen[holders[0]] = true;
-      int reached = 0;
-      while (!stack.empty()) {
-        int x = stack.back();
-        stack.pop_back();
-        ++reached;
-        for (int y : adj[x]) {
-          if (inset[y] && !seen[y]) {
-            seen[y] = true;
-            stack.push_back(y);
-          }
-        }
-      }
-      EXPECT_EQ(reached, static_cast<int>(holders.size())) << "vertex " << v;
-    }
+TEST(CliqueTreeTest, DisconnectedChordalMatchesBruteForce) {
+  for (int seed = 0; seed < 40; ++seed) {
+    const int n = 1 + seed % 12;
+    Graph g = workloads::ErdosRenyi(n, 0.1 + 0.02 * (seed % 8), 300 + seed);
+    ExpectCliqueTreeMatchesBruteForce(LbTriangMinDegree(g),
+                                      "seed " + std::to_string(seed));
   }
+  ExpectCliqueTreeMatchesBruteForce(Graph(6), "edgeless");
+  ExpectCliqueTreeMatchesBruteForce(workloads::RandomTree(12, 7), "tree");
 }
 
-TEST(CliqueTreeTest, MinimalSeparatorsOfChordalPath) {
-  Graph g = workloads::Path(4);  // separators {1}, {2}
-  auto seps = MinimalSeparatorsOfChordal(g);
-  ASSERT_EQ(seps.size(), 2u);
-  EXPECT_EQ(seps[0], VertexSet::Of(4, {1}));
-  EXPECT_EQ(seps[1], VertexSet::Of(4, {2}));
-}
-
-TEST(CliqueTreeTest, MinimalSeparatorsOfChordalMatchBruteForce) {
-  for (int seed = 0; seed < 15; ++seed) {
-    Graph g = workloads::ConnectedErdosRenyi(9, 0.3, 200 + seed);
-    Graph h = LbTriangMinDegree(g);
-    auto via_tree = MinimalSeparatorsOfChordal(h);
-    auto brute = MinimalSeparatorsBruteForce(h);
-    std::sort(via_tree.begin(), via_tree.end());
-    std::sort(brute.begin(), brute.end());
-    EXPECT_EQ(via_tree, brute) << "seed " << seed;
-  }
-}
-
-TEST(CliqueTreeTest, DisconnectedChordalStillYieldsSingleTree) {
+TEST(CliqueTreeTest, DisconnectedChordalYieldsOneTreePerComponent) {
+  // One tree per component: the forest has a root per component and no
+  // edge with an empty adhesion.
   Graph g = MakeGraph(5, {{0, 1}, {2, 3}, {3, 4}});
-  CliqueTree tree = BuildCliqueTree(g);
-  EXPECT_EQ(tree.cliques.size(), 3u);
-  EXPECT_EQ(tree.edges.size(), 2u);  // spanning tree with empty adhesions
+  const TriangulationTree tree = CliqueTreeOfChordal(g);
+  EXPECT_EQ(tree.bags.size(), 3u);
+  EXPECT_EQ(std::count(tree.parent.begin(), tree.parent.end(), -1), 2);
+  ASSERT_EQ(tree.separators.size(), 1u);
+  EXPECT_EQ(tree.separators[0], VertexSet::Of(5, {3}));
+  ExpectCliqueTreeMatchesBruteForce(g, "three-bag forest");
 }
 
 }  // namespace

@@ -19,7 +19,6 @@
 #include <sstream>
 #include <string>
 
-#include "chordal/clique_tree.h"
 #include "graph/graph_io.h"
 #include "hypergraph/hypergraph_io.h"
 #include "inference/model_io.h"
@@ -138,7 +137,7 @@ TEST_P(PipelineCross, PmcsAreExactlyTheBagsOfMinimalTriangulations) {
   for (const auto& fills : testutil::BruteForceMinimalTriangulationFills(g)) {
     Graph h = g;
     for (const auto& [u, v] : fills) h.AddEdge(u, v);
-    for (VertexSet& c : MaximalCliquesOfChordal(h)) {
+    for (VertexSet& c : CliqueTreeOfChordal(h).bags) {
       expected.insert(std::move(c));
     }
   }

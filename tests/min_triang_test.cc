@@ -4,7 +4,6 @@
 
 #include <algorithm>
 
-#include "chordal/clique_tree.h"
 #include "chordal/minimality.h"
 #include "cost/constrained_cost.h"
 #include "cost/standard_costs.h"
@@ -30,11 +29,7 @@ std::pair<int, long long> BruteForceOptima(const Graph& g) {
   for (const auto& fill_set : testutil::BruteForceMinimalTriangulationFills(g)) {
     Graph h = g;
     for (const auto& [u, v] : fill_set) h.AddEdge(u, v);
-    int width = 0;
-    for (const VertexSet& c : MaximalCliquesOfChordal(h)) {
-      width = std::max(width, c.Count() - 1);
-    }
-    best_width = std::min(best_width, width);
+    best_width = std::min(best_width, CliqueTreeOfChordal(h).Width());
     best_fill = std::min(best_fill,
                          static_cast<long long>(fill_set.size()));
   }
@@ -152,7 +147,7 @@ TEST(MinTriangTest, TotalStateSpaceIsMinimized) {
       Graph h = g;
       for (const auto& [u, v] : fill_set) h.AddEdge(u, v);
       best = std::min(best,
-                      cost->Evaluate(g, MaximalCliquesOfChordal(h)));
+                      cost->Evaluate(g, CliqueTreeOfChordal(h).bags));
     }
     EXPECT_DOUBLE_EQ(t->cost, best) << "seed " << seed;
   }

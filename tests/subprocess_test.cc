@@ -10,7 +10,6 @@
 
 #include <vector>
 
-#include "chordal/clique_tree.h"
 #include "chordal/lb_triang.h"
 #include "cost/standard_costs.h"
 #include "enumeration/tiered_enum.h"
@@ -52,16 +51,14 @@ TEST(SubprocessTest, FamilyBuildStopsOnExpiredDeadline) {
   // The Tier-2 build has no MinSep/PMC stage: the blocks and wiring stages
   // are what the deadline cuts.
   const Graph g = workloads::Grid(4, 4);
-  const Graph h = LbTriangMinDegree(g);
+  const TriangulationTree tree = CliqueTreeOfChordal(LbTriangMinDegree(g));
   ContextBuildInfo info;
-  EXPECT_TRUE(TriangulationContext::BuildFromFamily(
-                  g, MinimalSeparatorsOfChordal(h), MaximalCliquesOfChordal(h),
-                  &info)
+  EXPECT_TRUE(TriangulationContext::BuildFromFamily(g, tree.separators,
+                                                    tree.bags, &info)
                   .has_value());
   EXPECT_STREQ(info.TerminationName(), "completed");
   EXPECT_FALSE(TriangulationContext::BuildFromFamily(
-                   g, MinimalSeparatorsOfChordal(h),
-                   MaximalCliquesOfChordal(h), &info, &Expired())
+                   g, tree.separators, tree.bags, &info, &Expired())
                    .has_value());
   EXPECT_STREQ(info.TerminationName(), "timeout");
   EXPECT_EQ(info.num_blocks, 0u);

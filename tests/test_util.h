@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "chordal/chordality.h"
-#include "chordal/clique_tree.h"
 #include "chordal/minimality.h"
 #include "cost/bag_cost.h"
 #include "graph/graph.h"
@@ -187,11 +186,15 @@ class StreamDigest {
 
 /// Checks that `t` is a proper clique tree of its triangulation of g:
 ///  - `filled` is a chordal supergraph of g and `bags` are exactly its
-///    maximal cliques (as a set);
+///    maximal cliques: every bag is a clique of `filled`, no bag lies
+///    inside another, and every edge of `filled` lies in some bag;
 ///  - `parent` is an acyclic forest with one root per connected component
 ///    of g, satisfying the running-intersection property;
 ///  - `separators` are the sorted, distinct, non-empty parent adhesions;
 ///  - `cost` equals `cost.Evaluate(g, bags)`.
+/// The first two make the bags a tree decomposition of `filled`, which
+/// holds every clique inside some bag: so each maximal clique is a bag, and
+/// each bag, lying inside no other, is a maximal clique.
 inline void ExpectProperCliqueTree(const Graph& g, const Triangulation& t,
                                    const BagCost& cost,
                                    const std::string& where = "") {
@@ -203,11 +206,13 @@ inline void ExpectProperCliqueTree(const Graph& g, const Triangulation& t,
                                         << v;
   }
   ASSERT_TRUE(IsChordal(t.filled)) << where;
-  std::vector<VertexSet> bags = t.bags;
-  std::vector<VertexSet> cliques = MaximalCliquesOfChordal(t.filled);
-  std::sort(bags.begin(), bags.end());
-  std::sort(cliques.begin(), cliques.end());
-  EXPECT_EQ(bags, cliques) << where << ": bags are not the maximal cliques";
+  for (int i = 0; i < k; ++i) {
+    EXPECT_TRUE(t.filled.IsClique(t.bags[i])) << where << ": bag " << i;
+    for (int j = 0; j < k; ++j) {
+      EXPECT_TRUE(i == j || !t.bags[i].IsSubsetOf(t.bags[j]))
+          << where << ": bag " << i << " lies inside bag " << j;
+    }
+  }
 
   ASSERT_EQ(t.parent.size(), t.bags.size()) << where;
   int roots = 0;
@@ -225,16 +230,21 @@ inline void ExpectProperCliqueTree(const Graph& g, const Triangulation& t,
       << where << ": one root per connected component";
 
   // Running intersection: the bags holding v span exactly one subtree, i.e.
-  // (#bags holding v) - (#tree edges with v on both ends) == 1.
+  // (#bags holding v) - (#tree edges with v on both ends) == 1. Edge
+  // cover: those bags together hold every neighbour of v in `filled`.
   for (int v = 0; v < n; ++v) {
     int holding = 0;
     int edges = 0;
+    VertexSet covered(n);
     for (int i = 0; i < k; ++i) {
       if (!t.bags[i].Contains(v)) continue;
       ++holding;
+      covered.UnionWith(t.bags[i]);
       if (t.parent[i] >= 0 && t.bags[t.parent[i]].Contains(v)) ++edges;
     }
     EXPECT_EQ(holding - edges, 1) << where << ": vertex " << v;
+    EXPECT_TRUE(t.filled.Neighbors(v).IsSubsetOf(covered))
+        << where << ": an edge at vertex " << v << " lies in no bag";
   }
 
   std::vector<VertexSet> adhesions;
