@@ -6,7 +6,7 @@ Usage:
 
 Inputs are every tests/data/*.gr plus every *.gr in each DIR (for example
 the directories written by `perfbench_run --dump DIR`). Each input runs
-under 8 configurations, --tier=auto|exact x --cost=width|fill x
+under 12 configurations, --tier=auto|exact|heuristic x --cost=width|fill x
 --format=summary|td, with --top=100 and the binary's default time limit.
 Both binaries' stdout and exit code must match. --jobs=J runs J comparisons
 at once.
@@ -25,7 +25,8 @@ import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOP = 100
-CONFIGS = list(itertools.product(("auto", "exact"), ("width", "fill"),
+CONFIGS = list(itertools.product(("auto", "exact", "heuristic"),
+                                 ("width", "fill"),
                                  ("summary", "td")))
 
 

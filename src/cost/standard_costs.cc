@@ -99,9 +99,7 @@ std::unique_ptr<BagCost> WeightedWidthCost::RestrictTo(
     const std::vector<int>& old_of_new, int old_capacity) const {
   return std::make_unique<WeightedWidthCost>(
       [score = score_, old_of_new, old_capacity](const VertexSet& bag) {
-        VertexSet original(old_capacity);
-        bag.ForEach([&](int v) { original.Insert(old_of_new[v]); });
-        return score(original);
+        return score(bag.Relabeled(old_of_new, old_capacity));
       },
       name_);
 }

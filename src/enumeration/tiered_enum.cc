@@ -13,17 +13,6 @@ namespace mintri {
 
 namespace {
 
-// Makes `bag` the root of its tree by reversing its path to the old root.
-void Reroot(std::vector<int>* parent, int bag) {
-  int prev = -1;
-  for (int cur = bag; cur >= 0;) {
-    const int next = (*parent)[cur];
-    (*parent)[cur] = prev;
-    prev = cur;
-    cur = next;
-  }
-}
-
 // Index of the first bag in [begin, end) that contains `set`, or -1.
 int BagContaining(const std::vector<VertexSet>& bags, int begin, int end,
                   const VertexSet& set) {
@@ -64,9 +53,7 @@ TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
   WallTimer budget_timer;
   for (const VertexSet& comp_vertices : g.ConnectedComponents()) {
     if (CutByDeadline()) return;
-    std::vector<int> comp_old_of_new(comp_vertices.Count());
-    int next = 0;
-    comp_vertices.ForEach([&](int v) { comp_old_of_new[next++] = v; });
+    std::vector<int> comp_old_of_new = comp_vertices.ToVector();
     Graph sub = g.InducedSubgraph(comp_vertices);
 
     if (exact || !tier_options.decomposable_cost) {
@@ -87,28 +74,39 @@ TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
       lifted_ = true;
     }
     for (const EliminatedVertex& ev : pre.eliminated) {
-      LiftBag lift{VertexSet(g_.NumVertices()), VertexSet(g_.NumVertices())};
-      ev.bag.ForEach([&](int v) { lift.bag.Insert(comp_old_of_new[v]); });
+      LiftBag lift;
+      lift.bag = ev.bag.Relabeled(comp_old_of_new, g_.NumVertices());
       lift.neighbors = lift.bag;
       lift.neighbors.Erase(comp_old_of_new[ev.vertex]);
       lift_bags_.push_back(std::move(lift));
     }
     const size_t first_atom = units_.size();
-    for (const VertexSet& atom : pre.atoms) {
+    for (size_t i = 0; i < pre.atoms.size(); ++i) {
       std::vector<int> atom_old_to_new;
-      Graph asub = pre.reduced.InducedSubgraph(atom, &atom_old_to_new);
-      std::vector<int> old_of_new(asub.NumVertices());
-      atom.ForEach([&](int v) {
-        old_of_new[atom_old_to_new[v]] = comp_old_of_new[v];
-      });
+      Graph asub = pre.reduced.InducedSubgraph(pre.atoms[i], &atom_old_to_new);
+      // comp_old_of_new is increasing, so it keeps the atom's vertex order.
+      std::vector<int> old_of_new =
+          pre.atoms[i].Relabeled(comp_old_of_new, g_.NumVertices()).ToVector();
+      // Tier 0's subtree for this atom, relabelled to the atom: Tier 2's
+      // min-degree seed.
+      TriangulationTree seed = std::move(pre.atom_trees[i]);
+      for (std::vector<VertexSet>* sets : {&seed.bags, &seed.separators}) {
+        for (VertexSet& s : *sets) {
+          s = s.Relabeled(atom_old_to_new, asub.NumVertices());
+        }
+      }
       if (!AddUnit(asub, std::move(old_of_new), options, tier_options,
-                   tier_options.exact_budget_seconds -
-                       budget_timer.Seconds())) {
+                   tier_options.exact_budget_seconds - budget_timer.Seconds(),
+                   std::move(seed))) {
         init_ok_ = false;
         return;
       }
+      Unit& unit = units_.back();
+      if (pre.atom_parent[i] >= 0) {
+        unit.atom_parent = static_cast<int>(first_atom) + pre.atom_parent[i];
+        unit.glue = pre.glue[i].Relabeled(comp_old_of_new, g_.NumVertices());
+      }
     }
-    BuildAtomTree(first_atom, pre.atoms, comp_old_of_new);
   }
 
   tier_ = SolveTier::kExact;
@@ -146,10 +144,10 @@ bool TieredEnumerator::CutByDeadline() {
   return true;
 }
 
-bool TieredEnumerator::AddUnit(const Graph& sub, std::vector<int> old_of_new,
-                               const ContextOptions& options,
-                               const TierOptions& tier_options,
-                               double remaining_budget) {
+bool TieredEnumerator::AddUnit(
+    const Graph& sub, std::vector<int> old_of_new,
+    const ContextOptions& options, const TierOptions& tier_options,
+    double remaining_budget, std::optional<TriangulationTree> min_degree_seed) {
   if (CutByDeadline()) return false;
   Unit unit;
   unit.old_of_new = std::move(old_of_new);
@@ -208,20 +206,24 @@ bool TieredEnumerator::AddUnit(const Graph& sub, std::vector<int> old_of_new,
     // genuine minimal separators / PMCs of the graph, and each seed's
     // clique tree wires completely within its own family, so the DP stream
     // is never empty and its first result costs at most the cheaper seed.
+    // Tier 0 already holds the min-degree seed's clique tree for its atoms.
     // The build's total_seconds covers the seeding too.
     WallTimer family_timer;
     std::vector<int> order(sub.NumVertices());
     std::iota(order.begin(), order.end(), 0);
     std::vector<VertexSet> minseps;
     std::vector<VertexSet> pmcs;
-    for (const Graph& seed : {LbTriangMinDegree(sub), LbTriang(sub, order)}) {
-      TriangulationTree tree = CliqueTreeOfChordal(seed);
+    auto add_seed = [&](TriangulationTree tree) {
       minseps.insert(minseps.end(),
                      std::make_move_iterator(tree.separators.begin()),
                      std::make_move_iterator(tree.separators.end()));
       pmcs.insert(pmcs.end(), std::make_move_iterator(tree.bags.begin()),
                   std::make_move_iterator(tree.bags.end()));
-    }
+    };
+    add_seed(min_degree_seed.has_value()
+                 ? std::move(*min_degree_seed)
+                 : CliqueTreeOfChordal(LbTriangMinDegree(sub)));
+    add_seed(CliqueTreeOfChordal(LbTriang(sub, order)));
     if (options.width_bound >= 0) {
       // Honor a width bound in the fallback too: keep only family members
       // within the bound; a PMC that then loses a block is dropped by the
@@ -256,45 +258,6 @@ bool TieredEnumerator::AddUnit(const Graph& sub, std::vector<int> old_of_new,
       deadline_);
   units_.push_back(std::move(unit));
   return true;
-}
-
-void TieredEnumerator::BuildAtomTree(size_t first,
-                                     const std::vector<VertexSet>& atoms,
-                                     const std::vector<int>& comp_old_of_new) {
-  // Saturating every atom gives a chordal graph whose maximal cliques are
-  // exactly the atoms, so a maximum-weight spanning tree of the atom
-  // intersection graph (Prim, ties to the lowest index) is a clique tree of
-  // it. Each tree edge's intersection lies inside a clique minimal
-  // separator, hence is a clique of g that every atom triangulation holds
-  // in some bag: the gluing points of Assemble.
-  const size_t a = atoms.size();
-  std::vector<bool> in_tree(a, false);
-  std::vector<int> weight(a, 0);
-  std::vector<size_t> from(a, 0);
-  for (size_t step = 0; step < a; ++step) {
-    size_t next = a;
-    for (size_t j = 0; j < a; ++j) {
-      if (!in_tree[j] && (next == a || weight[j] > weight[next])) next = j;
-    }
-    in_tree[next] = true;
-    Unit& unit = units_[first + next];
-    // Weight 0 only for the first atom: a component's atoms are connected
-    // through non-empty clique separators.
-    if (weight[next] > 0) {
-      unit.atom_parent = static_cast<int>(first + from[next]);
-      unit.glue = VertexSet(g_.NumVertices());
-      const VertexSet shared = atoms[next].Intersect(atoms[from[next]]);
-      shared.ForEach([&](int v) { unit.glue.Insert(comp_old_of_new[v]); });
-    }
-    for (size_t j = 0; j < a; ++j) {
-      if (in_tree[j]) continue;
-      const int w = atoms[next].Intersect(atoms[j]).Count();
-      if (w > weight[j]) {
-        weight[j] = w;
-        from[j] = next;
-      }
-    }
-  }
 }
 
 void TieredEnumerator::SetDeadline(const Deadline* deadline) {
@@ -360,8 +323,7 @@ Triangulation TieredEnumerator::Assemble(const std::vector<size_t>& indices) {
     const int bag_offset = static_cast<int>(out.bags.size());
     first_bag[c] = bag_offset;
     for (size_t b = 0; b < part.bags.size(); ++b) {
-      VertexSet bag(n);
-      part.bags[b].ForEach([&](int v) { bag.Insert(unit.old_of_new[v]); });
+      VertexSet bag = part.bags[b].Relabeled(unit.old_of_new, n);
       out.filled.SaturateSet(bag);
       out.bags.push_back(std::move(bag));
       out.parent.push_back(part.parent[b] < 0 ? -1
@@ -369,9 +331,7 @@ Triangulation TieredEnumerator::Assemble(const std::vector<size_t>& indices) {
     }
     if (lifted_) continue;
     for (const VertexSet& s : part.separators) {
-      VertexSet sep(n);
-      s.ForEach([&](int v) { sep.Insert(unit.old_of_new[v]); });
-      out.separators.push_back(std::move(sep));
+      out.separators.push_back(s.Relabeled(unit.old_of_new, n));
     }
   }
   first_bag[units_.size()] = static_cast<int>(out.bags.size());

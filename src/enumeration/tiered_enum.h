@@ -174,18 +174,16 @@ class TieredEnumerator {
     VertexSet bag;
   };
 
-  /// Builds one unit (Tier 1, else Tier 2). False when construction must
-  /// stop: in Mode::kExact when the exact build hit its limits and there is
-  /// no fallback, and in every mode when the deadline expired (truncated_
-  /// is then set).
+  /// Builds one unit (Tier 1, else Tier 2). `min_degree_seed` is the clique
+  /// tree of a minimal triangulation of `sub` that Tier 0 already holds, in
+  /// `sub` labels (none: Tier 2 runs LbTriangMinDegree itself). False when
+  /// construction must stop: in Mode::kExact when the exact build hit its
+  /// limits and there is no fallback, and in every mode when the deadline
+  /// expired (truncated_ is then set).
   bool AddUnit(const Graph& sub, std::vector<int> old_of_new,
                const ContextOptions& options, const TierOptions& tier_options,
-               double remaining_budget);
-  /// Lifted mode: links the atoms [first, units_.size()) of one component
-  /// by a maximum-weight spanning tree over |A_i ∩ A_j| (`atoms` in
-  /// component labels, indexed from `first`).
-  void BuildAtomTree(size_t first, const std::vector<VertexSet>& atoms,
-                     const std::vector<int>& comp_old_of_new);
+               double remaining_budget,
+               std::optional<TriangulationTree> min_degree_seed = {});
   /// True (and construction stops: init_ok_ false, truncated_ true) once
   /// the deadline has expired.
   bool CutByDeadline();

@@ -29,8 +29,7 @@
 //
 //   * Compile time: -DMINTRI_DISABLE_SIMD (the MINTRI_DISABLE_SIMD CMake
 //     option, forced ON by the sanitizer options) removes the AVX2 path
-//     entirely; -DMINTRI_FORCE_AVX2 builds the whole tree with -mavx2 so
-//     the compiler may also auto-vectorize the scalar path.
+//     entirely.
 //   * There is no run-time switch: the differential tests call `scalar::`
 //     and `avx2::` directly, and a scalar binary is a MINTRI_DISABLE_SIMD
 //     build.

@@ -125,6 +125,13 @@ VertexSet VertexSet::Complement() const {
   return s;
 }
 
+VertexSet VertexSet::Relabeled(const std::vector<int>& map,
+                               int capacity) const {
+  VertexSet s(capacity);
+  ForEach([&](int v) { s.Insert(map[v]); });
+  return s;
+}
+
 std::vector<int> VertexSet::ToVector() const {
   std::vector<int> out;
   out.reserve(Count());

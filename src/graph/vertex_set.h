@@ -106,6 +106,9 @@ class VertexSet {
   /// Complement within the universe.
   VertexSet Complement() const;
 
+  /// {map[v] : v in this set}, in a universe of `capacity` vertices.
+  VertexSet Relabeled(const std::vector<int>& map, int capacity) const;
+
   /// Applies `fn(v)` to every element in increasing order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {

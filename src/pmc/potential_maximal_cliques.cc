@@ -96,7 +96,9 @@ class IncrementalEnumerator {
       : g_(g), options_(options), deadline_(options.limits.time_limit_seconds) {}
 
   // Runs the enumeration; returns PMCs of g (relabeled universe).
-  PmcResult Run() {
+  // `last_seps` is MinSep(g), relabeled, or empty to have the last prefix
+  // step enumerate it like the others.
+  PmcResult Run(std::vector<VertexSet> last_seps) {
     PmcResult result;
     const int n = g_.NumVertices();
     if (n == 0) return result;
@@ -112,15 +114,20 @@ class IncrementalEnumerator {
           if (v < u && u <= i) next.AddEdge(u, v);
         });
       }
-      EnumerationLimits sep_limits;
-      sep_limits.time_limit_seconds = deadline_.RemainingSeconds();
-      // Tiny prefix graphs finish in microseconds; below the threshold the
-      // fork-join would cost more than the enumeration itself. Passing one
-      // thread (rather than leaving the cutoff to ListMinimalSeparators)
-      // also skips the canonical sort a multi-threaded call promises.
-      sep_limits.num_threads =
-          i + 1 >= kMinParallelVertices ? options_.limits.num_threads : 1;
-      MinimalSeparatorsResult seps = ListMinimalSeparators(next, sep_limits);
+      MinimalSeparatorsResult seps;
+      if (i == n - 1 && !last_seps.empty()) {
+        seps.separators = std::move(last_seps);
+      } else {
+        EnumerationLimits sep_limits;
+        sep_limits.time_limit_seconds = deadline_.RemainingSeconds();
+        // Tiny prefix graphs finish in microseconds; below the threshold the
+        // fork-join would cost more than the enumeration itself. Passing one
+        // thread (rather than leaving the cutoff to ListMinimalSeparators)
+        // also skips the canonical sort a multi-threaded call promises.
+        sep_limits.num_threads =
+            i + 1 >= kMinParallelVertices ? options_.limits.num_threads : 1;
+        seps = ListMinimalSeparators(next, sep_limits);
+      }
       if (seps.status != EnumerationStatus::kComplete) {
         result.status = EnumerationStatus::kTruncated;
         return result;
@@ -347,7 +354,6 @@ bool IsPmc(const Graph& g, const VertexSet& omega) {
 PmcResult ListPotentialMaximalCliques(const Graph& g,
                                       const std::vector<VertexSet>& separators,
                                       const PmcOptions& options) {
-  (void)separators;  // unread; see the header
   const int n = g.NumVertices();
   PmcResult result;
   if (n == 0) return result;
@@ -357,11 +363,7 @@ PmcResult ListPotentialMaximalCliques(const Graph& g,
   std::vector<VertexSet> components = g.ConnectedComponents();
   if (components.size() > 1) {
     for (const VertexSet& comp : components) {
-      std::vector<int> old_of_new(comp.Count());
-      {
-        int next = 0;
-        comp.ForEach([&](int v) { old_of_new[next++] = v; });
-      }
+      const std::vector<int> old_of_new = comp.ToVector();
       Graph sub = g.InducedSubgraph(comp);
       PmcResult part = ListPotentialMaximalCliques(sub, {}, options);
       if (part.status != EnumerationStatus::kComplete) {
@@ -369,9 +371,7 @@ PmcResult ListPotentialMaximalCliques(const Graph& g,
         return result;
       }
       for (const VertexSet& p : part.pmcs) {
-        VertexSet mapped(n);
-        p.ForEach([&](int v) { mapped.Insert(old_of_new[v]); });
-        result.pmcs.push_back(std::move(mapped));
+        result.pmcs.push_back(p.Relabeled(old_of_new, n));
       }
     }
     std::sort(result.pmcs.begin(), result.pmcs.end());
@@ -407,14 +407,16 @@ PmcResult ListPotentialMaximalCliques(const Graph& g,
     relabeled.AddEdge(new_of_old[u], new_of_old[v]);
   }
 
+  std::vector<VertexSet> last_seps;
+  for (const VertexSet& s : separators) {
+    last_seps.push_back(s.Relabeled(new_of_old, n));
+  }
   IncrementalEnumerator enumerator(relabeled, options);
-  PmcResult inner = enumerator.Run();
+  PmcResult inner = enumerator.Run(std::move(last_seps));
   result.status = inner.status;
   result.pmcs.reserve(inner.pmcs.size());
   for (const VertexSet& p : inner.pmcs) {
-    VertexSet mapped(n);
-    p.ForEach([&](int v) { mapped.Insert(order[v]); });
-    result.pmcs.push_back(std::move(mapped));
+    result.pmcs.push_back(p.Relabeled(order, n));
   }
   std::sort(result.pmcs.begin(), result.pmcs.end());
   return result;

@@ -41,9 +41,11 @@ struct PmcOptions {
 /// each prefix graph are obtained from the PMCs of the previous prefix and
 /// the minimal separators of both, filtered through IsPmc.
 ///
-/// `separators` (the minimal separators of g) is not read: the last prefix
-/// step enumerates MinSep(g) again. The parameter stays for callers that
-/// already pass the list.
+/// `separators` is the complete MinSep(g), without duplicates, or empty to
+/// have the engine enumerate it: the last prefix step is g itself and takes
+/// the list instead of listing MinSep(g) a second time. A partial list (e.g.
+/// size-bounded) would lose PMCs; pass {} instead. A disconnected g does
+/// not read it: each component enumerates its own.
 PmcResult ListPotentialMaximalCliques(const Graph& g,
                                       const std::vector<VertexSet>& separators,
                                       const PmcOptions& options = {});

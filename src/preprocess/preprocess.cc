@@ -1,6 +1,7 @@
 #include "preprocess/preprocess.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "chordal/lb_triang.h"
@@ -11,87 +12,88 @@ namespace mintri {
 
 namespace {
 
-/// Clique-minimal-separator candidates for the connected part: the
-/// clique-tree adhesions of one minimal triangulation of g[part] that are
-/// cliques in g. By Berry–Pogorelcnik–Simonet these are exactly the clique
-/// minimal separators of g[part], so the recursive split below only ever
-/// tests genuine candidates. Returned sorted (original labels).
-std::vector<VertexSet> CliqueSeparatorCandidates(const Graph& g,
-                                                 const VertexSet& part) {
-  std::vector<VertexSet> candidates;
-  std::vector<int> old_to_new;
-  Graph sub = g.InducedSubgraph(part, &old_to_new);
-  if (sub.NumVertices() <= 1) return candidates;
-  std::vector<int> new_to_old(sub.NumVertices());
-  part.ForEach([&](int v) { new_to_old[old_to_new[v]] = v; });
+/// Appends the atoms of the connected `part` of g with their subtrees and
+/// atom tree: cuts the clique tree of H = LbTriangMinDegree(g[part]) at
+/// every adhesion that is a clique of g. Each subtree left is the clique
+/// tree of H[A] for one atom A, the union of its bags, and each cut edge
+/// links two atoms. The part's atom tree is rooted at its lowest atom.
+void AddAtomsOfPart(const Graph& g, const VertexSet& part,
+                    PreprocessResult* r) {
+  const int n = g.NumVertices();
+  const Graph sub = g.InducedSubgraph(part);
+  const std::vector<int> new_to_old = part.ToVector();
 
-  for (const VertexSet& sep :
-       CliqueTreeOfChordal(LbTriangMinDegree(sub)).separators) {
-    VertexSet s(g.NumVertices());
-    sep.ForEach([&](int v) { s.Insert(new_to_old[v]); });
-    if (g.IsClique(s)) candidates.push_back(std::move(s));
+  const TriangulationTree tree = CliqueTreeOfChordal(LbTriangMinDegree(sub));
+  const int first = static_cast<int>(r->atoms.size());
+  std::vector<int> atom_of(tree.bags.size());
+  std::vector<int> local_of(tree.bags.size());
+  for (size_t b = 0; b < tree.bags.size(); ++b) {
+    const int p = tree.parent[b];  // < b: bags come in MCS order
+    const VertexSet adhesion =
+        p < 0 ? VertexSet() : tree.bags[b].Intersect(tree.bags[p]);
+    const bool cut = p < 0 || sub.IsClique(adhesion);
+    if (cut) {
+      atom_of[b] = static_cast<int>(r->atoms.size());
+      r->atoms.emplace_back(n);
+      r->atom_parent.push_back(p < 0 ? -1 : atom_of[p]);
+      r->atom_trees.emplace_back();
+    } else {
+      atom_of[b] = atom_of[p];
+    }
+    TriangulationTree& t = r->atom_trees[atom_of[b]];
+    local_of[b] = static_cast<int>(t.bags.size());
+    t.parent.push_back(cut ? -1 : local_of[p]);
+    if (!cut) t.separators.push_back(adhesion.Relabeled(new_to_old, n));
+    t.bags.push_back(tree.bags[b].Relabeled(new_to_old, n));
+    r->atoms[atom_of[b]].UnionWith(t.bags.back());
   }
-  std::sort(candidates.begin(), candidates.end());
-  return candidates;
+  int lowest = first;
+  for (int i = first; i < static_cast<int>(r->atoms.size()); ++i) {
+    std::vector<VertexSet>& seps = r->atom_trees[i].separators;
+    std::sort(seps.begin(), seps.end());
+    seps.erase(std::unique(seps.begin(), seps.end()), seps.end());
+    if (r->atoms[i] < r->atoms[lowest]) lowest = i;
+  }
+  Reroot(&r->atom_parent, lowest);
 }
 
-/// Recursively splits the connected `part` along clique minimal separators
-/// (a separator splits when g[part] \ S has >= 2 full components), appending
-/// the resulting atoms. Deterministic: candidates are scanned in sorted
-/// order and the split peels the lowest-numbered full component.
-void DecomposeConnectedPart(const Graph& g, VertexSet part,
-                            const Deadline* deadline,
-                            std::vector<VertexSet>* atoms) {
-  std::vector<VertexSet> candidates = CliqueSeparatorCandidates(g, part);
-  std::vector<VertexSet> pending;
-  pending.push_back(std::move(part));
-  ComponentScanner scanner;
-  while (!pending.empty()) {
-    VertexSet p = std::move(pending.back());
-    pending.pop_back();
-    bool split = false;
-    if (!candidates.empty()) {
-      VertexSet removed(g.NumVertices());
-      for (const VertexSet& s : candidates) {
-        if (IsExpired(deadline)) break;
-        if (p.Count() - s.Count() < 2) continue;  // can't leave 2 components
-        if (!s.IsSubsetOf(p)) continue;
-        removed.AssignComplementOf(p);
-        removed.UnionWith(s);
-        int full = 0;
-        VertexSet first_full;
-        scanner.ForEachComponentWhile(
-            g, removed, [&](const VertexSet& c, const VertexSet& nb) {
-              // nb ⊆ removed, so nb ∩ p ⊆ s: the component is full iff its
-              // neighborhood inside the part is all of s.
-              if (nb.Intersect(p) == s) {
-                if (++full == 1) first_full = c;  // copy out of scratch
-              }
-              return full < 2;
-            });
-        if (full >= 2) {
-          VertexSet atom_side = first_full.Union(s);
-          VertexSet rest = p.Minus(first_full);
-          pending.push_back(std::move(rest));
-          pending.push_back(std::move(atom_side));
-          split = true;
-          break;
-        }
-      }
-    }
-    if (!split) atoms->push_back(std::move(p));
+/// Sorts the atoms, carrying their parents and subtrees along, and glues
+/// each atom to its parent on their intersection: the cut edge's adhesion,
+/// since a vertex off it lies on one side of the edge only.
+void SortAtoms(PreprocessResult* r) {
+  std::vector<int> order(r->atoms.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(),
+            [&](int i, int j) { return r->atoms[i] < r->atoms[j]; });
+  auto permute = [&](auto* items) {
+    auto old = std::move(*items);
+    items->clear();
+    for (int i : order) items->push_back(std::move(old[i]));
+  };
+  permute(&r->atoms);
+  permute(&r->atom_parent);
+  permute(&r->atom_trees);
+  std::vector<int> rank(order.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    rank[order[i]] = static_cast<int>(i);
+  }
+  for (size_t i = 0; i < order.size(); ++i) {
+    int& p = r->atom_parent[i];
+    p = p < 0 ? -1 : rank[p];
+    r->glue.push_back(p < 0 ? VertexSet(r->atoms[i].capacity())
+                            : r->atoms[i].Intersect(r->atoms[p]));
   }
 }
 
 }  // namespace
 
 std::vector<VertexSet> CliqueMinimalSeparatorAtoms(const Graph& g) {
-  std::vector<VertexSet> atoms;
+  PreprocessResult r;
   for (const VertexSet& comp : g.ConnectedComponents()) {
-    DecomposeConnectedPart(g, comp, /*deadline=*/nullptr, &atoms);
+    AddAtomsOfPart(g, comp, &r);
   }
-  std::sort(atoms.begin(), atoms.end());
-  return atoms;
+  std::sort(r.atoms.begin(), r.atoms.end());
+  return r.atoms;
 }
 
 PreprocessResult Preprocess(const Graph& g, const Deadline* deadline) {
@@ -119,13 +121,12 @@ PreprocessResult Preprocess(const Graph& g, const Deadline* deadline) {
   }
 
   if (!r.kept.Empty()) {
-    ComponentScanner scanner;
-    std::vector<VertexSet> comps;
-    scanner.Components(r.reduced, r.kept.Complement(), &comps);
-    for (const VertexSet& comp : comps) {
-      DecomposeConnectedPart(r.reduced, comp, deadline, &r.atoms);
+    for (const VertexSet& comp :
+         r.reduced.ComponentsAfterRemoving(r.kept.Complement())) {
+      if (IsExpired(deadline)) break;
+      AddAtomsOfPart(r.reduced, comp, &r);
     }
-    std::sort(r.atoms.begin(), r.atoms.end());
+    SortAtoms(&r);
   }
 
   r.info.vertices_removed = static_cast<int>(r.eliminated.size());

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "triang/triangulation.h"
 #include "util/timer.h"
 
 namespace mintri {
@@ -54,6 +55,15 @@ struct PreprocessResult {
   /// sorted). Adjacent atoms overlap in their clique separator; their union
   /// is `kept`. Empty iff `kept` is empty (the graph fully reduced).
   std::vector<VertexSet> atoms;
+  /// The atom forest, each component's tree rooted at its lowest atom:
+  /// atom_parent[i] is -1 for a root, and glue[i] = atoms[i] ∩
+  /// atoms[atom_parent[i]] is a clique minimal separator (empty for a root).
+  std::vector<int> atom_parent;
+  std::vector<VertexSet> glue;
+  /// atom_trees[i]: a clique tree of H[atoms[i]], where H is the min-degree
+  /// LB-Triang triangulation of the atom's component; H[A] is a minimal
+  /// triangulation of reduced[A].
+  std::vector<TriangulationTree> atom_trees;
   PreprocessInfo info;
 };
 
@@ -66,19 +76,20 @@ struct PreprocessResult {
 ///    fill, so MT(G) is in bijection with MT(G - v).
 ///  - Clique-minimal-separator atoms (Tarjan / Leimer) of what is left:
 ///    MT(G) is the independent product of MT(G[atom]) over the atoms, glued
-///    on the clique separators.
+///    on the clique separators. The clique-tree adhesions of a minimal
+///    triangulation that are cliques of g are exactly its clique minimal
+///    separators (Berry–Pogorelcnik–Simonet): cutting those tree edges
+///    leaves one subtree per atom, and the cut edges form the atom tree.
 /// Deterministic: single-threaded, fixed scan orders. Polls `deadline`
-/// once per elimination sweep and once per clique-separator candidate it
-/// tries; once it has expired the result is incomplete and callers must
+/// once per elimination sweep and once per component before its atom
+/// pass; once it has expired the result is incomplete and callers must
 /// discard it.
 PreprocessResult Preprocess(const Graph& g,
                             const Deadline* deadline = nullptr);
 
 /// The clique-minimal-separator atoms of g (Leimer's unique decomposition),
-/// computed from the clique-tree adhesions of a minimal triangulation that
-/// are cliques in g (Berry–Pogorelcnik–Simonet: those are exactly the clique
-/// minimal separators of g). Exposed for tests; Preprocess calls this on the
-/// reduced graph.
+/// sorted: Preprocess's atom pass on g itself, without the simplicial
+/// elimination. Exposed for tests.
 std::vector<VertexSet> CliqueMinimalSeparatorAtoms(const Graph& g);
 
 }  // namespace mintri

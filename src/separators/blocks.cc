@@ -44,9 +44,7 @@ Graph Realization(const Graph& g, const Block& block,
   std::vector<int> map;
   Graph r = g.InducedSubgraph(block.vertices, &map);
   // Saturate the (relabeled) separator.
-  VertexSet s_new(r.NumVertices());
-  block.separator.ForEach([&](int v) { s_new.Insert(map[v]); });
-  r.SaturateSet(s_new);
+  r.SaturateSet(block.separator.Relabeled(map, r.NumVertices()));
   if (old_to_new != nullptr) *old_to_new = std::move(map);
   return r;
 }

@@ -241,7 +241,10 @@ std::optional<TriangulationContext> TriangulationContext::Build(
       std::max(pmc_options.limits.num_threads, options.num_threads);
   ClampToDeadline(options.deadline, &pmc_options.limits);
   if (options.width_bound >= 0) pmc_options.max_size = options.width_bound + 1;
-  PmcResult pmcs = ListPotentialMaximalCliques(g, ctx.minseps_, pmc_options);
+  // A size-bounded list is not all of MinSep(g): the PMC engine lists it.
+  const std::vector<VertexSet> enumerate;
+  PmcResult pmcs = ListPotentialMaximalCliques(
+      g, options.width_bound >= 0 ? enumerate : ctx.minseps_, pmc_options);
   bi.pmc_seconds = stage_timer.Seconds();
   bi.num_pmcs = pmcs.pmcs.size();
   if (pmcs.status != EnumerationStatus::kComplete) {

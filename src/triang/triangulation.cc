@@ -27,6 +27,16 @@ std::vector<std::pair<int, int>> Triangulation::FillEdgesSorted(
   return fill;
 }
 
+void Reroot(std::vector<int>* parent, int node) {
+  int prev = -1;
+  for (int cur = node; cur >= 0;) {
+    const int next = (*parent)[cur];
+    (*parent)[cur] = prev;
+    prev = cur;
+    cur = next;
+  }
+}
+
 Triangulation Saturate(const Graph& original, TriangulationTree tree) {
   Triangulation t;
   static_cast<TriangulationTree&>(t) = std::move(tree);

@@ -47,6 +47,10 @@ struct Triangulation : TriangulationTree {
       const;
 };
 
+/// Makes `node` the root of its tree in the parent-array forest `parent`
+/// (-1 marks a root) by reversing its path to the old root.
+void Reroot(std::vector<int>* parent, int node);
+
 /// Completes a clique tree of a triangulation of `original` into a
 /// Triangulation: `filled` is `original` with every bag saturated.
 Triangulation Saturate(const Graph& original, TriangulationTree tree);

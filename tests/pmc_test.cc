@@ -168,5 +168,42 @@ TEST(PmcEnumerationTest, SingleVertexAndSingleEdge) {
   EXPECT_EQ(pmcs2[0], VertexSet::All(2));
 }
 
+TEST(PmcEnumerationTest, GivenSeparatorsMatchEnumeratedOnes) {
+  // The last prefix step reads the caller's MinSep(g) instead of listing it
+  // again, and an empty list has it enumerate: both give the same PMCs,
+  // serially and on the parallel step, on connected and disconnected graphs.
+  std::vector<Graph> graphs = {testutil::PaperExampleGraph(),
+                               workloads::Cycle(9), workloads::Grid(4, 4)};
+  // A C5 next to a 3x3 grid, vertex 5 isolated: three components.
+  Graph split(15);
+  for (int v = 0; v < 5; ++v) split.AddEdge(v, (v + 1) % 5);
+  for (int r = 0; r < 3; ++r) {
+    for (int c = 0; c < 3; ++c) {
+      const int v = 6 + 3 * r + c;
+      if (c < 2) split.AddEdge(v, v + 1);
+      if (r < 2) split.AddEdge(v, v + 3);
+    }
+  }
+  graphs.push_back(split);
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    graphs.push_back(workloads::ConnectedErdosRenyi(12, 0.25, 7000 + seed));
+    graphs.push_back(workloads::ErdosRenyi(12, 0.15, 7100 + seed));
+  }
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    const Graph& g = graphs[i];
+    const std::vector<VertexSet> seps = ListMinimalSeparators(g).separators;
+    for (int threads : {1, 4}) {
+      PmcOptions options;
+      options.limits.num_threads = threads;
+      const PmcResult given = ListPotentialMaximalCliques(g, seps, options);
+      const PmcResult listed = ListPotentialMaximalCliques(g, {}, options);
+      ASSERT_EQ(given.status, EnumerationStatus::kComplete) << "graph #" << i;
+      ASSERT_EQ(listed.status, EnumerationStatus::kComplete) << "graph #" << i;
+      EXPECT_EQ(given.pmcs, listed.pmcs)
+          << "graph #" << i << " threads=" << threads;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mintri

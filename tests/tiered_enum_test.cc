@@ -260,6 +260,62 @@ TEST(TieredEnumTest, AtomExactStreamsMatchRecordedDigests) {
   }
 }
 
+// Golden Mode::kHeuristic streams on single-atom graphs (digests as above).
+// Tier 2 seeds each atom with the min-degree triangulation's clique tree
+// that Tier 0 already built; on one atom that is the tree LbTriangMinDegree
+// gives for the atom itself, so the restricted family and its stream are
+// pinned byte for byte.
+TEST(TieredEnumTest, HeuristicStreamsMatchRecordedDigests) {
+  struct Golden {
+    std::string name;
+    Graph graph;
+    size_t width_length;
+    uint64_t width_digest;  // CostComposition::kMax
+    size_t fill_length;
+    uint64_t fill_digest;   // CostComposition::kSum
+  };
+  const std::vector<Golden> goldens = {
+      {"cycle-12", workloads::Cycle(12), 1, 0x41ae865873c955e1ull, 1,
+       0x95e3d73f8d500713ull},
+      {"grid-5x5", workloads::Grid(5, 5), 4, 0xbac2fe78dec08355ull, 4,
+       0x767d3adffc9d15edull},
+      {"er-14-0.25-1", workloads::ConnectedErdosRenyi(14, 0.25, 1), 4,
+       0x65520ac4211ab83ull, 4, 0xcf7789ddd26f3914ull},
+  };
+  WidthCost width;
+  FillInCost fill;
+  TierOptions heuristic = AutoOptions(true);
+  heuristic.mode = TierOptions::Mode::kHeuristic;
+  for (const Golden& golden : goldens) {
+    for (int which_cost = 0; which_cost < 2; ++which_cost) {
+      const std::string where =
+          golden.name + (which_cost == 0 ? "/width" : "/fill");
+      const BagCost& cost = which_cost == 0
+                                ? static_cast<const BagCost&>(width)
+                                : static_cast<const BagCost&>(fill);
+      TieredEnumerator e(golden.graph, cost,
+                         which_cost == 0 ? CostComposition::kMax
+                                         : CostComposition::kSum,
+                         {}, {}, heuristic);
+      EXPECT_EQ(e.tier(), SolveTier::kHeuristic) << where;
+      EXPECT_EQ(e.preprocess_info().num_atoms, 1) << where;
+      testutil::StreamDigest digest;
+      while (auto r = e.Next()) {
+        testutil::ExpectProperCliqueTree(golden.graph, r->triangulation, cost,
+                                         where);
+        digest.Add(golden.graph, r->triangulation);
+        digest.AddLabel(TierName(r->tier));
+      }
+      EXPECT_EQ(digest.length(), which_cost == 0 ? golden.width_length
+                                                 : golden.fill_length)
+          << where;
+      EXPECT_EQ(digest.value(),
+                which_cost == 0 ? golden.width_digest : golden.fill_digest)
+          << where << " digest 0x" << std::hex << digest.value();
+    }
+  }
+}
+
 // Heuristic atoms glue like exact ones: with the exact budget spent every
 // atom of the chain falls to Tier 2, and with a separator cap only the C5
 // atom (5 minimal separators, against 2 per C4) does, between two exact C4
