@@ -5,7 +5,7 @@ Usage: bench_diff.py [--threshold=PCT] [--json=FILE] BASELINE.json CURRENT.json
 
 Matches entries across the two reports on (suite, graph, threads, solver,
 cost, tier), groups the matches by (suite, family), and prints a markdown delta
-table of per-family median ratios (solver stays in the key because older
+table of per-family median ratios (solver stays in the key because v1/v2
 reports also carry "scan" ranked entries of the retired list-scan solver):
 
   * results_per_sec — higher is better; the regression gate.
@@ -25,9 +25,11 @@ Exit status: 0 when no family regresses past the threshold (default 25%),
 share no entries at all (e.g. diffing unrelated artifacts). --json output
 is written for statuses 0 and 1 (a regression is still a valid delta).
 
-Both schema_version 1 and 2 reports load; v1 entries simply key with empty
+Schema_version 1, 2 and 3 reports load; v1 entries simply key with empty
 solver/cost fields, so a v1-vs-v2 diff degrades to the overlapping subset
-instead of erroring out. validate_bench_json.py imports entry_key /
+instead of erroring out. v3 dropped the solver field, which v2 set to
+"indexed" on every current ranked entry; load_report gives v3 ranked
+entries that label back, so a v2 baseline still matches a v3 report. validate_bench_json.py imports entry_key /
 index_entries from here for its --compare smoke hook, so the two tools can
 never disagree about what "the same benchmark point" means.
 """
@@ -56,8 +58,12 @@ def load_report(path):
             report.get("entries"), list):
         raise BenchDiffError(f"{path}: not a bench report (no entries list)")
     version = report.get("schema_version")
-    if version not in (1, 2):
+    if version not in (1, 2, 3):
         raise BenchDiffError(f"{path}: unsupported schema_version {version!r}")
+    if version >= 3:
+        for entry in report["entries"]:
+            if entry.get("suite") == "ranked":
+                entry.setdefault("solver", "indexed")
     return report
 
 

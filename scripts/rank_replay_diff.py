@@ -8,11 +8,13 @@ Inputs are every tests/data/*.gr plus every *.gr in each DIR (for example
 the directories written by `perfbench_run --dump DIR`). Each input runs
 under 12 configurations, --tier=auto|exact|heuristic x --cost=width|fill x
 --format=summary|td, with --top=100 and the binary's default time limit.
-Both binaries' stdout and exit code must match. --jobs=J runs J comparisons
-at once.
+Both binaries' stdout and exit code must match. Every differing (input,
+configuration) pair is listed, one DIFF line each, so a change that is
+expected to alter some inputs shows all of them. --jobs=J runs J
+comparisons at once.
 
-Exit status: 0 when every run matches, 1 on the first difference (reported
-with its input and configuration), 2 on usage errors.
+Exit status: 0 when every run matches, 1 when any differs (after listing
+them all), 2 on usage errors.
 """
 
 import argparse
@@ -86,13 +88,18 @@ def main():
             lambda job: compare(opts.parent_bin, opts.change_bin,
                                 rank_args(job[1]), job[0]),
             jobs)
+        diffs = 0
         for (path, config), diff in zip(jobs, results):
             if diff is not None:
-                print(f"DIFF {path} {' '.join(rank_args(config))}: {diff}")
-                pool.shutdown(wait=False, cancel_futures=True)
-                return 1
-    print(f"identical: {len(inputs)} inputs x {len(CONFIGS)} configurations "
-          f"({len(jobs)} runs per binary)")
+                diffs += 1
+                print(f"DIFF {path} {' '.join(rank_args(config))}: {diff}",
+                      flush=True)
+    summary = (f"{len(inputs)} inputs x {len(CONFIGS)} configurations "
+               f"({len(jobs)} runs per binary)")
+    if diffs:
+        print(f"{diffs} of {len(jobs)} runs differ: {summary}")
+        return 1
+    print(f"identical: {summary}")
     return 0
 
 

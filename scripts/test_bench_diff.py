@@ -4,13 +4,16 @@
 The fixtures under testdata/ pin the regression matrix the CI bench-diff
 job relies on: identical reports pass, a regressed report fails, a looser
 threshold forgives it, a v1-vs-v2 diff degrades to the overlapping subset,
-and unrelated artifacts are a usage error rather than a silent pass.
+a v3 report still matches a v2 baseline, and unrelated artifacts are a
+usage error rather than a silent pass.
 """
 
 import contextlib
 import io
+import json
 import os
 import sys
+import tempfile
 import unittest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -81,6 +84,22 @@ class CompareTest(unittest.TestCase):
         self.assertEqual(result["base_only"], 2)
         self.assertEqual(result["new_only"], 4)
         self.assertEqual(result["regressions"], [])
+
+    def test_v3_ranked_entries_match_v2_indexed_ones(self):
+        # v3 dropped the solver field; load_report labels its ranked
+        # entries "indexed" again, so main's v2 artifact stays comparable.
+        base = bench_diff.load_report(BASE_V2)
+        entries = [{k: v for k, v in e.items() if k != "solver"}
+                   for e in base["entries"] if e.get("solver") != "scan"]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "v3.json")
+            with open(path, "w") as f:
+                json.dump({"schema_version": 3, "entries": entries}, f)
+            v3 = bench_diff.load_report(path)
+        result = bench_diff.compare(base, v3, 25.0)
+        self.assertEqual(result["matched"], len(entries))
+        self.assertEqual(result["base_only"], 2)  # the two "scan" entries
+        self.assertEqual(result["new_only"], 0)
 
     def test_init_floor_skips_timer_noise(self):
         entry = {"suite": "minseps", "family": "rand", "graph": "g",

@@ -1,12 +1,20 @@
 #!/usr/bin/env python3
-"""Unit tests for validate_bench_json.py --batch-stats (registered as the
+"""Unit tests for validate_bench_json.py (registered as the
 validate_bench_json_unit CTest).
 
-The fixtures under testdata/ are one real `mintri batch --cost=fhw --top=2`
-run over tpch:5 and a missing file: its --stats-json aggregate and its
-records. They must pass, and each kind of drift the CI bench-smoke job
-guards against must fail: an old version, a missing field, an aggregate
-that is not the records summed, and inconsistent cache counters.
+The --batch-stats fixtures under testdata/ are one real `mintri batch
+--cost=fhw --top=2` run over tpch:5 and a missing file: its --stats-json
+aggregate and its records. They must pass, and each kind of drift the CI
+bench-smoke job guards against must fail: an old version, a missing field,
+an aggregate that is not the records summed, and inconsistent cache
+counters.
+
+The report fixture, bench_smoke_v3.json, is one real `mintri bench minseps
+ranked ckk --smoke --threads=1` run. It must pass, and so must fail a ckk
+entry that beats ranked's first result, a both-complete pair whose counts
+differ, a ckk entry with more optimal results than a ranked stream that
+moved past them, count_at_best outside [1, count], a v3 entry still
+carrying the dropped solver field, and a smoke report missing a suite.
 """
 
 import contextlib
@@ -55,6 +63,77 @@ def validate(stats, records=None):
             except SystemExit as e:
                 return e.code == 0, err.getvalue()
         return True, err.getvalue()
+
+
+def validate_report(report, smoke=True):
+    """Runs the report validator on `report`: (passed, stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report.json")
+        with open(path, "w") as f:
+            json.dump(report, f)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            try:
+                validate_bench_json.validate_report(path, smoke)
+            except SystemExit as e:
+                return e.code == 0, err.getvalue()
+        return True, err.getvalue()
+
+
+class ReportTest(unittest.TestCase):
+    def setUp(self):
+        with open(os.path.join(TESTDATA, "bench_smoke_v3.json")) as f:
+            self.report = json.load(f)
+
+    def entry(self, suite, graph):
+        for e in self.report["entries"]:
+            if e["suite"] == suite and e["graph"] == graph:
+                return e
+        raise KeyError((suite, graph))
+
+    def assertFails(self, message):
+        ok, err = validate_report(self.report)
+        self.assertFalse(ok)
+        self.assertIn(message, err)
+
+    def test_fixture_passes(self):
+        self.assertEqual(validate_report(self.report), (True, ""))
+
+    def test_ckk_below_ranked_first_result_fails(self):
+        self.entry("ckk", "grid4x5")["best_cost"] = 3.0
+        self.assertFails("ckk best_cost 3.0 is below ranked's first result")
+
+    def test_both_complete_counts_must_agree(self):
+        self.assertEqual(self.entry("ranked", "myciel4g")["status"],
+                         "complete")
+        self.entry("ckk", "myciel4g")["count"] -= 1
+        self.assertFails("both complete")
+
+    def test_ckk_cannot_find_more_optima_than_ranked_moved_past(self):
+        ranked = self.entry("ranked", "myciel5g")
+        self.assertGreater(ranked["count"], ranked["count_at_best"])
+        ckk = self.entry("ckk", "myciel5g")
+        ckk["count"] = ckk["count_at_best"] = ranked["count_at_best"] + 1
+        self.assertFails("although it moved past them")
+
+    def test_count_at_best_above_count_fails(self):
+        ranked = self.entry("ranked", "grid5x6")
+        ranked["count_at_best"] = ranked["count"] + 1
+        self.assertFails("outside [0, count")
+
+    def test_count_at_best_zero_with_results_fails(self):
+        self.entry("ranked", "myciel3g")["count_at_best"] = 0
+        self.assertFails("count_at_best 0 with count 5")
+
+    def test_v3_entry_with_solver_fails(self):
+        self.entry("ranked", "grid5x5")["solver"] = "indexed"
+        self.assertFails("still carries 'solver'")
+
+    def test_smoke_suite_without_entries_fails(self):
+        self.report["entries"] = [e for e in self.report["entries"]
+                                  if e["suite"] != "ckk"]
+        self.assertFails("smoke report has no ckk entries")
 
 
 class BatchStatsTest(unittest.TestCase):

@@ -9,6 +9,14 @@ Checks the shape produced by src/bench/bench_suites.cc:WriteBenchJson so the
 CI bench-smoke job fails loudly when the schema drifts instead of uploading
 a silently broken artifact. Exits 0 on success, 1 with a message otherwise.
 
+It also checks the paper's Section 7 claims between each `ckk` entry and
+every `ranked` entry of the same graph (costs and counts only, never
+timings): CKK's best cost is no better than RankedTriang's first result;
+once the ranked stream moved past its optimum (it is complete, or it
+returned a worse result), CKK found no more optimal results than it did;
+and when both streams are complete they agree on the count and on the
+number of optimal results.
+
 --compare=BASELINE.json is a smoke hook for the bench-diff CI gate: it
 matches the report against a baseline using the exact entry identity that
 scripts/bench_diff.py diffs with (imported from there, so the two tools
@@ -47,7 +55,8 @@ ENTRY = {
     "results_per_sec": float,
     "init_seconds": float,
     "cost": str,
-    "solver": str,
+    "best_cost": float,
+    "count_at_best": int,
     "candidate_evals": int,
     "combine_calls": int,
     "index_updates": int,
@@ -57,10 +66,13 @@ ENTRY = {
     "status": str,
 }
 
-KNOWN_SUITES = {"minseps", "pmc", "ranked", "appcost", "huge"}
-# The suites that drain a ranked stream; their results_per_sec is the
-# after-first-result throughput, so it is 0 when count <= 1.
-RANKED_STREAM_SUITES = {"ranked", "appcost", "huge"}
+SCHEMA_VERSION = 3
+
+KNOWN_SUITES = {"minseps", "pmc", "ranked", "ckk", "appcost", "huge"}
+# The suites that drain a stream of triangulations; their results_per_sec
+# is the after-first-result throughput, so it is 0 when count <= 1, and
+# they report the best cost drained and how many results had it.
+STREAM_SUITES = {"ranked", "ckk", "appcost", "huge"}
 # ms-terminated / pmc-terminated are the Fig. 5 taxonomy of which context
 # initialization stage hit its limits; cost-error marks an appcost case
 # whose cost model could not be constructed.
@@ -68,8 +80,6 @@ KNOWN_STATUSES = {"complete", "truncated", "ms-terminated", "pmc-terminated",
                   "cost-error"}
 # The application costs the appcost suite ranks by.
 APPCOST_COSTS = {"hypertree", "fhw", "state-space"}
-# The ranked suite's repair engine: the segment-tree solver is the only one.
-RANKED_SOLVERS = {"indexed"}
 # The tiered pipeline's truthful stream labels (huge-suite entries only;
 # every other suite runs the --tier=exact pipeline and emits "").
 KNOWN_TIERS = {"exact", "atom-exact", "heuristic"}
@@ -268,12 +278,13 @@ def validate_batch_records(path, aggregate):
                  f"{summed.get(key, 0)}")
 
 
-def compare_smoke(report, baseline_path):
+def compare_smoke(path, baseline_path):
     """Overlap sanity against a baseline, via bench_diff's entry identity."""
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
     import bench_diff
     try:
         baseline = bench_diff.load_report(baseline_path)
+        report = bench_diff.load_report(path)
     except bench_diff.BenchDiffError as e:
         fail(str(e))
     base_index = bench_diff.index_entries(baseline["entries"])
@@ -287,25 +298,106 @@ def compare_smoke(report, baseline_path):
           f"{len(new_index) - matched} only in this report")
 
 
-def main():
-    args = [a for a in sys.argv[1:] if not a.startswith("--")]
-    smoke = "--smoke" in sys.argv[1:]
-    batch_stats = "--batch-stats" in sys.argv[1:]
-    compare_baseline = None
-    for a in sys.argv[1:]:
-        if a.startswith("--compare="):
-            compare_baseline = a[len("--compare="):]
-    if batch_stats and len(args) in (1, 2):
-        validate_batch_stats(*args)
-        return
-    if batch_stats or len(args) != 1:
-        fail("usage: validate_bench_json.py [--smoke] [--compare=BASELINE] "
-             "BENCH_core.json | --batch-stats STATS.json [RECORDS.jsonl]")
+def check_entry(entry, suites, where):
+    check_fields(entry, ENTRY, where)
+    if "solver" in entry:  # v2's ranked solver label, dropped in v3
+        fail(f"{where}: schema v{SCHEMA_VERSION} entry still carries "
+             f"'solver'")
+    if entry["suite"] not in suites:
+        fail(f"{where}: suite {entry['suite']!r} not in {suites}")
+    if entry["status"] not in KNOWN_STATUSES:
+        fail(f"{where}: unknown status {entry['status']!r}")
+    if entry["n"] < 0 or entry["m"] < 0 or entry["count"] < 0:
+        fail(f"{where}: negative n/m/count")
+    if entry["threads"] < 1:
+        fail(f"{where}: threads must be >= 1, got {entry['threads']}")
+    if entry["wall_ms"] < 0 or entry["results_per_sec"] < 0:
+        fail(f"{where}: negative timing")
+    if entry["init_seconds"] < 0:
+        fail(f"{where}: negative init_seconds")
+    if entry["suite"] in STREAM_SUITES:
+        if entry["count"] <= 1 and entry["results_per_sec"] != 0:
+            fail(f"{where}: {entry['count']} result(s) but results_per_sec "
+                 f"{entry['results_per_sec']} (after-first-result "
+                 f"throughput needs two)")
+        if not 0 <= entry["count_at_best"] <= entry["count"]:
+            fail(f"{where}: count_at_best {entry['count_at_best']} outside "
+                 f"[0, count {entry['count']}]")
+        if (entry["count_at_best"] >= 1) != (entry["count"] >= 1):
+            fail(f"{where}: count_at_best {entry['count_at_best']} with "
+                 f"count {entry['count']}")
+    elif entry["best_cost"] != 0 or entry["count_at_best"] != 0:
+        fail(f"{where}: {entry['suite']} entry ranks nothing but has "
+             f"best_cost {entry['best_cost']} / count_at_best "
+             f"{entry['count_at_best']}")
+    if not 0 <= entry["cache_hit_rate"] <= 1:
+        fail(f"{where}: cache_hit_rate {entry['cache_hit_rate']} "
+             f"outside [0, 1]")
+    if any(entry[k] < 0 for k in ("candidate_evals", "combine_calls",
+                                  "index_updates", "range_queries")):
+        fail(f"{where}: negative solver counter")
+    if entry["suite"] == "appcost":
+        if entry["cost"] not in APPCOST_COSTS:
+            fail(f"{where}: appcost entry has cost {entry['cost']!r}, "
+                 f"expected one of {sorted(APPCOST_COSTS)}")
+    if entry["suite"] == "ckk":
+        if entry["cost"] != "width" or entry["threads"] != 1:
+            fail(f"{where}: ckk entry must rank by width at 1 thread, got "
+                 f"{entry['cost']!r} at {entry['threads']}")
+    if entry["suite"] == "huge":
+        if entry["tier"] not in KNOWN_TIERS:
+            fail(f"{where}: huge entry has tier {entry['tier']!r}, "
+                 f"expected one of {sorted(KNOWN_TIERS)}")
+        if entry["n"] < 1000:
+            fail(f"{where}: huge entry has n={entry['n']}, "
+                 f"expected a PACE-scale graph (n >= 1000)")
+    elif entry["tier"]:
+        fail(f"{where}: non-huge entry has tier {entry['tier']!r}")
 
-    report = load_json(args[0])
+
+def check_ckk_claims(entries):
+    """The paper's claims, per ckk entry against each ranked entry of the
+    same graph. Returns the number of pairs checked."""
+    ranked = {}
+    for entry in entries:
+        if entry["suite"] == "ranked":
+            ranked.setdefault((entry["family"], entry["graph"]),
+                              []).append(entry)
+    pairs = 0
+    for ckk in (e for e in entries if e["suite"] == "ckk"):
+        for r in ranked.get((ckk["family"], ckk["graph"]), []):
+            pairs += 1
+            where = (f"ckk vs ranked[t={r['threads']}] "
+                     f"{ckk['family']}/{ckk['graph']}")
+            if r["status"] == "complete" and ckk["status"] == "complete":
+                if (ckk["count"], ckk["count_at_best"]) != (
+                        r["count"], r["count_at_best"]):
+                    fail(f"{where}: both complete, but ckk has "
+                         f"{ckk['count']} results ({ckk['count_at_best']} "
+                         f"optimal), ranked {r['count']} "
+                         f"({r['count_at_best']} optimal)")
+            if ckk["count"] == 0 or r["count"] == 0:
+                continue
+            if ckk["best_cost"] < r["best_cost"]:
+                fail(f"{where}: ckk best_cost {ckk['best_cost']} is below "
+                     f"ranked's first result {r['best_cost']}")
+            # Past its optimum, the ranked stream returned every optimal
+            # result; CKK has some only when it reached the same cost.
+            moved_past = (r["status"] == "complete"
+                          or r["count"] > r["count_at_best"])
+            if (moved_past and ckk["best_cost"] == r["best_cost"]
+                    and ckk["count_at_best"] > r["count_at_best"]):
+                fail(f"{where}: ckk found {ckk['count_at_best']} results "
+                     f"at cost {ckk['best_cost']}, ranked only "
+                     f"{r['count_at_best']} although it moved past them")
+    return pairs
+
+
+def validate_report(path, smoke=False, compare_baseline=None):
+    report = load_json(path)
 
     check_fields(report, TOP_LEVEL, "top level")
-    if report["schema_version"] != 2:
+    if report["schema_version"] != SCHEMA_VERSION:
         fail(f"unsupported schema_version {report['schema_version']}")
     if not report["git_sha"]:
         fail("git_sha is empty")
@@ -323,72 +415,42 @@ def main():
     if not entries:
         fail("entries is empty")
     for i, entry in enumerate(entries):
-        where = f"entries[{i}]"
-        check_fields(entry, ENTRY, where)
-        if entry["suite"] not in suites:
-            fail(f"{where}: suite {entry['suite']!r} not in {suites}")
-        if entry["status"] not in KNOWN_STATUSES:
-            fail(f"{where}: unknown status {entry['status']!r}")
-        if entry["n"] < 0 or entry["m"] < 0 or entry["count"] < 0:
-            fail(f"{where}: negative n/m/count")
-        if entry["threads"] < 1:
-            fail(f"{where}: threads must be >= 1, got {entry['threads']}")
-        if entry["wall_ms"] < 0 or entry["results_per_sec"] < 0:
-            fail(f"{where}: negative timing")
-        if entry["init_seconds"] < 0:
-            fail(f"{where}: negative init_seconds")
-        if (entry["suite"] in RANKED_STREAM_SUITES and entry["count"] <= 1
-                and entry["results_per_sec"] != 0):
-            fail(f"{where}: {entry['count']} result(s) but results_per_sec "
-                 f"{entry['results_per_sec']} (after-first-result "
-                 f"throughput needs two)")
-        if not 0 <= entry["cache_hit_rate"] <= 1:
-            fail(f"{where}: cache_hit_rate {entry['cache_hit_rate']} "
-                 f"outside [0, 1]")
-        if any(entry[k] < 0 for k in ("candidate_evals", "combine_calls",
-                                      "index_updates", "range_queries")):
-            fail(f"{where}: negative solver counter")
-        if entry["suite"] == "ranked":
-            if entry["solver"] not in RANKED_SOLVERS:
-                fail(f"{where}: ranked entry has solver "
-                     f"{entry['solver']!r}, expected one of "
-                     f"{sorted(RANKED_SOLVERS)}")
-        elif entry["solver"]:
-            fail(f"{where}: non-ranked entry has solver "
-                 f"{entry['solver']!r}")
-        if entry["suite"] == "appcost":
-            if entry["cost"] not in APPCOST_COSTS:
-                fail(f"{where}: appcost entry has cost {entry['cost']!r}, "
-                     f"expected one of {sorted(APPCOST_COSTS)}")
-        if entry["suite"] == "huge":
-            if entry["tier"] not in KNOWN_TIERS:
-                fail(f"{where}: huge entry has tier {entry['tier']!r}, "
-                     f"expected one of {sorted(KNOWN_TIERS)}")
-            if entry["n"] < 1000:
-                fail(f"{where}: huge entry has n={entry['n']}, "
-                     f"expected a PACE-scale graph (n >= 1000)")
-        elif entry["tier"]:
-            fail(f"{where}: non-huge entry has tier {entry['tier']!r}")
+        check_entry(entry, suites, f"entries[{i}]")
+    pairs = check_ckk_claims(entries)
 
-    # The CI smoke gate must run the ranked suite on the indexed solver and
-    # nothing else; no ranked entry at all means the suite silently stopped
-    # running.
-    if smoke and "ranked" in suites:
-        seen_solvers = {e["solver"] for e in entries
-                        if e["suite"] == "ranked"}
-        if seen_solvers != RANKED_SOLVERS:
-            fail(f"smoke ranked entries cover solvers "
-                 f"{sorted(seen_solvers)}, expected only "
-                 f"{sorted(RANKED_SOLVERS)}")
-
+    # In the CI smoke gate a suite without entries silently stopped
+    # running, and so did the claims when no ckk entry met a ranked one.
     per_suite = {s: sum(1 for e in entries if e["suite"] == s)
                  for s in suites}
+    if smoke:
+        for suite, count in per_suite.items():
+            if count == 0:
+                fail(f"smoke report has no {suite} entries")
+        if {"ranked", "ckk"} <= set(suites) and pairs == 0:
+            fail("smoke report pairs no ckk entry with a ranked entry")
     print(f"validate_bench_json: OK: {len(entries)} entries "
           f"({', '.join(f'{s}: {c}' for s, c in sorted(per_suite.items()))}), "
-          f"git {report['git_sha']}")
+          f"{pairs} ckk-vs-ranked pairs checked, git {report['git_sha']}")
 
     if compare_baseline is not None:
-        compare_smoke(report, compare_baseline)
+        compare_smoke(path, compare_baseline)
+
+
+def main():
+    args = [a for a in sys.argv[1:] if not a.startswith("--")]
+    smoke = "--smoke" in sys.argv[1:]
+    batch_stats = "--batch-stats" in sys.argv[1:]
+    compare_baseline = None
+    for a in sys.argv[1:]:
+        if a.startswith("--compare="):
+            compare_baseline = a[len("--compare="):]
+    if batch_stats and len(args) in (1, 2):
+        validate_batch_stats(*args)
+        return
+    if batch_stats or len(args) != 1:
+        fail("usage: validate_bench_json.py [--smoke] [--compare=BASELINE] "
+             "BENCH_core.json | --batch-stats STATS.json [RECORDS.jsonl]")
+    validate_report(args[0], smoke, compare_baseline)
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@
 
 #include "cost/cost_model_registry.h"
 #include "cost/standard_costs.h"
+#include "enumeration/ckk.h"
 #include "enumeration/tiered_enum.h"
 #include "mintri_git_sha.h"  // generated at build time
 #include "parallel/thread_pool.h"
@@ -24,6 +25,100 @@ namespace mintri {
 namespace bench {
 
 namespace {
+
+// All wall-clock budgets are the paper's limits scaled down so a full run
+// finishes in minutes (the paper's Section 7 runs take server-days).
+// MINTRI_TIME_SCALE multiplies every budget (e.g. MINTRI_TIME_SCALE=10 for
+// a slower, more faithful run).
+double TimeScale() {
+  const char* env = std::getenv("MINTRI_TIME_SCALE");
+  if (env == nullptr) return 1.0;
+  double v = std::atof(env);
+  return v > 0 ? v : 1.0;
+}
+
+double MinSepBudget() { return 0.5 * TimeScale(); }  // paper: 60 s
+double PmcBudget() { return 2.5 * TimeScale(); }     // paper: 30 min
+double EnumBudget() { return 1.5 * TimeScale(); }    // paper: 30 min
+
+// Result-count caps of every suite.
+constexpr size_t kMaxSeparators = 200000;
+constexpr size_t kMaxResults = 100000;
+
+// Context limits for a ranked run: `budget` seconds for each of the MinSep
+// and PMC stages, kMaxSeparators separators, `threads` workers.
+ContextOptions BudgetedContextOptions(double budget, int threads) {
+  ContextOptions options;
+  options.separator_limits.time_limit_seconds = budget;
+  options.separator_limits.max_results = kMaxSeparators;
+  options.pmc_limits.time_limit_seconds = budget;
+  options.num_threads = threads;
+  return options;
+}
+
+// The --tier=exact pipeline (RankedTriang): one exact context per connected
+// component, no Tier 0, no fallback.
+TierOptions ExactTier() {
+  TierOptions tier_options;
+  tier_options.mode = TierOptions::Mode::kExact;
+  return tier_options;
+}
+
+CostValue CostOf(const TieredResult& r) { return r.triangulation.cost; }
+CostValue CostOf(const Triangulation& t) { return t.cost; }
+
+// What one budgeted drain of a stream measured.
+struct DrainStats {
+  long long count = 0;
+  double wall_seconds = 0;          // since the drain started
+  double first_result_seconds = 0;  // 0 when nothing came out
+  // Next() ran dry and no deadline cut the stream short.
+  bool complete = false;
+  // The least cost drained and how many results had it (0 and 0 when
+  // nothing came out).
+  CostValue best_cost = 0;
+  long long count_at_best = 0;
+
+  // Results per second after the first one (the paper's Table 2
+  // enumeration rate); 0 unless at least two results came out.
+  double ResultsPerSec() const {
+    return count > 1 && wall_seconds > first_result_seconds
+               ? (count - 1) / (wall_seconds - first_result_seconds)
+               : 0.0;
+  }
+};
+
+// The one timed drain loop behind every stream entry. The budget clock
+// starts here, after the caller built `source`, and the same budget is its
+// Deadline. Pulls Next() until the stream runs dry, the budget is spent, or
+// kMaxResults results came out. `Source` provides Next() (a std::optional
+// of a result CostOf reads), SetDeadline(const Deadline*) and truncated().
+template <typename Source>
+DrainStats DrainStream(Source& source, double budget) {
+  DrainStats stats;
+  const Deadline deadline(budget);
+  source.SetDeadline(&deadline);
+  WallTimer timer;
+  while (timer.Seconds() < budget &&
+         stats.count < static_cast<long long>(kMaxResults)) {
+    auto result = source.Next();
+    if (!result.has_value()) {
+      stats.complete = !source.truncated();
+      break;
+    }
+    if (++stats.count == 1) stats.first_result_seconds = timer.Seconds();
+    const CostValue cost = CostOf(*result);
+    if (stats.count_at_best == 0 || cost < stats.best_cost) {
+      stats.best_cost = cost;
+      stats.count_at_best = 1;
+    } else if (cost == stats.best_cost) {
+      ++stats.count_at_best;
+    }
+  }
+  stats.wall_seconds = timer.Seconds();
+  source.SetDeadline(nullptr);
+  return stats;
+}
 
 // Smoke mode trims the sweep to a CI-sized gate: cheap, deterministic,
 // always-tractable families, few graphs each, tight budgets.
@@ -71,16 +166,22 @@ void FinishEntry(BenchEntry* e, long long count, double wall_seconds,
   e->status = status;
 }
 
-BenchEntry RunMinSeps(const SuiteContext& ctx,
-                      const workloads::DatasetFamily& family,
-                      const workloads::DatasetGraph& dg) {
-  BenchEntry e = MakeEntry("minseps", ctx, family, dg);
+// The minseps suite's listing, and the pmc suite's first stage.
+MinimalSeparatorsResult ListSeparators(const SuiteContext& ctx,
+                                       const Graph& g) {
   EnumerationLimits limits;
   limits.time_limit_seconds = MinSepBudget() * ctx.budget_factor;
   limits.max_results = kMaxSeparators;
   limits.num_threads = ctx.threads;
+  return ListMinimalSeparators(g, limits);
+}
+
+BenchEntry RunMinSeps(const SuiteContext& ctx,
+                      const workloads::DatasetFamily& family,
+                      const workloads::DatasetGraph& dg) {
+  BenchEntry e = MakeEntry("minseps", ctx, family, dg);
   WallTimer timer;
-  MinimalSeparatorsResult r = ListMinimalSeparators(dg.graph, limits);
+  MinimalSeparatorsResult r = ListSeparators(ctx, dg.graph);
   FinishEntry(&e, static_cast<long long>(r.separators.size()),
               timer.Seconds(),
               r.status == EnumerationStatus::kComplete ? "complete"
@@ -88,19 +189,38 @@ BenchEntry RunMinSeps(const SuiteContext& ctx,
   return e;
 }
 
+// The pmc suite: the minimal separators, then, only when those completed,
+// the PMCs under PmcBudget(). The entry times the PMC stage, or the MinSep
+// stage when that gave up.
 BenchEntry RunPmc(const SuiteContext& ctx,
                   const workloads::DatasetFamily& family,
                   const workloads::DatasetGraph& dg) {
   BenchEntry e = MakeEntry("pmc", ctx, family, dg);
-  const PmcProbe probe =
-      ProbeMinSepsThenPmcs(dg.graph, ctx.threads, ctx.budget_factor);
-  if (!probe.separators_complete) {
-    FinishEntry(&e, 0, probe.minsep_seconds, "ms-terminated");
-  } else {
-    FinishEntry(&e, static_cast<long long>(probe.num_pmcs), probe.pmc_seconds,
-                probe.pmcs_complete ? "complete" : "truncated");
+  WallTimer timer;
+  MinimalSeparatorsResult seps = ListSeparators(ctx, dg.graph);
+  if (seps.status != EnumerationStatus::kComplete) {
+    FinishEntry(&e, 0, timer.Seconds(), "ms-terminated");
+    return e;
   }
+  PmcOptions options;
+  options.limits.time_limit_seconds = PmcBudget() * ctx.budget_factor;
+  options.limits.num_threads = ctx.threads;
+  timer.Reset();
+  PmcResult pmcs =
+      ListPotentialMaximalCliques(dg.graph, seps.separators, options);
+  FinishEntry(&e, static_cast<long long>(pmcs.pmcs.size()), timer.Seconds(),
+              pmcs.status == EnumerationStatus::kComplete ? "complete"
+                                                          : "truncated");
   return e;
+}
+
+void FinishDrain(BenchEntry* e, const DrainStats& stats) {
+  e->count = stats.count;
+  e->wall_ms = stats.wall_seconds * 1000.0;
+  e->results_per_sec = stats.ResultsPerSec();
+  e->status = stats.complete ? "complete" : "truncated";
+  e->best_cost = stats.best_cost;
+  e->count_at_best = stats.count_at_best;
 }
 
 // The ranked suites' one runner: build the tiered enumerator (its context
@@ -125,12 +245,7 @@ void RunTiered(BenchEntry* e, const SuiteContext& ctx, const Graph& g,
   if (tier_options.mode != TierOptions::Mode::kExact) {
     e->tier = TierName(enumerator.tier());
   }
-  const DrainStats stats =
-      DrainStream(enumerator, budget, [](const TieredResult&, double) {});
-  e->count = stats.count;
-  e->wall_ms = stats.wall_seconds * 1000.0;
-  e->results_per_sec = stats.ResultsPerSec();
-  e->status = stats.complete ? "complete" : "truncated";
+  FinishDrain(e, DrainStream(enumerator, budget));
   const RunStats run = enumerator.stats();
   e->candidate_evals = run.candidate_evals;
   e->combine_calls = run.combine_calls;
@@ -148,9 +263,27 @@ BenchEntry RunRanked(const SuiteContext& ctx,
                      const workloads::DatasetGraph& dg) {
   BenchEntry e = MakeEntry("ranked", ctx, family, dg);
   e.cost = "width";
-  e.solver = "indexed";
   WidthCost cost;
   RunTiered(&e, ctx, dg.graph, cost, CostComposition::kMax, ExactTier());
+  return e;
+}
+
+// The ckk suite: the CKK baseline the paper compares against (Table 2,
+// Figs. 8-9), on the ranked suite's graphs under the same cost and drain,
+// so each graph's ckk and ranked entries answer the paper's claims: CKK's
+// best width is no better than RankedTriang's first result, and CKK finds
+// no more of the optimal triangulations. Its construction (one LB-Triang
+// call) is init_seconds.
+BenchEntry RunCkk(const SuiteContext& ctx,
+                  const workloads::DatasetFamily& family,
+                  const workloads::DatasetGraph& dg) {
+  BenchEntry e = MakeEntry("ckk", ctx, family, dg);
+  e.cost = "width";
+  WidthCost cost;
+  WallTimer timer;
+  CkkEnumerator enumerator(dg.graph, &cost);
+  e.init_seconds = timer.Seconds();
+  FinishDrain(&e, DrainStream(enumerator, EnumBudget() * ctx.budget_factor));
   return e;
 }
 
@@ -263,60 +396,9 @@ std::string FormatDouble(double v) {
 
 }  // namespace
 
-double TimeScale() {
-  const char* env = std::getenv("MINTRI_TIME_SCALE");
-  if (env == nullptr) return 1.0;
-  double v = std::atof(env);
-  return v > 0 ? v : 1.0;
-}
-
-double MinSepBudget() { return 0.5 * TimeScale(); }
-double PmcBudget() { return 2.5 * TimeScale(); }
-double EnumBudget() { return 1.5 * TimeScale(); }
-
-TierOptions ExactTier() {
-  TierOptions tier_options;
-  tier_options.mode = TierOptions::Mode::kExact;
-  return tier_options;
-}
-
-ContextOptions BudgetedContextOptions(double budget, int threads) {
-  ContextOptions options;
-  options.separator_limits.time_limit_seconds = budget;
-  options.separator_limits.max_results = kMaxSeparators;
-  options.pmc_limits.time_limit_seconds = budget;
-  options.num_threads = threads;
-  return options;
-}
-
-PmcProbe ProbeMinSepsThenPmcs(const Graph& g, int threads,
-                              double budget_factor) {
-  PmcProbe probe;
-  EnumerationLimits sep_limits;
-  sep_limits.time_limit_seconds = MinSepBudget() * budget_factor;
-  sep_limits.max_results = kMaxSeparators;
-  sep_limits.num_threads = threads;
-  WallTimer timer;
-  MinimalSeparatorsResult seps = ListMinimalSeparators(g, sep_limits);
-  probe.minsep_seconds = timer.Seconds();
-  probe.num_separators = seps.separators.size();
-  probe.separators_complete = seps.status == EnumerationStatus::kComplete;
-  if (!probe.separators_complete) return probe;
-
-  PmcOptions options;
-  options.limits.time_limit_seconds = PmcBudget() * budget_factor;
-  options.limits.num_threads = threads;
-  timer.Reset();
-  PmcResult pmcs = ListPotentialMaximalCliques(g, seps.separators, options);
-  probe.pmc_seconds = timer.Seconds();
-  probe.num_pmcs = pmcs.pmcs.size();
-  probe.pmcs_complete = pmcs.status == EnumerationStatus::kComplete;
-  return probe;
-}
-
 const std::vector<std::string>& AllSuiteNames() {
   static const std::vector<std::string> kNames = {
-      "minseps", "pmc", "ranked", "appcost", "huge"};
+      "minseps", "pmc", "ranked", "ckk", "appcost", "huge"};
   return kNames;
 }
 
@@ -392,9 +474,11 @@ BenchReport RunBenchSuites(const BenchRunOptions& options,
     // The parallel-capable suites sweep serial vs. all-hardware so every
     // report carries its own baseline; --threads=N pins a single point. The
     // ranked suite sweeps too — its thread count drives the context
-    // initialization phase (the enumeration itself is serial).
+    // initialization phase (the enumeration itself is serial). CKK is
+    // serial throughout and needs a connected graph.
     std::vector<int> thread_points = {1, parallel::DefaultParallelThreads()};
     if (options.threads > 0) thread_points = {options.threads};
+    if (suite == "ckk") thread_points = {1};
     for (int threads : thread_points) {
       ctx.threads = threads;
       for (const workloads::DatasetFamily& family :
@@ -408,6 +492,8 @@ BenchReport RunBenchSuites(const BenchRunOptions& options,
             emit(RunMinSeps(ctx, family, dg));
           } else if (suite == "pmc") {
             emit(RunPmc(ctx, family, dg));
+          } else if (suite == "ckk") {
+            if (dg.graph.IsConnected()) emit(RunCkk(ctx, family, dg));
           } else {
             emit(RunRanked(ctx, family, dg));
           }
@@ -448,9 +534,9 @@ void WriteBenchJson(const BenchReport& report, std::ostream& out) {
         << ", \"init_seconds\": " << FormatDouble(e.init_seconds)
         << ", \"cost\": ";
     AppendJsonString(e.cost, out);
-    out << ", \"solver\": ";
-    AppendJsonString(e.solver, out);
-    out << ", \"candidate_evals\": " << e.candidate_evals
+    out << ", \"best_cost\": " << FormatDouble(e.best_cost)
+        << ", \"count_at_best\": " << e.count_at_best
+        << ", \"candidate_evals\": " << e.candidate_evals
         << ", \"combine_calls\": " << e.combine_calls
         << ", \"index_updates\": " << e.index_updates
         << ", \"range_queries\": " << e.range_queries

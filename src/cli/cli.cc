@@ -148,20 +148,23 @@ constexpr char kBenchUsage[] =
     "writes a machine-readable BENCH_core.json report. Suites: minseps (one\n"
     "ListMinimalSeparators pass per graph), pmc (minimal separators + PMC\n"
     "enumeration), ranked (ranked enumeration of minimal triangulations,\n"
-    "context init at the entry's thread count), appcost (ranked enumeration\n"
+    "context init at the entry's thread count), ckk (the CKK baseline on the\n"
+    "ranked suite's connected graphs, serial), appcost (ranked enumeration\n"
     "under the application costs — hypertree/fhw over the TPC-H query\n"
     "hypergraphs, state-space over the graphical-model instances — with\n"
     "bag-score cache hit rates), huge (the tiered pipeline on PACE-scale\n"
     "graphs of >= 1000 vertices, with the per-entry tier label). The ranked\n"
-    "and appcost suites run the --tier=exact pipeline. Every ranked entry\n"
-    "reports init_seconds and, with the budget clock started after init,\n"
-    "results per second after the first result. With no suite arguments\n"
-    "(or the keyword 'all'), all suites run.\n"
+    "and appcost suites run the --tier=exact pipeline. Every stream entry\n"
+    "reports init_seconds, the best cost drained and how many results had\n"
+    "it, and, with the budget clock started after init, results per second\n"
+    "after the first result. With no suite arguments (or the keyword\n"
+    "'all'), all suites run.\n"
     "\n"
     "  --out=FILE   output path (default BENCH_core.json; '-' for stdout)\n"
     "  --smoke      CI-sized run: few families, capped graphs, short budgets\n"
     "  --threads=N  run every suite at exactly N threads; default is the\n"
-    "               sweep {1, hardware_concurrency} for minseps/pmc/ranked\n"
+    "               sweep {1, hardware_concurrency} for minseps/pmc/ranked;\n"
+    "               ckk always runs at 1\n"
     "  --quiet      no per-graph progress on stderr\n"
     "  --help       show this message and exit\n"
     "\n"
@@ -201,7 +204,8 @@ int RunBenchCommand(const std::vector<std::string>& args, std::ostream& out,
       options.suites.push_back(arg);
     } else {
       err << "unknown suite: " << arg
-          << " (expected minseps, pmc, ranked, appcost, huge, or all)\n";
+          << " (expected minseps, pmc, ranked, ckk, appcost, huge, or "
+             "all)\n";
       return 1;
     }
   }

@@ -49,17 +49,30 @@ void CkkEnumerator::TryExchange(const std::vector<VertexSet>& m,
   Offer(Extend(seed));
 }
 
+bool CkkEnumerator::CutByDeadline() {
+  if (IsExpired(deadline_)) truncated_ = true;
+  return truncated_;
+}
+
 std::optional<Triangulation> CkkEnumerator::Next() {
+  // A truncated stream stays truncated: a skipped exchange may have been
+  // the only route to some triangulation, so a stream that went on could
+  // later run dry and look complete while missing results.
+  if (CutByDeadline()) return std::nullopt;
   // When no pending result is available, advance the lazy separator stream:
   // each not-yet-known minimal separator is exchanged against every printed
   // result until one of the exchanges yields something new (or the stream
   // ends, proving the enumeration complete).
   while (pending_.empty()) {
+    if (CutByDeadline()) return std::nullopt;
     std::optional<VertexSet> s = separator_stream_.Next();
     if (!s.has_value()) return std::nullopt;
     if (!known_sep_set_.insert(*s).second) continue;
     known_seps_.push_back(*s);
-    for (const auto& m : printed_separator_sets_) TryExchange(m, *s);
+    for (const auto& m : printed_separator_sets_) {
+      if (CutByDeadline()) return std::nullopt;
+      TryExchange(m, *s);
+    }
   }
   Triangulation h = std::move(pending_.front());
   pending_.pop_front();
@@ -73,10 +86,16 @@ std::optional<Triangulation> CkkEnumerator::Next() {
     }
   }
   // Exchange H against every known separator...
-  for (const VertexSet& s : known_seps_) TryExchange(h.separators, s);
+  for (const VertexSet& s : known_seps_) {
+    if (CutByDeadline()) return h;
+    TryExchange(h.separators, s);
+  }
   // ...and every previously printed result against the fresh separators.
   for (const auto& m : printed_separator_sets_) {
-    for (const VertexSet& s : fresh) TryExchange(m, s);
+    for (const VertexSet& s : fresh) {
+      if (CutByDeadline()) return h;
+      TryExchange(m, s);
+    }
   }
   printed_separator_sets_.push_back(h.separators);
   return h;

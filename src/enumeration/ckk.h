@@ -13,6 +13,7 @@
 #include "graph/graph.h"
 #include "separators/minimal_separators.h"
 #include "triang/triangulation.h"
+#include "util/timer.h"
 
 namespace mintri {
 
@@ -85,8 +86,18 @@ class CkkEnumerator {
                 Triangulator triangulator);
 
   /// The next minimal triangulation (arbitrary order), or std::nullopt when
-  /// all minimal triangulations have been produced.
+  /// all minimal triangulations have been produced or the deadline expired.
   std::optional<Triangulation> Next();
+
+  /// Wall-clock budget, polled on entry to Next(), before each separator
+  /// pulled from the lazy stream and before each exchange. When it expires
+  /// mid-Next the popped result is still returned, but truncated() turns
+  /// true and every later Next() yields std::nullopt. Nullptr disables.
+  void SetDeadline(const Deadline* deadline) { deadline_ = deadline; }
+
+  /// True when a deadline cut the enumeration short (the stream ended by
+  /// budget, not by exhaustion).
+  bool truncated() const { return truncated_; }
 
   /// Number of LB-Triang invocations so far (for the experiment harness).
   long long num_triangulator_calls() const { return num_triangulator_calls_; }
@@ -100,6 +111,9 @@ class CkkEnumerator {
   // Exchange step: offers Extend({S} ∪ {T ∈ M : T ∥ S}) if unseen.
   void TryExchange(const std::vector<VertexSet>& m, const VertexSet& s);
 
+  // True (and truncated_ set) once the deadline expired.
+  bool CutByDeadline();
+
   bool Offer(Triangulation t);  // dedup by fill set; true if new
 
   const Graph& g_;
@@ -112,6 +126,8 @@ class CkkEnumerator {
   std::unordered_set<VertexSet, VertexSetHash> known_sep_set_;
   FillSetDedup seen_fills_;
   long long num_triangulator_calls_ = 0;
+  const Deadline* deadline_ = nullptr;
+  bool truncated_ = false;
 };
 
 }  // namespace mintri

@@ -36,8 +36,6 @@ class VertexSetPool {
   /// its buffer is kept.
   void Release(VertexSet&& s) { free_.push_back(std::move(s)); }
 
-  size_t PooledCount() const { return free_.size(); }
-
  private:
   std::vector<VertexSet> free_;
 };

@@ -7,12 +7,11 @@ namespace mintri {
 ComponentLabeling::ComponentLabeling(const Graph& g, const VertexSet& removed)
     : labels_(g.NumVertices(), -1) {
   ComponentScanner scanner;
+  int label = 0;
   scanner.ForEachComponent(g, removed,
                            [&](const VertexSet& c, const VertexSet&) {
-                             c.ForEach([&](int v) {
-                               labels_[v] = num_components_;
-                             });
-                             ++num_components_;
+                             c.ForEach([&](int v) { labels_[v] = label; });
+                             ++label;
                            });
 }
 

@@ -14,18 +14,12 @@ class ComponentLabeling {
  public:
   ComponentLabeling(const Graph& g, const VertexSet& removed);
 
-  /// Component id of v, or -1 if v ∈ removed.
-  int LabelOf(int v) const { return labels_[v]; }
-
-  int NumComponents() const { return num_components_; }
-
   /// True iff all of t's vertices outside `removed` lie in one component —
   /// i.e., `removed` (as a separator S) is parallel to T.
   bool IsParallelTo(const VertexSet& t) const;
 
  private:
-  std::vector<int> labels_;
-  int num_components_ = 0;
+  std::vector<int> labels_;  // component id, or -1 inside `removed`
 };
 
 /// S and T are parallel iff T ∖ S is contained in a single component of

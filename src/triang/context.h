@@ -172,10 +172,6 @@ class TriangulationContext {
   int SeparatorId(const VertexSet& s) const {
     return separator_index_.Find(s);
   }
-  /// Index of the full block with component c, or -1.
-  int BlockIdByComponent(const VertexSet& c) const {
-    return block_index_.Find(c);
-  }
 
  private:
   // Steps 3–4 of both builds: full blocks over ctx->minseps_ plus the DP

@@ -7,6 +7,7 @@
 #include "chordal/minimality.h"
 #include "cost/standard_costs.h"
 #include "test_util.h"
+#include "util/timer.h"
 #include "workloads/named_graphs.h"
 #include "workloads/random_graphs.h"
 
@@ -120,6 +121,35 @@ TEST(CkkTest, NoOrderGuaranteeButCountsTriangulatorCalls) {
   }
   EXPECT_GT(produced, 5);
   EXPECT_GE(e.num_triangulator_calls(), produced);
+}
+
+TEST(CkkTest, ExpiredDeadlineTruncatesTheStream) {
+  Graph g = workloads::Grid(3, 3);
+  CkkEnumerator e(g);
+  const Deadline expired(0.0);
+  e.SetDeadline(&expired);
+  EXPECT_FALSE(e.Next().has_value());
+  EXPECT_TRUE(e.truncated());
+  // A truncated stream stays truncated, even without the deadline.
+  e.SetDeadline(nullptr);
+  EXPECT_FALSE(e.Next().has_value());
+  EXPECT_TRUE(e.truncated());
+}
+
+TEST(CkkTest, NeverExpiringDeadlineLeavesTheStreamAlone) {
+  Graph g = workloads::Grid(3, 3);
+  CkkEnumerator plain(g);
+  CkkEnumerator timed(g);
+  const Deadline never = Deadline::Never();
+  timed.SetDeadline(&never);
+  std::vector<Triangulation> expected = Drain(plain);
+  std::vector<Triangulation> actual = Drain(timed);
+  EXPECT_FALSE(timed.truncated());
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].FillEdgesSorted(g), expected[i].FillEdgesSorted(g))
+        << "result " << i;
+  }
 }
 
 }  // namespace

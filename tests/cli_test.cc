@@ -328,19 +328,21 @@ TEST(CliTest, BenchSmokeEmitsSchemaShapedJson) {
                        "");
   EXPECT_EQ(r.code, 0) << r.err;
   for (const char* key :
-       {"\"schema_version\": 2", "\"git_sha\"", "\"time_scale\"",
+       {"\"schema_version\": 3", "\"git_sha\"", "\"time_scale\"",
         "\"smoke\": true", "\"suites\": [\"minseps\"]", "\"entries\"",
         "\"results_per_sec\"", "\"wall_ms\"", "\"status\"",
-        "\"threads\": 1", "\"solver\"", "\"candidate_evals\"",
-        "\"index_updates\"", "\"range_queries\""}) {
+        "\"threads\": 1", "\"best_cost\"", "\"count_at_best\"",
+        "\"candidate_evals\"", "\"index_updates\"", "\"range_queries\""}) {
     EXPECT_NE(r.out.find(key), std::string::npos) << "missing " << key;
   }
+  // Schema v3 dropped the ranked suite's solver label.
+  EXPECT_EQ(r.out.find("\"solver\""), std::string::npos) << r.out;
 }
 
-TEST(CliTest, BenchRankedEmitsOnlyIndexedEntries) {
-  CliResult r = Invoke(
-      {"bench", "ranked", "--smoke", "--quiet", "--threads=1", "--out=-"},
-      "");
+TEST(CliTest, BenchCkkPairsWithRankedEntries) {
+  CliResult r = Invoke({"bench", "ranked", "ckk", "--smoke", "--quiet",
+                        "--threads=1", "--out=-"},
+                       "");
   EXPECT_EQ(r.code, 0) << r.err;
   const auto count = [&r](const std::string& needle) {
     size_t n = 0;
@@ -350,12 +352,13 @@ TEST(CliTest, BenchRankedEmitsOnlyIndexedEntries) {
     }
     return n;
   };
-  // One entry per smoke graph, every one on the indexed solver.
-  EXPECT_GT(count("\"suite\": \"ranked\""), 0u) << r.out;
-  EXPECT_EQ(count("\"solver\": \"indexed\""),
-            count("\"suite\": \"ranked\""))
+  // One ranked entry per smoke graph, one ckk entry per connected one.
+  EXPECT_GT(count("\"suite\": \"ckk\""), 0u) << r.out;
+  EXPECT_LE(count("\"suite\": \"ckk\""), count("\"suite\": \"ranked\""))
       << r.out;
-  EXPECT_EQ(count("\"solver\": \"scan\""), 0u) << r.out;
+  EXPECT_EQ(count("\"count_at_best\": "),
+            count("\"suite\": \"ckk\"") + count("\"suite\": \"ranked\""))
+      << r.out;
 }
 
 TEST(CliTest, BenchResultsPerSecIsAfterFirstResultThroughput) {
