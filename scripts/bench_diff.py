@@ -3,8 +3,8 @@
 
 Usage: bench_diff.py [--threshold=PCT] [--json=FILE] BASELINE.json CURRENT.json
 
-Matches entries across the two reports on (suite, graph, threads, solver,
-cost, tier), groups the matches by (suite, family), and prints a markdown delta
+Matches entries across the two reports on (suite, family, graph, threads,
+solver, cost, tier), groups the matches by (suite, family), and prints a markdown delta
 table of per-family median ratios (solver stays in the key because v1/v2
 reports also carry "scan" ranked entries of the retired list-scan solver):
 
@@ -30,8 +30,8 @@ solver/cost fields, so a v1-vs-v2 diff degrades to the overlapping subset
 instead of erroring out. v3 dropped the solver field, which v2 set to
 "indexed" on every current ranked entry; load_report gives v3 ranked
 entries that label back, so a v2 baseline still matches a v3 report. validate_bench_json.py imports entry_key /
-index_entries from here for its --compare smoke hook, so the two tools can
-never disagree about what "the same benchmark point" means.
+index_entries from here for its duplicate-entry check and its --compare
+smoke hook, so the two tools can never disagree about what "the same benchmark point" means.
 """
 
 import argparse
@@ -68,10 +68,13 @@ def load_report(path):
 
 
 def entry_key(entry):
-    """Identity of one benchmark point, stable across schema versions."""
-    return (entry.get("suite", ""), entry.get("graph", ""),
-            entry.get("threads", 0), entry.get("solver", ""),
-            entry.get("cost", ""), entry.get("tier", ""))
+    """Identity of one benchmark point, stable across schema versions. The
+    family is part of it: one graph can sit in two families (grid5x5 is in
+    Grids and Pace2016-1000s)."""
+    return (entry.get("suite", ""), entry.get("family", ""),
+            entry.get("graph", ""), entry.get("threads", 0),
+            entry.get("solver", ""), entry.get("cost", ""),
+            entry.get("tier", ""))
 
 
 def index_entries(entries):

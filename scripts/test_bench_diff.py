@@ -38,12 +38,19 @@ def run_main(argv):
 
 class EntryKeyTest(unittest.TestCase):
     def test_missing_fields_default_cleanly(self):
-        self.assertEqual(bench_diff.entry_key({}), ("", "", 0, "", "", ""))
+        self.assertEqual(bench_diff.entry_key({}),
+                         ("", "", "", 0, "", "", ""))
 
     def test_v1_and_v2_minseps_entries_collide(self):
         v1 = {"suite": "minseps", "graph": "g", "threads": 2}
         v2 = dict(v1, solver="", cost="")
         self.assertEqual(bench_diff.entry_key(v1), bench_diff.entry_key(v2))
+
+    def test_family_distinguishes_a_graph_in_two_families(self):
+        a = {"suite": "minseps", "family": "Grids", "graph": "grid5x5",
+             "threads": 1}
+        b = dict(a, family="Pace2016-1000s")
+        self.assertNotEqual(bench_diff.entry_key(a), bench_diff.entry_key(b))
 
     def test_tier_distinguishes_huge_entries(self):
         a = {"suite": "huge", "graph": "grid-32x32", "threads": 1,

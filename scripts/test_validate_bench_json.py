@@ -14,7 +14,8 @@ ranked ckk --smoke --threads=1` run. It must pass, and so must fail a ckk
 entry that beats ranked's first result, a both-complete pair whose counts
 differ, a ckk entry with more optimal results than a ranked stream that
 moved past them, count_at_best outside [1, count], a v3 entry still
-carrying the dropped solver field, and a smoke report missing a suite.
+carrying the dropped solver field, a smoke report missing a suite, and
+two entries with one bench_diff entry identity.
 """
 
 import contextlib
@@ -129,6 +130,13 @@ class ReportTest(unittest.TestCase):
     def test_v3_entry_with_solver_fails(self):
         self.entry("ranked", "grid5x5")["solver"] = "indexed"
         self.assertFails("still carries 'solver'")
+
+    def test_duplicate_entry_fails(self):
+        # `mintri bench minseps minseps` used to write every minseps entry
+        # twice.
+        self.report["entries"].append(
+            copy.deepcopy(self.entry("minseps", "tpch_q2")))
+        self.assertFails("duplicates entries[1]")
 
     def test_smoke_suite_without_entries_fails(self):
         self.report["entries"] = [e for e in self.report["entries"]

@@ -17,6 +17,9 @@ returned a worse result), CKK found no more optimal results than it did;
 and when both streams are complete they agree on the count and on the
 number of optimal results.
 
+No two entries may share bench_diff's entry identity, or the diff would
+silently compare only the last of them.
+
 --compare=BASELINE.json is a smoke hook for the bench-diff CI gate: it
 matches the report against a baseline using the exact entry identity that
 scripts/bench_diff.py diffs with (imported from there, so the two tools
@@ -33,6 +36,9 @@ counters must be the records' summed.
 import json
 import os
 import sys
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import bench_diff  # noqa: E402
 
 TOP_LEVEL = {
     "schema_version": int,
@@ -280,8 +286,6 @@ def validate_batch_records(path, aggregate):
 
 def compare_smoke(path, baseline_path):
     """Overlap sanity against a baseline, via bench_diff's entry identity."""
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    import bench_diff
     try:
         baseline = bench_diff.load_report(baseline_path)
         report = bench_diff.load_report(path)
@@ -414,8 +418,17 @@ def validate_report(path, smoke=False, compare_baseline=None):
     entries = report["entries"]
     if not entries:
         fail("entries is empty")
+    # bench_diff indexes entries by their identity, keeping only the last
+    # of two that share one.
+    first_of = {}
     for i, entry in enumerate(entries):
         check_entry(entry, suites, f"entries[{i}]")
+        key = bench_diff.entry_key(entry)
+        if key in first_of:
+            fail(f"entries[{i}]: duplicates entries[{first_of[key]}] "
+                 f"(suite, family, graph, threads, solver, cost, tier) "
+                 f"{key}")
+        first_of[key] = i
     pairs = check_ckk_claims(entries)
 
     # In the CI smoke gate a suite without entries silently stopped

@@ -1,31 +1,39 @@
 #ifndef MINTRI_CLI_BATCH_H_
 #define MINTRI_CLI_BATCH_H_
 
+#include <functional>
 #include <istream>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "cost/bag_cost.h"
+#include "cost/cost_model_registry.h"
 #include "enumeration/run_stats.h"
+#include "enumeration/tiered_enum.h"
 
 namespace mintri {
 
-/// The multi-query driver behind `mintri batch`: rank-enumerates every
-/// instance of a list, fanning instances across the PR-3 thread pool
-/// (parallel *across* queries; per-instance context construction is serial
-/// by default and parallel when inner_threads > 1). Output order — and every
-/// ranked result — is independent of the thread split.
+/// The query settings `mintri rank` and `mintri batch` share, and the
+/// batch's fan-out: RunBatch rank-enumerates every instance of a list,
+/// fanning instances across a thread pool (parallel *across* queries;
+/// per-instance context construction is serial by default and parallel when
+/// inner_threads > 1). Output order — and every ranked result — is
+/// independent of the thread split.
 struct BatchOptions {
-  std::string cost = "width";
+  std::string cost = "width";  // registry cost name
+  std::string tier = "auto";   // solve pipeline: auto|exact|heuristic
   long long top = 3;           // ranked results per instance
-  double time_limit = 30.0;    // per-stage context budget, seconds
+  /// Caps each MinSep/PMC stage, and is the exact budget
+  /// (TierOptions::exact_budget_seconds): the wall time from the start of
+  /// construction, Tier 0 included, after which no exact build starts.
+  double time_limit = 30.0;
   int threads = 1;             // instances processed concurrently
   int inner_threads = 1;       // context-build threads within one instance
-  double deadline = 0;         // per-instance wall budget, seconds (0 = none)
-  bool stats = false;          // aggregate stats line on stderr
-  std::string stats_json;      // aggregate-stats JSON output path ("" = off)
-  std::string tier = "auto";   // solve pipeline: auto|exact|heuristic
+  int width_bound = -1;        // MinTriangB width bound (-1: none)
+  /// Per-instance wall budget in seconds (0 = none), polled by every stage
+  /// of the query.
+  double deadline = 0;
 };
 
 /// One instance's outcome (one JSON record in the batch report).
@@ -54,6 +62,20 @@ struct BatchRecord {
   };
   std::vector<Row> results;
 };
+
+/// The one query path of rank and batch: builds the cost model and the
+/// tiered enumerator (the deadline clock starts here), hands each of the
+/// first options.top results to on_result with its 1-based rank, and
+/// returns the record minus `instance` and `results`. Status "cost-error"
+/// includes width-then-fill on a disconnected graph: it encodes (width,
+/// fill) in one number, so no CostComposition is exact across components.
+BatchRecord RunQuery(
+    const CostModelInstance& instance, const BatchOptions& options,
+    const std::function<void(int rank, const TieredResult&)>& on_result);
+
+/// The instance specs of a batch list: one per line, trimmed; blank lines
+/// and '#' comments are skipped.
+std::vector<std::string> ReadInstanceList(std::istream& in);
 
 /// Runs the batch in-process. records[i] always corresponds to specs[i].
 std::vector<BatchRecord> RunBatch(const std::vector<std::string>& specs,

@@ -1,40 +1,23 @@
 #include "cli/cli.h"
 
+#include <algorithm>
+#include <climits>
 #include <fstream>
-#include <memory>
 #include <optional>
 
 #include "bench/bench_suites.h"
 #include "cli/batch.h"
 #include "cli/flags.h"
-#include "cli/tiered_query.h"
 #include "cost/cost_model_registry.h"
-#include "cost/standard_costs.h"
 #include "enumeration/ckk.h"
 #include "enumeration/run_stats.h"
 #include "enumeration/tiered_enum.h"
 #include "enumeration/tree_decomposition.h"
 #include "graph/graph_io.h"
-#include "parallel/thread_pool.h"
 
 namespace mintri {
 
 namespace {
-
-struct Options {
-  std::string cost = "width";
-  long long top = 5;
-  std::string algo = "ranked";
-  int bound = -1;
-  std::string format = "summary";
-  std::string input = "gr";  // stdin format: gr | hg | uai
-  double time_limit = 30.0;
-  int threads = 1;
-  std::string tier = "auto";
-  bool stats = false;
-  bool help = false;
-  std::string file;  // empty: stdin
-};
 
 constexpr char kUsage[] =
     "usage: mintri [rank] [options] [instance]\n"
@@ -77,70 +60,6 @@ constexpr char kUsage[] =
     "                     counters) as one JSON line on stderr\n"
     "  --help             show this message and exit\n";
 
-bool ParseArgs(const std::vector<std::string>& args, Options* options,
-               std::ostream& err) {
-  for (const std::string& arg : args) {
-    auto value_of = [&](const std::string& prefix) -> std::optional<std::string> {
-      if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-      return std::nullopt;
-    };
-    if (auto cost = value_of("--cost=")) {
-      options->cost = *cost;
-    } else if (auto top = value_of("--top=")) {
-      if (!flags::ParseCount(*top, &options->top)) {
-        err << "invalid value for --top: " << *top
-            << " (expected an integer >= 1)\n";
-        return false;
-      }
-    } else if (auto algo = value_of("--algo=")) {
-      options->algo = *algo;
-    } else if (auto bound = value_of("--bound=")) {
-      if (!flags::ParseNumber(*bound, &options->bound)) {
-        err << "invalid value for --bound: " << *bound << "\n";
-        return false;
-      }
-    } else if (auto format = value_of("--format=")) {
-      options->format = *format;
-    } else if (auto input = value_of("--input=")) {
-      if (*input != "gr" && *input != "hg" && *input != "uai") {
-        err << "invalid value for --input: " << *input
-            << " (expected gr, hg, or uai)\n";
-        return false;
-      }
-      options->input = *input;
-    } else if (auto time_limit = value_of("--time-limit=")) {
-      if (!flags::ParseSeconds(*time_limit, &options->time_limit)) {
-        err << "invalid value for --time-limit: " << *time_limit
-            << " (expected a positive number of seconds)\n";
-        return false;
-      }
-    } else if (auto threads = value_of("--threads=")) {
-      if (!flags::ParseThreads(*threads, &options->threads)) {
-        err << "invalid value for --threads: " << *threads
-            << " (expected an integer in 1.." << flags::MaxThreads() << ")\n";
-        return false;
-      }
-    } else if (auto tier = value_of("--tier=")) {
-      if (*tier != "auto" && *tier != "exact" && *tier != "heuristic") {
-        err << "invalid value for --tier: " << *tier
-            << " (expected auto, exact, or heuristic)\n";
-        return false;
-      }
-      options->tier = *tier;
-    } else if (arg == "--stats") {
-      options->stats = true;
-    } else if (arg == "--help" || arg == "-h") {
-      options->help = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      err << "unknown option: " << arg << "\n";
-      return false;
-    } else {
-      options->file = arg;
-    }
-  }
-  return true;
-}
-
 constexpr char kBenchUsage[] =
     "usage: mintri bench [suite...] [options]\n"
     "\n"
@@ -178,36 +97,28 @@ int RunBenchCommand(const std::vector<std::string>& args, std::ostream& out,
   std::string out_path = "BENCH_core.json";
   bool quiet = false;
   bool all_suites = false;
-  for (const std::string& arg : args) {
-    if (arg == "--help" || arg == "-h") {
-      out << kBenchUsage;
-      return 0;
-    } else if (arg == "--smoke") {
-      options.smoke = true;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      const std::string value = arg.substr(10);
-      if (!flags::ParseThreads(value, &options.threads)) {
-        err << "invalid value for --threads: " << value
-            << " (expected an integer in 1.." << flags::MaxThreads() << ")\n";
-        return 1;
-      }
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else if (!arg.empty() && arg[0] == '-') {
-      err << "unknown option: " << arg << "\n";
-      return 1;
-    } else if (arg == "all") {
+  const std::vector<flags::Flag> table = {
+      {"--smoke", nullptr, &options.smoke},
+      {"--quiet", nullptr, &quiet},
+      {"--threads", flags::Threads(&options.threads)},
+      {"--out", flags::Text(&out_path)},
+  };
+  // A suite named twice runs once.
+  const auto suite = [&](const std::string& arg) -> std::optional<std::string> {
+    std::vector<std::string>& suites = options.suites;
+    if (arg == "all") {
       all_suites = true;
-    } else if (bench::IsKnownSuite(arg)) {
-      options.suites.push_back(arg);
-    } else {
-      err << "unknown suite: " << arg
-          << " (expected minseps, pmc, ranked, ckk, appcost, huge, or "
-             "all)\n";
-      return 1;
+    } else if (!bench::IsKnownSuite(arg)) {
+      return "unknown suite: " + arg +
+             " (expected minseps, pmc, ranked, ckk, appcost, huge, or all)";
+    } else if (std::find(suites.begin(), suites.end(), arg) == suites.end()) {
+      suites.push_back(arg);
     }
+    return std::nullopt;
+  };
+  if (std::optional<int> exit =
+          flags::Parse(args, table, suite, kBenchUsage, out, err)) {
+    return *exit;
   }
   if (all_suites) options.suites.clear();  // empty = every suite
 
@@ -228,10 +139,9 @@ int RunBenchCommand(const std::vector<std::string>& args, std::ostream& out,
   return 0;
 }
 
-void PrintResult(const Options& options, const Graph& g, int rank,
-                 const Triangulation& t, std::ostream& out,
-                 const char* tier = nullptr) {
-  if (options.format == "td") {
+void PrintResult(bool td, const Graph& g, int rank, const Triangulation& t,
+                 std::ostream& out, const char* tier = nullptr) {
+  if (td) {
     out << "c result " << rank << " cost " << t.cost << " width "
         << t.Width() << " fill " << t.FillIn(g);
     if (tier != nullptr) out << " tier " << tier;
@@ -249,107 +159,114 @@ void PrintResult(const Options& options, const Graph& g, int rank,
 
 int RunCli(const std::vector<std::string>& args, std::istream& in,
            std::ostream& out, std::ostream& err) {
-  if (!args.empty() && args[0] == "bench") {
-    return RunBenchCommand(
-        std::vector<std::string>(args.begin() + 1, args.end()), out, err);
-  }
-  if (!args.empty() && args[0] == "batch") {
-    return RunBatchCommand(
-        std::vector<std::string>(args.begin() + 1, args.end()), out, err);
-  }
+  const std::string command = args.empty() ? "" : args[0];
+  const std::vector<std::string> rest(args.begin() + !args.empty(),
+                                      args.end());
+  if (command == "bench") return RunBenchCommand(rest, out, err);
+  if (command == "batch") return RunBatchCommand(rest, out, err);
   // `mintri rank ...` is the canonical spelling; the bare invocation stays
   // supported as the historical alias.
-  std::vector<std::string> rank_args =
-      (!args.empty() && args[0] == "rank")
-          ? std::vector<std::string>(args.begin() + 1, args.end())
-          : args;
-  Options options;
-  if (!ParseArgs(rank_args, &options, err)) return 1;
-  if (options.help) {
-    out << kUsage;
-    return 0;
+  std::string algo = "ranked";
+  std::string format = "summary";
+  std::string input = "gr";  // stdin format
+  bool stats = false;
+  std::string file;  // empty: stdin
+  BatchOptions query;  // rank's query settings
+  query.top = 5;
+  const std::vector<flags::Flag> table = {
+      {"--cost", flags::Text(&query.cost)},
+      {"--top", flags::Count(&query.top)},
+      {"--algo", flags::Text(&algo)},
+      {"--bound",
+       [&](const std::string& value) -> std::optional<std::string> {
+         // A value that is no int is rejected without the expected text.
+         long long bound;
+         if (!flags::ParseNumber(value, &bound) || bound < INT_MIN ||
+             bound > INT_MAX) {
+           return "";
+         }
+         if (bound < 0) return " (expected an integer >= 0)";
+         query.width_bound = static_cast<int>(bound);
+         return std::nullopt;
+       }},
+      {"--format", flags::OneOf(&format, {"summary", "td"})},
+      {"--input", flags::OneOf(&input, {"gr", "hg", "uai"})},
+      {"--time-limit", flags::Seconds(&query.time_limit)},
+      {"--threads", flags::Threads(&query.inner_threads)},
+      {"--tier", flags::OneOf(&query.tier, {"auto", "exact", "heuristic"})},
+      {"--stats", nullptr, &stats},
+  };
+  if (std::optional<int> exit = flags::Parse(
+          command == "rank" ? rest : args, table,
+          flags::OnePath(&file), kUsage, out, err)) {
+    return *exit;
   }
 
   std::string error;
-  std::optional<CostModelInstance> instance;
-  if (options.file.empty()) {
-    InstanceKind kind = InstanceKind::kGraph;
-    if (options.input == "hg") kind = InstanceKind::kHypergraph;
-    if (options.input == "uai") kind = InstanceKind::kModel;
-    instance = ReadInstance(in, kind, "<stdin>", &error);
-  } else {
-    instance = LoadInstance(options.file, &error);
-  }
+  const InstanceKind kind = input == "hg"    ? InstanceKind::kHypergraph
+                            : input == "uai" ? InstanceKind::kModel
+                                             : InstanceKind::kGraph;
+  const std::optional<CostModelInstance> instance =
+      file.empty() ? ReadInstance(in, kind, "<stdin>", &error)
+                   : LoadInstance(file, &error);
   if (!instance.has_value()) {
     err << error << "\n";
     return 1;
   }
   const Graph& g = instance->graph;
-
-  std::optional<CostModel> model =
-      MakeCostModel(options.cost, *instance, /*enable_cache=*/true, &error);
-  if (!model.has_value()) {
-    err << error << "\n";
-    return 1;
-  }
-  const BagCost& cost = *model->cost;
-
-  // --stats: the run's record, with the cache counters, as one JSON line.
-  auto print_stats = [&](RunStats stats) {
-    if (!options.stats) return;
-    if (model->cache != nullptr) stats.cache = model->cache->stats();
-    WriteRunStatsJson(stats, err);
+  // --stats: the run's record as one JSON line.
+  const auto print_stats = [&](const RunStats& run) {
+    if (!stats) return;
+    WriteRunStatsJson(run, err);
     err << "\n";
   };
 
-  if (options.algo == "ckk") {
-    if (!g.IsConnected()) {
-      err << "the CKK baseline requires a connected graph\n";
+  if (algo == "ckk") {
+    std::optional<CostModel> model =
+        MakeCostModel(query.cost, *instance, /*enable_cache=*/true, &error);
+    if (model.has_value() && !g.IsConnected()) {
+      model.reset();
+      error = "the CKK baseline requires a connected graph";
+    }
+    if (!model.has_value()) {
+      err << error << "\n";
       return 1;
     }
-    CkkEnumerator e(g, &cost);
-    for (long long rank = 1; rank <= options.top; ++rank) {
+    CkkEnumerator e(g, model->cost.get());
+    for (long long rank = 1; rank <= query.top; ++rank) {
       auto t = e.Next();
       if (!t.has_value()) break;
-      PrintResult(options, g, static_cast<int>(rank), *t, out);
+      PrintResult(format == "td", g, static_cast<int>(rank), *t, out);
     }
-    print_stats(RunStats{});
+    RunStats run;
+    if (model->cache != nullptr) run.cache = model->cache->stats();
+    print_stats(run);
     return 0;
   }
-  if (options.algo != "ranked") {
-    err << "unknown algorithm: " << options.algo << "\n";
+  if (algo != "ranked") {
+    err << "unknown algorithm: " << algo << "\n";
     return 1;
   }
 
-  std::unique_ptr<TieredEnumerator> started = StartTieredQuery(
-      g, *model,
-      {options.cost, options.tier, options.time_limit, options.threads,
-       options.bound},
-      &error);
-  if (started == nullptr) {
-    err << error << "\n";
+  const BatchRecord record =
+      RunQuery(*instance, query, [&](int rank, const TieredResult& t) {
+        PrintResult(format == "td", g, rank, t.triangulation, out,
+                    TierName(t.tier));
+      });
+  if (record.status == "cost-error") {
+    err << record.error << "\n";
     return 1;
   }
-  TieredEnumerator& e = *started;
-  if (!e.init_ok()) {
-    const RunStats stats = e.stats();
-    const ContextBuildInfo& info = stats.exact;
+  if (record.status == "init-failed") {
+    const ContextBuildInfo& info = record.stats.exact;
     err << "initialization " << info.TerminationName() << " after "
-        << info.total_seconds << "s (budget " << options.time_limit
+        << info.total_seconds << "s (budget " << query.time_limit
         << "s per stage; minseps " << info.minsep_seconds << "s/"
         << info.num_minseps << ", pmcs " << info.pmc_seconds << "s/"
         << info.num_pmcs << ") — graph not poly-MS feasible at this budget\n";
-    print_stats(stats);
-    return 2;
   }
-  for (long long rank = 1; rank <= options.top; ++rank) {
-    auto t = e.Next();
-    if (!t.has_value()) break;
-    PrintResult(options, g, static_cast<int>(rank), t->triangulation, out,
-                TierName(t->tier));
-  }
-  print_stats(e.stats());
-  return 0;
+  print_stats(record.stats);
+  return record.status == "ok" ? 0 : 2;
 }
 
 }  // namespace mintri

@@ -8,30 +8,18 @@
 
 namespace mintri {
 
-/// The `mintri_cli` command-line front end, as a testable function.
+/// The `mintri` command line, as a testable function: `args` are the
+/// arguments after the program name, `in` is the instance when none is
+/// named.
 ///
-///   mintri_cli [options] [graph.gr]
-///   mintri_cli bench [suite...] [--smoke] [--out=FILE] [--quiet]
+///   mintri [rank] [options] [instance]          ranked minimal triangulations
+///   mintri batch <file-of-instances> [options]  one JSON record per instance
+///   mintri bench [suite...] [options]           the BENCH_core.json report
 ///
-/// The `bench` subcommand runs the named benchmark suites (minseps, pmc,
-/// enum; all when omitted) over the built-in workload families and writes
-/// the machine-readable BENCH_core.json report (see src/bench).
-///
-/// Reads a graph in DIMACS/PACE ".gr" format (from the file argument or
-/// stdin) and prints its minimal triangulations / proper tree
-/// decompositions in ranked order. Options:
-///
-///   --cost=width|fill|width-then-fill|state-space   (default width)
-///   --top=K            stop after K results          (default 5)
-///   --algo=ranked|ckk  ranked enumeration or the CKK baseline
-///   --bound=B          width bound (MinTriangB contexts)
-///   --format=summary|td   per-result line, or PACE .td blocks
-///   --time-limit=SEC   initialization budget in seconds (default 30)
-///   --stats            print initialization statistics to stderr
-///   --help             print usage and exit 0
-///
-/// Returns the process exit code (0 on success, 1 on usage/input errors,
-/// 2 when initialization exceeds its limits).
+/// `mintri --help`, `mintri batch --help` and `mintri bench --help` list
+/// each subcommand's options, costs and suites. Returns the process exit
+/// code: 0 on success, 1 on usage or input errors, 2 when rank's
+/// initialization exceeds its limits or some batch instance did not rank.
 int RunCli(const std::vector<std::string>& args, std::istream& in,
            std::ostream& out, std::ostream& err);
 

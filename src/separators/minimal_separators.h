@@ -126,10 +126,10 @@ class MinimalSeparatorEnumerator {
 
   /// Pre-sizes the dedup arena and probe table for `expected` distinct
   /// separators. With an accurate estimate (a previous run on the same
-  /// graph, a cached count in a service), the entire enumeration performs
-  /// zero heap allocations on small universes — the invariant the
-  /// MINTRI_COUNT_ALLOCS regression test pins. Harmless to over- or
-  /// under-shoot: the table grows as usual past the reservation.
+  /// graph), the entire enumeration performs zero heap allocations on small
+  /// universes — the invariant the MINTRI_COUNT_ALLOCS regression test
+  /// pins. Harmless to over- or under-shoot: the table grows as usual past
+  /// the reservation.
   void Reserve(size_t expected) { table_.Reserve(expected); }
 
  private:

@@ -84,7 +84,7 @@ bool TriangulationContext::BuildBlocksAndWiring(TriangulationContext* ctx,
   //    C* ⊇ Ω \ S is a full block with S ⊂ Ω ⊆ S ∪ C*, and Ω's children
   //    inside R(S, C*) are the associated blocks whose component lies in C*.
   // Each PMC's wiring only reads the frozen Step-1..3 tables, so the sweep
-  // forks over the PMCs; the serial path runs the same per-PMC routine.
+  // forks over the PMCs.
   stage_timer.Reset();
   std::vector<PmcWiring> wiring(ctx->pmcs_.size());
 
@@ -146,30 +146,22 @@ bool TriangulationContext::BuildBlocksAndWiring(TriangulationContext* ctx,
       (num_threads > 1 && ctx->pmcs_.size() >= kMinParallelWiring)
           ? num_threads
           : 1;
-  // The deadline is polled once per chunk of PMCs on either path.
+  // One chunked loop at every thread count (at one thread RunOnThreads runs
+  // the worker inline); the deadline is polled once per chunk of PMCs.
   constexpr size_t kChunk = 8;
-  if (wiring_threads > 1) {
-    std::atomic<size_t> cursor{0};
-    parallel::RunOnThreads(wiring_threads, [&](int) {
-      ComponentScanner scanner;
-      std::vector<int> sep_scratch;
-      while (!IsExpired(deadline)) {
-        size_t begin = cursor.fetch_add(kChunk, std::memory_order_relaxed);
-        if (begin >= wiring.size()) break;
-        size_t end = std::min(begin + kChunk, wiring.size());
-        for (size_t pi = begin; pi < end; ++pi) {
-          wire_one(pi, scanner, sep_scratch);
-        }
-      }
-    });
-  } else {
+  std::atomic<size_t> cursor{0};
+  parallel::RunOnThreads(wiring_threads, [&](int) {
     ComponentScanner scanner;
     std::vector<int> sep_scratch;
-    for (size_t pi = 0; pi < wiring.size(); ++pi) {
-      if (pi % kChunk == 0 && IsExpired(deadline)) break;
-      wire_one(pi, scanner, sep_scratch);
+    while (!IsExpired(deadline)) {
+      size_t begin = cursor.fetch_add(kChunk, std::memory_order_relaxed);
+      if (begin >= wiring.size()) break;
+      size_t end = std::min(begin + kChunk, wiring.size());
+      for (size_t pi = begin; pi < end; ++pi) {
+        wire_one(pi, scanner, sep_scratch);
+      }
     }
-  }
+  });
   if (IsExpired(deadline)) return false;
 
   // Deterministic merge, ascending by PMC then by associated separator.

@@ -86,6 +86,30 @@ TEST(CliTest, ErrorsAreReported) {
   EXPECT_EQ(Invoke({"nonexistent_file.gr"}, "").code, 1);
 }
 
+TEST(CliTest, RankRejectsWhatItUsedToIgnore) {
+  // An unknown --format used to print summaries, a negative --bound to run
+  // unbounded, and a second instance to replace the first.
+  const struct {
+    std::vector<std::string> args;
+    const char* error;
+  } cases[] = {
+      {{"rank", "--format=bogus", "tpch:5"},
+       "invalid value for --format: bogus (expected summary or td)\n"},
+      {{"rank", "--bound=-7", "tpch:5"},
+       "invalid value for --bound: -7 (expected an integer >= 0)\n"},
+      {{"rank", "tpch:5", "tpch:3"}, "unexpected argument: tpch:3\n"},
+  };
+  for (const auto& c : cases) {
+    CliResult r = Invoke(c.args, "");
+    EXPECT_EQ(r.code, 1) << c.error;
+    EXPECT_EQ(r.out, "") << c.error;
+    EXPECT_EQ(r.err, c.error);
+  }
+  // A malformed --bound keeps its message.
+  EXPECT_EQ(Invoke({"--bound=abc"}, kC4).err,
+            "invalid value for --bound: abc\n");
+}
+
 TEST(CliTest, NumericFlagOverflowIsRejected) {
   // strtoll saturates to LLONG_MAX on overflow without an errno check —
   // these used to parse "successfully". Worse, --bound=2^32+1 silently
@@ -337,6 +361,26 @@ TEST(CliTest, BenchSmokeEmitsSchemaShapedJson) {
   }
   // Schema v3 dropped the ranked suite's solver label.
   EXPECT_EQ(r.out.find("\"solver\""), std::string::npos) << r.out;
+}
+
+TEST(CliTest, BenchRunsASuiteNamedTwiceOnce) {
+  const auto entries = [](const std::string& report) {
+    size_t n = 0;
+    for (size_t at = report.find("{\"suite\": "); at != std::string::npos;
+         at = report.find("{\"suite\": ", at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  CliResult once =
+      Invoke({"bench", "minseps", "--smoke", "--quiet", "--out=-"}, "");
+  CliResult twice = Invoke(
+      {"bench", "minseps", "minseps", "--smoke", "--quiet", "--out=-"}, "");
+  EXPECT_EQ(twice.code, 0) << twice.err;
+  EXPECT_GT(entries(once.out), 0u) << once.out;
+  EXPECT_EQ(entries(twice.out), entries(once.out)) << twice.out;
+  EXPECT_NE(twice.out.find("\"suites\": [\"minseps\"]"), std::string::npos)
+      << twice.out;
 }
 
 TEST(CliTest, BenchCkkPairsWithRankedEntries) {

@@ -7,7 +7,8 @@
 // work-stealing engine (num_threads > 1) on the same deterministic seeds,
 // so the fuzzing also exercises the thread pool and sharded dedup table.
 // The input parsers (.gr, .hg, .uai) are fuzzed by deterministic mutations
-// of the tests/data seed files.
+// of the tests/data seed files, the command-line flag parser by mutated
+// argument vectors, and the batch list reader by random bytes.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,8 @@
 #include <sstream>
 #include <string>
 
+#include "cli/batch.h"
+#include "cli/cli.h"
 #include "graph/graph_io.h"
 #include "hypergraph/hypergraph_io.h"
 #include "inference/model_io.h"
@@ -192,11 +195,12 @@ std::string ReadSeed(const std::string& name) {
   return text.str();
 }
 
+const char* const kNumbers[] = {
+    "-1",         "0",          "-0",          "65537",
+    "2147483647", "2147483648", "-2147483649", "4294967297",
+    "10000000",   "1e9",        "nan",         "99999999999999999999"};
+
 std::string Mutate(std::string text, Rng* rng) {
-  static const char* const kNumbers[] = {
-      "-1",         "0",          "-0",          "65537",
-      "2147483647", "2147483648", "-2147483649", "4294967297",
-      "10000000",   "1e9",        "nan",         "99999999999999999999"};
   const int edits = 1 + static_cast<int>(rng->NextBounded(3));
   for (int e = 0; e < edits; ++e) {
     const size_t span = rng->NextBool(0.5)
@@ -305,6 +309,136 @@ TEST(ParserFuzz, UaiMutantsAreRejectedOrValid) {
         EXPECT_EQ(again.str(), out.str());
         return true;
       });
+}
+
+// Command-line fuzzing. Each vector is a valid rank, batch or bench command
+// line with one to three edits: an argument dropped, duplicated, truncated,
+// given a random byte, or given a value from kNumbers. Every input stops
+// its command before any solve — rank reads an unparseable stdin or a
+// missing file, batch a missing list file, and every bench vector ends in
+// --help — so each must exit 0 or 1, and an exit 1 writes its reason to
+// stderr and nothing to stdout.
+constexpr int kArgMutations = 2000;
+
+std::vector<std::string> MutateArgs(std::vector<std::string> args, Rng* rng) {
+  const int edits = 1 + static_cast<int>(rng->NextBounded(3));
+  for (int e = 0; e < edits && !args.empty(); ++e) {
+    const size_t i = rng->NextBounded(args.size());
+    std::string& arg = args[i];
+    switch (rng->NextBounded(5)) {
+      case 0:
+        args.erase(args.begin() + static_cast<long>(i));
+        break;
+      case 1: {
+        const std::string copy = arg;
+        args.insert(args.begin() + static_cast<long>(
+                                       rng->NextBounded(args.size() + 1)),
+                    copy);
+        break;
+      }
+      case 2:
+        arg.resize(rng->NextBounded(arg.size() + 1));
+        break;
+      case 3:
+        // argv strings hold no NUL.
+        if (!arg.empty()) {
+          arg[rng->NextBounded(arg.size())] =
+              static_cast<char>(1 + rng->NextBounded(255));
+        }
+        break;
+      default:
+        arg = arg.substr(0, arg.find('=') + 1) +
+              kNumbers[rng->NextBounded(std::size(kNumbers))];
+        break;
+    }
+  }
+  return args;
+}
+
+void FuzzCommandLine(const std::string& command,
+                     const std::vector<std::string>& valid, bool end_in_help,
+                     uint64_t rng_seed) {
+  Rng rng(rng_seed);
+  int accepted = 0;
+  for (int i = 0; i < kArgMutations; ++i) {
+    std::vector<std::string> args = MutateArgs(valid, &rng);
+    args.insert(args.begin(), command);
+    if (end_in_help) args.push_back("--help");
+    std::string line;
+    for (const std::string& arg : args) line += " [" + arg + "]";
+    SCOPED_TRACE("mutation " + std::to_string(i) + ":" + line);
+    std::istringstream in("not an instance");
+    std::ostringstream out, err;
+    int code = -1;
+    EXPECT_NO_THROW(code = RunCli(args, in, out, err));
+    EXPECT_TRUE(code == 0 || code == 1) << code;
+    if (code == 1) {
+      EXPECT_FALSE(err.str().empty());
+      EXPECT_EQ(out.str(), "");
+    }
+    accepted += code == 0;
+    if (::testing::Test::HasFailure()) return;
+  }
+  // Bench's --help must answer some of the mutants.
+  if (end_in_help) {
+    EXPECT_GT(accepted, 0);
+  }
+}
+
+TEST(CliFuzz, RankArgumentMutants) {
+  FuzzCommandLine("rank",
+                  {"--cost=fill", "--top=3", "--algo=ckk", "--bound=2",
+                   "--format=td", "--input=hg", "--time-limit=5",
+                   "--threads=2", "--tier=exact", "--stats",
+                   "/nonexistent/g.gr"},
+                  /*end_in_help=*/false, 7201);
+}
+
+TEST(CliFuzz, BatchArgumentMutants) {
+  FuzzCommandLine("batch",
+                  {"/nonexistent/list.txt", "--cost=fhw", "--top=2",
+                   "--threads=2", "--inner-threads=2", "--deadline=2",
+                   "--time-limit=5", "--tier=heuristic", "--stats",
+                   "--stats-json=/nonexistent/s.json",
+                   "--out=/nonexistent/o.jsonl"},
+                  /*end_in_help=*/false, 7202);
+}
+
+TEST(CliFuzz, BenchArgumentMutants) {
+  FuzzCommandLine("bench",
+                  {"minseps", "pmc", "all", "--smoke", "--quiet",
+                   "--threads=2", "--out=/nonexistent/b.json"},
+                  /*end_in_help=*/true, 7203);
+}
+
+// The batch list reader on random bytes, biased towards the characters its
+// rules are about: every spec it returns is one non-empty, trimmed line
+// that is not a '#' comment.
+TEST(CliFuzz, InstanceListReaderOnRandomBytes) {
+  static const char kAlphabet[] = " \t\r\n#ab:/.";
+  Rng rng(7204);
+  for (int i = 0; i < kParserMutations; ++i) {
+    std::string text(rng.NextBounded(64), '\0');
+    for (char& c : text) {
+      c = rng.NextBool(0.75)
+              ? kAlphabet[rng.NextBounded(sizeof(kAlphabet) - 1)]
+              : static_cast<char>(rng.NextBounded(256));
+    }
+    std::istringstream in(text);
+    const std::vector<std::string> specs = ReadInstanceList(in);
+    SCOPED_TRACE("input " + std::to_string(i));
+    const auto lines = std::count(text.begin(), text.end(), '\n') + 1;
+    EXPECT_LE(specs.size(), static_cast<size_t>(lines));
+    for (const std::string& spec : specs) {
+      ASSERT_FALSE(spec.empty());
+      EXPECT_EQ(spec.find('\n'), std::string::npos) << spec;
+      EXPECT_EQ(std::string(" \t\r").find(spec.front()), std::string::npos)
+          << spec;
+      EXPECT_EQ(std::string(" \t\r").find(spec.back()), std::string::npos)
+          << spec;
+      EXPECT_NE(spec.front(), '#') << spec;
+    }
+  }
 }
 
 }  // namespace
