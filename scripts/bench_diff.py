@@ -69,8 +69,8 @@ def load_report(path):
 
 def entry_key(entry):
     """Identity of one benchmark point, stable across schema versions. The
-    family is part of it: one graph can sit in two families (grid5x5 is in
-    Grids and Pace2016-1000s)."""
+    family is part of it, so a graph listed under two families counts as two
+    points."""
     return (entry.get("suite", ""), entry.get("family", ""),
             entry.get("graph", ""), entry.get("threads", 0),
             entry.get("solver", ""), entry.get("cost", ""),

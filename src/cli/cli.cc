@@ -39,11 +39,13 @@ constexpr char kUsage[] =
     "                     state-space uses the model's domain sizes when\n"
     "                     the instance carries them (uniform 2 otherwise)\n"
     "  --top=K            stop after K results          (default 5)\n"
-    "  --algo=ranked|ckk  ranked enumeration or the CKK baseline\n"
+    "  --algo=ranked|ckk  ranked enumeration or the CKK baseline (which\n"
+    "                     rejects --bound, --tier and --threads)\n"
     "  --bound=B          width bound (MinTriangB contexts)\n"
     "  --format=summary|td   per-result line, or PACE .td blocks\n"
     "  --input=gr|hg|uai  stdin format                  (default gr)\n"
-    "  --time-limit=SEC   initialization budget in seconds (default 30)\n"
+    "  --time-limit=SEC   initialization budget in seconds (default 30);\n"
+    "                     under --algo=ckk, the budget of the whole stream\n"
     "  --threads=N        worker threads for the separator/PMC enumeration\n"
     "                     during initialization (default 1 = serial)\n"
     "  --tier=auto|exact|heuristic  solve pipeline (default auto): exact is\n"
@@ -173,12 +175,23 @@ int RunCli(const std::vector<std::string>& args, std::istream& in,
   std::string file;  // empty: stdin
   BatchOptions query;  // rank's query settings
   query.top = 5;
+  // The first flag given that only the ranked pipeline reads: CKK has no
+  // context to bound, no tiers and no parallel initialization.
+  std::string ranked_only;
+  const auto ranked_flag = [&ranked_only](const char* name,
+                                          flags::Setter set) -> flags::Setter {
+    return [&ranked_only, name, set](const std::string& value) {
+      if (ranked_only.empty()) ranked_only = name;
+      return set(value);
+    };
+  };
   const std::vector<flags::Flag> table = {
       {"--cost", flags::Text(&query.cost)},
       {"--top", flags::Count(&query.top)},
       {"--algo", flags::Text(&algo)},
       {"--bound",
-       [&](const std::string& value) -> std::optional<std::string> {
+       ranked_flag("--bound", [&](const std::string& value)
+                                  -> std::optional<std::string> {
          // A value that is no int is rejected without the expected text.
          long long bound;
          if (!flags::ParseNumber(value, &bound) || bound < INT_MIN ||
@@ -188,18 +201,25 @@ int RunCli(const std::vector<std::string>& args, std::istream& in,
          if (bound < 0) return " (expected an integer >= 0)";
          query.width_bound = static_cast<int>(bound);
          return std::nullopt;
-       }},
+       })},
       {"--format", flags::OneOf(&format, {"summary", "td"})},
       {"--input", flags::OneOf(&input, {"gr", "hg", "uai"})},
       {"--time-limit", flags::Seconds(&query.time_limit)},
-      {"--threads", flags::Threads(&query.inner_threads)},
-      {"--tier", flags::OneOf(&query.tier, {"auto", "exact", "heuristic"})},
+      {"--threads",
+       ranked_flag("--threads", flags::Threads(&query.inner_threads))},
+      {"--tier", ranked_flag("--tier", flags::OneOf(&query.tier,
+                                                    {"auto", "exact",
+                                                     "heuristic"}))},
       {"--stats", nullptr, &stats},
   };
   if (std::optional<int> exit = flags::Parse(
           command == "rank" ? rest : args, table,
           flags::OnePath(&file), kUsage, out, err)) {
     return *exit;
+  }
+  if (algo == "ckk" && !ranked_only.empty()) {
+    err << ranked_only << " does not apply to --algo=ckk\n";
+    return 1;
   }
 
   std::string error;
@@ -233,15 +253,23 @@ int RunCli(const std::vector<std::string>& args, std::istream& in,
       return 1;
     }
     CkkEnumerator e(g, model->cost.get());
-    for (long long rank = 1; rank <= query.top; ++rank) {
+    // CKK has no initialization, so --time-limit bounds the whole stream.
+    const Deadline deadline(query.time_limit);
+    e.SetDeadline(&deadline);
+    long long printed = 0;
+    while (printed < query.top) {
       auto t = e.Next();
       if (!t.has_value()) break;
-      PrintResult(format == "td", g, static_cast<int>(rank), *t, out);
+      PrintResult(format == "td", g, static_cast<int>(++printed), *t, out);
     }
     RunStats run;
     if (model->cache != nullptr) run.cache = model->cache->stats();
+    if (e.truncated()) {
+      err << "CKK stream cut by --time-limit=" << query.time_limit
+          << "s after " << printed << " results\n";
+    }
     print_stats(run);
-    return 0;
+    return e.truncated() ? 2 : 0;
   }
   if (algo != "ranked") {
     err << "unknown algorithm: " << algo << "\n";

@@ -6,18 +6,6 @@
 
 namespace mintri {
 
-namespace {
-
-// a \ b for sorted id vectors.
-void SetDiffInto(const std::vector<int>& a, const std::vector<int>& b,
-                 std::vector<int>* out) {
-  out->clear();
-  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
-                      std::back_inserter(*out));
-}
-
-}  // namespace
-
 MinTriangSolver::MinTriangSolver(const TriangulationContext& ctx,
                                  const BagCost& cost)
     : ctx_(ctx),
@@ -25,19 +13,23 @@ MinTriangSolver::MinTriangSolver(const TriangulationContext& ctx,
       empty_separator_(ctx.graph().NumVertices()),
       all_vertices_(ctx.graph().Vertices()) {
   const int num_nodes = Root() + 1;
-  cand_values_.resize(num_nodes);
-  cand_dirty_.resize(num_nodes);
-  cand_blocked_.resize(num_nodes);
   cand_trees_.resize(num_nodes);
   dirty_list_.resize(num_nodes);
   worklist_.assign((num_nodes + 63) / 64, 0);
+  cand_offset_.reserve(num_nodes + 1);
   for (int node = 0; node < num_nodes; ++node) {
     const size_t k = Candidates(node).size();
-    cand_values_[node].assign(k, kInfiniteCost);
-    cand_dirty_[node].assign(k, 0);
-    cand_blocked_[node].assign(k, 0);
-    num_candidates_total_ += k;
+    cand_offset_.push_back(static_cast<int>(cand_node_.size()));
+    cand_node_.insert(cand_node_.end(), k, node);
   }
+  cand_offset_.push_back(static_cast<int>(cand_node_.size()));
+  cand_dirty_.assign(cand_node_.size(), 0);
+  num_words_ = (cand_node_.size() + 63) / 64;
+  row_slot_.assign(ctx.minimal_separators().size(), -1);
+  row_scratch_.assign(2 * num_words_, 0);
+  inc_.assign(num_words_, 0);
+  exc_.assign(num_words_, 0);
+  blocked_.assign(num_words_, 0);
   value_.assign(num_nodes, kInfiniteCost);
   choice_.assign(num_nodes, -1);
 }
@@ -60,42 +52,108 @@ void MinTriangSolver::BuildHosts() {
   }
 }
 
-const MinTriangSolver::SepGeometry& MinTriangSolver::GeometryFor(int sep_id) {
-  auto it = sep_geometry_.find(sep_id);
-  if (it != sep_geometry_.end()) return it->second;
-  // One scan over every candidate, done once per separator ever used in a
-  // constraint; afterwards every delta for this separator walks the exact
-  // affected lists with no subset tests at all.
-  SepGeometry geo;
-  const VertexSet& s = ctx_.minimal_separators()[sep_id];
-  const int root = Root();
-  for (int node = 0; node <= root; ++node) {
-    if (!s.IsSubsetOf(NodeVertices(node))) continue;
-    const std::vector<int>& cands = Candidates(node);
-    const std::vector<std::vector<int>>& children = Children(node);
-    for (size_t k = 0; k < cands.size(); ++k) {
-      if (s.IsSubsetOf(ctx_.pmcs()[cands[k]])) {
-        // Exclusion geometry: the κ[I,X] exclusion test reads S here.
-        geo.exclusion.push_back({node, static_cast<int>(k)});
-      } else {
-        // Inclusion geometry: S fits the block but is neither inside Ω nor
-        // inside a child block — the only place the inclusion test flips.
-        bool inside_child = false;
-        for (int cid : children[k]) {
-          if (s.IsSubsetOf(ctx_.blocks()[cid].vertices)) {
-            inside_child = true;
-            break;
-          }
-        }
-        if (!inside_child) {
-          geo.inclusion.push_back({node, static_cast<int>(k)});
+size_t MinTriangSolver::Row(int sep_id, bool inclusion) {
+  if (row_slot_[sep_id] < 0) {
+    // One scan over every candidate, done once per separator ever used in
+    // a constraint; afterwards every constraint change over this separator
+    // is a few word ORs with no subset tests at all. The scan fills the
+    // exclusion row in the first half of the scratch and the inclusion row
+    // in the second.
+    row_slot_[sep_id] = static_cast<int>(row_begin_.size() / 2);
+    const VertexSet& s = ctx_.minimal_separators()[sep_id];
+    for (int node = 0; node <= Root(); ++node) {
+      if (!s.IsSubsetOf(NodeVertices(node))) continue;
+      const std::vector<int>& cands = Candidates(node);
+      const std::vector<std::vector<int>>& children = Children(node);
+      for (size_t k = 0; k < cands.size(); ++k) {
+        const int id = FlatId(node, static_cast<int>(k));
+        const uint64_t bit = uint64_t{1} << (id & 63);
+        if (s.IsSubsetOf(ctx_.pmcs()[cands[k]])) {
+          // Exclusion geometry: the κ[I,X] exclusion test reads S here.
+          row_scratch_[id >> 6] |= bit;
+        } else if (std::none_of(children[k].begin(), children[k].end(),
+                                [&](int cid) {
+                                  return s.IsSubsetOf(
+                                      ctx_.blocks()[cid].vertices);
+                                })) {
+          // Inclusion geometry: S fits the block but is neither inside Ω
+          // nor inside a child block — the only place the inclusion test
+          // flips.
+          row_scratch_[num_words_ + (id >> 6)] |= bit;
         }
       }
     }
+    for (size_t w = 0; w < 2 * num_words_; ++w) {
+      if (w == num_words_) row_begin_.push_back(row_word_.size());
+      if (row_scratch_[w] == 0) continue;
+      row_word_.push_back(static_cast<uint32_t>(w % num_words_));
+      row_bits_.push_back(row_scratch_[w]);
+      row_scratch_[w] = 0;
+    }
+    row_begin_.push_back(row_word_.size());
   }
-  geo.exclusion.shrink_to_fit();
-  geo.inclusion.shrink_to_fit();
-  return sep_geometry_.emplace(sep_id, std::move(geo)).first->second;
+  return 2 * static_cast<size_t>(row_slot_[sep_id]) + (inclusion ? 1 : 0);
+}
+
+void MinTriangSolver::FoldSide(const std::vector<int>& ids, bool inclusion,
+                               std::vector<int>* current,
+                               std::vector<uint64_t>* acc) {
+  // The ids of `ids` that `*current` lacks; j ends short of current->size()
+  // when some id of `*current` is gone from `ids`.
+  added_ids_.clear();
+  size_t j = 0;
+  for (int id : ids) {
+    if (j < current->size() && (*current)[j] < id) break;
+    if (j < current->size() && (*current)[j] == id) {
+      ++j;
+    } else {
+      added_ids_.push_back(id);
+    }
+  }
+  // A superset (the sibling case: I only grows within one Lawler–Murty
+  // expansion) ORs in the added rows; anything else rebuilds the side.
+  const std::vector<int>* fold = &added_ids_;
+  if (j < current->size()) {
+    std::fill(acc->begin(), acc->end(), 0);
+    fold = &ids;
+  }
+  for (int id : *fold) {
+    const size_t r = Row(id, inclusion);
+    for (size_t i = row_begin_[r]; i < row_begin_[r + 1]; ++i) {
+      (*acc)[row_word_[i]] |= row_bits_[i];
+    }
+  }
+  *current = ids;
+}
+
+void MinTriangSolver::UpdateBlocked(bool full) {
+  for (size_t w = 0; w < num_words_; ++w) {
+    const uint64_t now = inc_[w] | exc_[w];
+    const uint64_t was = blocked_[w];
+    if (now == was) continue;
+    blocked_[w] = now;
+    // On a full pass only the blocked set needs maintaining: everything is
+    // re-evaluated anyway, so nothing is marked.
+    if (full) continue;
+    const int base = static_cast<int>(w * 64);
+    // A newly blocked finite candidate drops to ∞ with no evaluation; an
+    // already-∞ one stays put.
+    for (uint64_t bits = now & ~was; bits != 0; bits &= bits - 1) {
+      const int id = base + __builtin_ctzll(bits);
+      const int node = cand_node_[id];
+      const int k = id - cand_offset_[node];
+      if (std::isinf(cand_trees_[node].ValueAt(k))) continue;
+      cand_trees_[node].Update(k, kInfiniteCost);
+      ++num_index_updates_;
+      Activate(node);
+    }
+    // A candidate revives only once its last blocking constraint is gone.
+    for (uint64_t bits = was & ~now; bits != 0; bits &= bits - 1) {
+      const int id = base + __builtin_ctzll(bits);
+      const int node = cand_node_[id];
+      MarkDirty(node, id - cand_offset_[node]);
+    }
+  }
 }
 
 CostValue MinTriangSolver::EvalCandidate(int node, size_t k) {
@@ -114,13 +172,6 @@ CostValue MinTriangSolver::EvalCandidate(int node, size_t k) {
                         child_blocks_buf_, child_costs_buf_});
 }
 
-void MinTriangSolver::MarkDirty(int node, int k) {
-  if (cand_dirty_[node][k] == epoch_) return;
-  cand_dirty_[node][k] = epoch_;
-  dirty_list_[node].push_back(k);
-  Activate(node);
-}
-
 void MinTriangSolver::ClearWorklist() {
   for (size_t w = 0; w < worklist_.size(); ++w) {
     for (uint64_t bits = worklist_[w]; bits != 0; bits &= bits - 1) {
@@ -137,41 +188,6 @@ bool MinTriangSolver::PollDeadline() {
   return truncated_;
 }
 
-void MinTriangSolver::ApplyConstraintDelta(
-    const std::vector<int>& added_exc, const std::vector<int>& added_inc,
-    const std::vector<int>& removed_exc, const std::vector<int>& removed_inc,
-    bool full) {
-  // Additions can only push candidate values to ∞: a newly-blocked finite
-  // candidate drops to ∞ with no evaluation, an already-∞ one stays put.
-  // blocked[k] — how many current constraints candidate k violates — stays
-  // exact under adds/removes because each (separator, candidate) geometry
-  // is static, and blocked[k] > 0 ⟺ CombineViolatesConstraints there.
-  const auto add = [&](const std::vector<std::pair<int, int>>& affected) {
-    for (const auto& [node, k] : affected) {
-      if (++cand_blocked_[node][k] == 1 && !full &&
-          !std::isinf(cand_values_[node][k])) {
-        cand_values_[node][k] = kInfiniteCost;
-        cand_trees_[node].Update(k, kInfiniteCost);
-        ++num_index_updates_;
-        Activate(node);
-      }
-    }
-  };
-  // Removals can only revive a candidate, and only once its *last* blocking
-  // constraint goes away; until then no evaluation is needed. (On a full
-  // pass only the counters need maintaining — everything is re-evaluated
-  // anyway, so nothing is marked.)
-  const auto remove = [&](const std::vector<std::pair<int, int>>& affected) {
-    for (const auto& [node, k] : affected) {
-      if (--cand_blocked_[node][k] == 0 && !full) MarkDirty(node, k);
-    }
-  };
-  for (int id : added_exc) add(GeometryFor(id).exclusion);
-  for (int id : added_inc) add(GeometryFor(id).inclusion);
-  for (int id : removed_exc) remove(GeometryFor(id).exclusion);
-  for (int id : removed_inc) remove(GeometryFor(id).inclusion);
-}
-
 void MinTriangSolver::Repair(bool full) {
   if (full) {
     // Every node in ascending order. A full pass re-evaluates everything
@@ -179,11 +195,13 @@ void MinTriangSolver::Repair(bool full) {
     ClearWorklist();
     for (int node = 0; node <= Root(); ++node) {
       if (PollDeadline()) return;
-      std::vector<CostValue>& values = cand_values_[node];
-      if (values.empty()) continue;
-      const std::vector<uint32_t>& blocked = cand_blocked_[node];
-      for (size_t k = 0; k < values.size(); ++k) {
-        values[k] = blocked[k] > 0 ? kInfiniteCost : EvalCandidate(node, k);
+      const size_t num_cands = Candidates(node).size();
+      if (num_cands == 0) continue;
+      std::vector<CostValue>& values = full_pass_values_;
+      values.resize(num_cands);
+      for (size_t k = 0; k < num_cands; ++k) {
+        values[k] = Blocked(node, static_cast<int>(k)) ? kInfiniteCost
+                                                       : EvalCandidate(node, k);
         if (PollDeadline()) return;
       }
       cand_trees_[node].Assign(values);
@@ -202,17 +220,16 @@ void MinTriangSolver::Repair(bool full) {
     while (worklist_[w] != 0) {
       const int node = static_cast<int>(w * 64) + __builtin_ctzll(worklist_[w]);
       if (PollDeadline()) return;
-      std::vector<CostValue>& values = cand_values_[node];
+      RangeMinTree& tree = cand_trees_[node];
       // The candidates a constraint delta revived or a changed child
-      // dirtied — all unblocked, since ApplyConstraintDelta marks only
-      // after every addition and the cascade skips blocked hosts. A
+      // dirtied — all unblocked, since UpdateBlocked marks only newly
+      // unblocked ones and the cascade skips blocked hosts. A
       // re-evaluation that lands on the cached value leaves the tree alone.
       for (int k : dirty_list_[node]) {
-        assert(cand_blocked_[node][k] == 0);
+        assert(!Blocked(node, k));
         const CostValue v = EvalCandidate(node, k);
-        if (v != values[k]) {
-          values[k] = v;
-          cand_trees_[node].Update(k, v);
+        if (v != tree.ValueAt(k)) {
+          tree.Update(k, v);
           ++num_index_updates_;
         }
         if (PollDeadline()) return;
@@ -229,10 +246,10 @@ void MinTriangSolver::Repick(int node, bool cascade) {
   // DP's "first strict improvement wins", so choice_ matches a from-scratch
   // solve.
   ++num_range_queries_;
-  const std::vector<CostValue>& values = cand_values_[node];
-  const int min_k = cand_trees_[node].MinIndex();
-  const bool feasible = min_k >= 0 && !std::isinf(values[min_k]);
-  const CostValue best = feasible ? values[min_k] : kInfiniteCost;
+  const RangeMinTree& tree = cand_trees_[node];
+  const int min_k = tree.MinIndex();
+  const bool feasible = min_k >= 0 && !std::isinf(tree.ValueAt(min_k));
+  const CostValue best = feasible ? tree.ValueAt(min_k) : kInfiniteCost;
   choice_[node] = feasible ? min_k : -1;
   if (best == value_[node]) return;
   value_[node] = best;
@@ -241,7 +258,7 @@ void MinTriangSolver::Repick(int node, bool cascade) {
   // dirties it anyway, so only unblocked hosts need a re-evaluation.
   for (const auto& [host, hk] : host_cands_[node]) {
     assert(host > node);
-    if (cand_blocked_[host][hk] == 0) MarkDirty(host, hk);
+    if (!Blocked(host, hk)) MarkDirty(host, hk);
   }
 }
 
@@ -251,32 +268,29 @@ std::optional<TriangulationTree> MinTriangSolver::Solve(
   assert(std::is_sorted(exclude_ids.begin(), exclude_ids.end()));
   truncated_ = false;
 
-  // Separators that moved in or out of I / X since the last solve.
-  std::vector<int> inc_added, inc_removed, exc_added, exc_removed;
-  SetDiffInto(include_ids, include_ids_, &inc_added);
-  SetDiffInto(include_ids_, include_ids, &inc_removed);
-  SetDiffInto(exclude_ids, exclude_ids_, &exc_added);
-  SetDiffInto(exclude_ids_, exclude_ids, &exc_removed);
-  const bool any_delta = !inc_added.empty() || !inc_removed.empty() ||
-                         !exc_added.empty() || !exc_removed.empty();
-
+  const bool include_changed = include_ids != include_ids_;
+  const bool exclude_changed = exclude_ids != exclude_ids_;
   const bool full = !solved_once_;
   // A deadline that is already gone: refuse before committing the new
   // constraint state or touching any table, so the cached ids, blocked
-  // counters, and values all stay mutually consistent for the next attempt.
-  if ((full || any_delta) && IsExpired(deadline_)) {
+  // bits, and values all stay mutually consistent for the next attempt.
+  if ((full || include_changed || exclude_changed) && IsExpired(deadline_)) {
     truncated_ = true;
     return std::nullopt;
   }
-  include_ids_ = include_ids;
-  exclude_ids_ = exclude_ids;
 
-  if (full || any_delta) {
+  if (full || include_changed || exclude_changed) {
     // The reverse DP edges are only needed once repairs start cascading, so
     // the one-shot MinTriang wrapper (a single full pass) never builds them.
     if (!full && !hosts_built_) BuildHosts();
     ++epoch_;
-    ApplyConstraintDelta(exc_added, inc_added, exc_removed, inc_removed, full);
+    if (include_changed) {
+      FoldSide(include_ids, /*inclusion=*/true, &include_ids_, &inc_);
+    }
+    if (exclude_changed) {
+      FoldSide(exclude_ids, /*inclusion=*/false, &exclude_ids_, &exc_);
+    }
+    UpdateBlocked(full);
     {
       // Bag scores too deep to take the deadline (the exact edge cover)
       // poll it through the thread slot and give up once it expires.
@@ -287,11 +301,11 @@ std::optional<TriangulationTree> MinTriangSolver::Solve(
     // last check, so such a value never reaches a result.
     if (IsExpired(deadline_)) truncated_ = true;
     if (truncated_) {
-      // The repair stopped midway: value_/choice_ may mix old and new
-      // epochs. The blocked counters and cached candidate values are still
-      // exact for the *committed* constraint state, so forcing the next
-      // Solve through a full pass restores every table. What the repair
-      // left pending is dropped.
+      // The repair stopped midway: value_/choice_ and the trees may mix
+      // old and new epochs. The blocked bits are still exact for the
+      // *committed* constraint state, so forcing the next Solve through a
+      // full pass restores every table. What the repair left pending is
+      // dropped.
       ClearWorklist();
       solved_once_ = false;
       return std::nullopt;

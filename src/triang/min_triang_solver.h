@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -22,18 +21,24 @@ namespace mintri {
 ///
 /// Solve(I, X) computes a minimum-κ[I,X] minimal triangulation, where I/X
 /// are inclusion/exclusion constraints given as sorted separator-id lists of
-/// the context (Section 6.1). The constraint test is a per-candidate
-/// counter, not a set comparison: blocked[k] counts the current constraints
-/// candidate k violates, and blocked[k] > 0 holds exactly when
-/// CombineViolatesConstraints would reject the bag. The counters follow the
-/// constraint deltas between calls, through static per-separator geometry:
+/// the context (Section 6.1). The constraint test is one bit, not a set
+/// comparison. Every (node, Ω) candidate of the DP has a flat id (a CSR
+/// offset per node), and each separator S has two static bit rows over
+/// those ids, built on first use:
 ///
-///  - an exclusion over S blocks the candidates with S ⊆ Ω;
-///  - an inclusion over S blocks the candidates where S fits the block
-///    (S ⊆ S∪C) but lies neither inside Ω nor inside a child block;
-///  - direction matters: a candidate whose count rises from 0 drops to ∞
-///    with no evaluation, one whose count falls to 0 is marked dirty, and
-///    every other candidate keeps its cached value.
+///  - its exclusion row holds the candidates with S ⊆ Ω;
+///  - its inclusion row holds the candidates where S fits the block
+///    (S ⊆ S∪C) but lies neither inside Ω nor inside a child block.
+///
+/// The solver keeps inc = OR of I's inclusion rows and exc = OR of X's
+/// exclusion rows; a candidate is blocked when its bit of inc | exc is set,
+/// which holds exactly when CombineViolatesConstraints would reject the bag.
+/// A side whose new id list contains its last one ORs in only the added rows
+/// (within one Lawler–Murty expansion I only grows); any other change
+/// rebuilds that side from its rows. Direction matters: a newly blocked
+/// candidate (set in the new blocked words, clear in the old) drops to ∞
+/// with no evaluation, a newly unblocked one is marked dirty, and every
+/// other candidate keeps its cached value.
 ///
 /// A blocked candidate is ∞ and never reaches Combine, so the base cost sees
 /// only unblocked bags. A block whose DP value changed re-dirties the
@@ -49,9 +54,10 @@ namespace mintri {
 /// candidate, visited in ascending node order. Hosts are strictly larger than
 /// their children, so a cascade only adds nodes above the one being processed
 /// and one ascending walk sees every child's new value before its hosts. A
-/// repair therefore costs O(touched candidates · log n), independent of the
-/// block count. The worklist is empty between calls: a completed repair drains
-/// it, and a truncated one or a full pass clears it.
+/// repair therefore costs O(touched candidates · log n) plus a few word
+/// operations per 64 candidates for the blocked set. The worklist is empty
+/// between calls: a completed repair drains it, and a truncated one or a full
+/// pass clears it.
 ///
 /// The repaired tables are *identical* to a from-scratch DP (same values, same
 /// first-minimum choice per block), so results are byte-for-byte equal to
@@ -63,7 +69,7 @@ namespace mintri {
 /// against CKK for initialization, applied to the per-result optimizer calls).
 ///
 /// `ctx` and `cost` must outlive the solver. `cost` is the *base* cost κ;
-/// the solver applies [I,X] itself through the blocked counters. (Passing a
+/// the solver applies [I,X] itself through the blocked bits. (Passing a
 /// ConstrainedCost as `cost` with empty I/X is also valid — that is exactly
 /// what the MinTriang wrapper does.)
 class MinTriangSolver {
@@ -102,7 +108,7 @@ class MinTriangSolver {
 
   /// Evaluations that reached the base cost's Combine — the expensive part
   /// of a candidate evaluation. Blocked candidates never get this far (the
-  /// blocked counters are the constraint test), and a candidate with an
+  /// blocked bits are the constraint test), and a candidate with an
   /// infeasible child short-circuits to ∞ before it.
   long long num_combine_calls() const { return num_combine_calls_; }
 
@@ -115,7 +121,7 @@ class MinTriangSolver {
   long long num_range_queries() const { return num_range_queries_; }
 
   /// Number of (block, Ω) candidates in the DP (root included).
-  size_t num_candidates_total() const { return num_candidates_total_; }
+  size_t num_candidates_total() const { return cand_node_.size(); }
 
  private:
   // Node ids: 0..B-1 are the context's blocks (ascending order), B is the
@@ -137,29 +143,37 @@ class MinTriangSolver {
     return node == Root() ? all_vertices_ : ctx_.blocks()[node].vertices;
   }
 
-  // The candidates a constraint over separator sep_id can affect, split by
-  // role: `exclusion` lists (node, k) with S ⊆ Ω; `inclusion` lists
-  // (node, k) where S fits the block but is neither inside Ω nor inside a
-  // child block. Static per context, computed on first use and cached, so
-  // constraint deltas walk exact lists instead of scanning the tables.
-  struct SepGeometry {
-    std::vector<std::pair<int, int>> exclusion;
-    std::vector<std::pair<int, int>> inclusion;
-  };
-  const SepGeometry& GeometryFor(int sep_id);
+  // Flat id of candidate k of `node`, and whether the current [I, X]
+  // blocks it.
+  int FlatId(int node, int k) const { return cand_offset_[node] + k; }
+  bool Blocked(int node, int k) const {
+    const int id = FlatId(node, k);
+    return (blocked_[id >> 6] >> (id & 63)) & 1;
+  }
 
-  // Updates blocked counts for the epoch's constraint delta, forcing
-  // newly-blocked finite candidates to ∞ (their node goes on the worklist)
-  // and marking candidates whose last blocker went away dirty for
-  // re-evaluation.
-  void ApplyConstraintDelta(const std::vector<int>& added_exc,
-                            const std::vector<int>& added_inc,
-                            const std::vector<int>& removed_exc,
-                            const std::vector<int>& removed_inc, bool full);
+  // The index of separator sep_id's exclusion row, or of its inclusion
+  // row; both are built on first use.
+  size_t Row(int sep_id, bool inclusion);
+
+  // Brings one side's accumulator (inc_ or exc_) from the rows of
+  // `*current` to the rows of `ids`, and stores `ids` in `*current`.
+  void FoldSide(const std::vector<int>& ids, bool inclusion,
+                std::vector<int>* current, std::vector<uint64_t>* acc);
+
+  // Sets blocked_ to inc_ | exc_. Unless `full`, a newly blocked finite
+  // candidate is forced to ∞ (its node goes on the worklist) and a newly
+  // unblocked one is marked dirty.
+  void UpdateBlocked(bool full);
 
   // Stamps (node, k) dirty for this epoch (idempotent): appends k to the
   // node's dirty list and puts the node on the worklist.
-  void MarkDirty(int node, int k);
+  void MarkDirty(int node, int k) {
+    uint32_t& stamp = cand_dirty_[FlatId(node, k)];
+    if (stamp == epoch_) return;
+    stamp = epoch_;
+    dirty_list_[node].push_back(k);
+    Activate(node);
+  }
 
   // Puts `node` on the worklist.
   void Activate(int node) {
@@ -199,11 +213,10 @@ class MinTriangSolver {
   void BuildHosts();
 
   // DP tables, persisted across Solve calls.
-  std::vector<std::vector<CostValue>> cand_values_;  // per node, per cand
   std::vector<CostValue> value_;
   std::vector<int> choice_;
-  // Per-node range-min tree over cand_values_ (built by the first full
-  // pass, point-updated by repairs).
+  // Per-node range-min tree whose leaves are the node's candidate values
+  // (built by the first full pass, point-updated by repairs).
   std::vector<RangeMinTree> cand_trees_;
   // host_cands_[b]: the exact (host node, candidate k) pairs with block b
   // among candidate k's children — the candidate-granular reverse edges a
@@ -211,22 +224,37 @@ class MinTriangSolver {
   std::vector<std::vector<std::pair<int, int>>> host_cands_;
   bool hosts_built_ = false;
 
-  // Current constraint state (sorted separator ids).
+  // Flat candidate numbering: node `n`'s candidates are the ids
+  // [cand_offset_[n], cand_offset_[n + 1]), and cand_node_[id] is the node.
+  std::vector<int> cand_offset_;
+  std::vector<int> cand_node_;
+  size_t num_words_ = 0;  // words per bit row over the flat ids
+
+  // Per-separator bit rows, built lazily (memory is bounded by the
+  // separators the enumeration actually constrains) and stored by their
+  // non-zero words: row r is the words row_bits_[i] at word index
+  // row_word_[i], for i in [row_begin_[r], row_begin_[r + 1]). A large
+  // context's rows are mostly zero words. row_slot_[sep_id] is -1 until
+  // built; slot i holds rows 2i (exclusion) and 2i + 1 (inclusion).
+  std::vector<int> row_slot_;
+  std::vector<size_t> row_begin_{0};
+  std::vector<uint32_t> row_word_;
+  std::vector<uint64_t> row_bits_;
+  std::vector<uint64_t> row_scratch_;  // two dense rows, zero between uses
+
+  // Current constraint state: the sorted separator ids, each side's OR of
+  // rows, and the blocked set inc_ | exc_.
   std::vector<int> include_ids_;
   std::vector<int> exclude_ids_;
+  std::vector<uint64_t> inc_;
+  std::vector<uint64_t> exc_;
+  std::vector<uint64_t> blocked_;
+  std::vector<int> added_ids_;  // FoldSide scratch
   bool solved_once_ = false;
-
-  // blocked[k]: how many current constraints candidate k violates —
-  // exact under add/remove deltas because the per-(S, candidate) geometry
-  // is static; > 0 is equivalent to CombineViolatesConstraints.
-  std::vector<std::vector<uint32_t>> cand_blocked_;
-  // Lazily-built geometry cache, one entry per separator ever constrained
-  // (memory is bounded by the separators the enumeration actually touches).
-  std::unordered_map<int, SepGeometry> sep_geometry_;
 
   // Epoch-stamped dirtiness (a stamp equal to epoch_ means "this solve").
   uint32_t epoch_ = 0;
-  std::vector<std::vector<uint32_t>> cand_dirty_;  // per node, per cand
+  std::vector<uint32_t> cand_dirty_;  // by flat id
   // Each node's dirty candidates, and the worklist — one bit per node
   // holding a dirty or newly-blocked candidate.
   std::vector<std::vector<int>> dirty_list_;
@@ -239,6 +267,7 @@ class MinTriangSolver {
   // Reused scratch.
   std::vector<const VertexSet*> child_blocks_buf_;
   std::vector<CostValue> child_costs_buf_;
+  std::vector<CostValue> full_pass_values_;  // one node's values, Repair(full)
   // Reconstruct() scratch: the DFS stack and the adhesion list are members
   // so the per-result reconstructions of a ranked enumeration (hundreds of
   // Solve calls on one solver) stop re-growing them from scratch — part of
@@ -256,7 +285,6 @@ class MinTriangSolver {
   long long num_combine_calls_ = 0;
   long long num_index_updates_ = 0;
   long long num_range_queries_ = 0;
-  size_t num_candidates_total_ = 0;
 };
 
 }  // namespace mintri

@@ -71,7 +71,6 @@ DatasetFamily Pace1000() {
   DatasetFamily f{"Pace2016-1000s", {}};
   f.graphs.push_back({"myciel5", Mycielski(5)});
   f.graphs.push_back({"queen6", Queen(6)});
-  f.graphs.push_back({"grid5x5", Grid(5, 5)});
   return f;
 }
 

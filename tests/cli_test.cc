@@ -51,6 +51,51 @@ TEST(CliTest, CkkBaseline) {
   EXPECT_EQ(r.out.find("#3"), std::string::npos);
 }
 
+TEST(CliTest, CkkRejectsRankedOnlyFlags) {
+  // CKK has no context to bound, no tiers and no parallel initialization;
+  // these flags used to be ignored (--bound=1 printed two width-2 results).
+  const struct {
+    std::vector<std::string> args;
+    const char* error;
+  } cases[] = {
+      {{"--algo=ckk", "--bound=1", "--top=3"},
+       "--bound does not apply to --algo=ckk\n"},
+      {{"--tier=heuristic", "--algo=ckk"},
+       "--tier does not apply to --algo=ckk\n"},
+      {{"rank", "--algo=ckk", "--threads=2"},
+       "--threads does not apply to --algo=ckk\n"},
+      {{"--algo=ckk", "--tier=auto", "--bound=2"},
+       "--tier does not apply to --algo=ckk\n"},
+  };
+  for (const auto& c : cases) {
+    CliResult r = Invoke(c.args, kC4);
+    EXPECT_EQ(r.code, 1) << c.error;
+    EXPECT_EQ(r.out, "") << c.error;
+    EXPECT_EQ(r.err, c.error);
+  }
+}
+
+TEST(CliTest, CkkHonoursTimeLimit) {
+  // A 7x7 grid has far more minimal triangulations than CKK lists in a
+  // tenth of a second: the stream stops at the budget, keeps what it
+  // printed, and says so with exit 2.
+  std::string grid = "p tw 49 84\n";
+  for (int r = 0; r < 7; ++r) {
+    for (int c = 0; c < 7; ++c) {
+      const std::string v = std::to_string(7 * r + c + 1);
+      if (c + 1 < 7) grid += v + " " + std::to_string(7 * r + c + 2) + "\n";
+      if (r + 1 < 7) grid += v + " " + std::to_string(7 * r + c + 8) + "\n";
+    }
+  }
+  CliResult r =
+      Invoke({"--algo=ckk", "--time-limit=0.1", "--top=100000000"}, grid);
+  EXPECT_EQ(r.code, 2) << r.err;
+  EXPECT_NE(r.out.find("#1 "), std::string::npos) << r.out;
+  EXPECT_NE(r.err.find("CKK stream cut by --time-limit=0.1s after "),
+            std::string::npos)
+      << r.err;
+}
+
 TEST(CliTest, BoundedWidth) {
   // Width bound 1 on C4: infeasible, no output rows but exit 0.
   CliResult r = Invoke({"--bound=1"}, kC4);

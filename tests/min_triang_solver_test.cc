@@ -70,6 +70,42 @@ void ExpectIdentical(const std::optional<TriangulationTree>& incremental,
   EXPECT_EQ(incremental->separators, full->separators) << where;
 }
 
+// Solves [I, X] on `solver` and checks it against the from-scratch DP;
+// returns the incremental answer.
+std::optional<TriangulationTree> SolveAndCompare(
+    MinTriangSolver& solver, const TriangulationContext& ctx,
+    const BagCost& cost, const std::vector<int>& include,
+    const std::vector<int>& exclude, const std::string& where) {
+  std::vector<VertexSet> include_sets, exclude_sets;
+  for (int id : include) include_sets.push_back(ctx.minimal_separators()[id]);
+  for (int id : exclude) exclude_sets.push_back(ctx.minimal_separators()[id]);
+  ConstrainedCost constrained(cost, std::move(include_sets),
+                              std::move(exclude_sets));
+  std::optional<TriangulationTree> solved = solver.Solve(include, exclude);
+  ExpectIdentical(solved, MinTriang(ctx, constrained), where);
+  return solved;
+}
+
+// The separator ids of `t` that `include` does not hold, sorted: the ones a
+// Lawler–Murty expansion of t partitions on.
+std::vector<int> FreeSeparators(const TriangulationContext& ctx,
+                                const TriangulationTree& t,
+                                const std::vector<int>& include) {
+  std::vector<int> ids;
+  for (const VertexSet& s : t.separators) {
+    const int id = ctx.SeparatorId(s);
+    if (!std::binary_search(include.begin(), include.end(), id)) {
+      ids.push_back(id);
+    }
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+void InsertSorted(std::vector<int>* v, int id) {
+  v->insert(std::upper_bound(v->begin(), v->end(), id), id);
+}
+
 // One walk step: nudges [I, X] by a few separators (the Lawler–Murty access
 // pattern, plus removals and larger jumps the enumerator never makes).
 void MutateConstraints(Rng& rng, int num_seps, std::vector<int>* include,
@@ -77,21 +113,18 @@ void MutateConstraints(Rng& rng, int num_seps, std::vector<int>* include,
   auto contains = [](const std::vector<int>& v, int id) {
     return std::binary_search(v.begin(), v.end(), id);
   };
-  auto insert = [](std::vector<int>* v, int id) {
-    v->insert(std::upper_bound(v->begin(), v->end(), id), id);
-  };
   const int ops = rng.NextInt(1, 3);
   for (int op = 0; op < ops && num_seps > 0; ++op) {
     const int id = rng.NextInt(0, num_seps - 1);
     switch (rng.NextInt(0, 2)) {
       case 0:
         if (!contains(*include, id) && !contains(*exclude, id)) {
-          insert(include, id);
+          InsertSorted(include, id);
         }
         break;
       case 1:
         if (!contains(*include, id) && !contains(*exclude, id)) {
-          insert(exclude, id);
+          InsertSorted(exclude, id);
         }
         break;
       default: {
@@ -115,16 +148,7 @@ void DifferentialWalk(const TriangulationContext& ctx, const BagCost& cost,
   std::vector<int> include, exclude;
   for (int step = 0; step < steps; ++step) {
     MutateConstraints(rng, num_seps, &include, &exclude);
-    std::vector<VertexSet> include_sets, exclude_sets;
-    for (int id : include) {
-      include_sets.push_back(ctx.minimal_separators()[id]);
-    }
-    for (int id : exclude) {
-      exclude_sets.push_back(ctx.minimal_separators()[id]);
-    }
-    ConstrainedCost constrained(cost, std::move(include_sets),
-                                std::move(exclude_sets));
-    ExpectIdentical(solver.Solve(include, exclude), MinTriang(ctx, constrained),
+    SolveAndCompare(solver, ctx, cost, include, exclude,
                     name + " step " + std::to_string(step));
     if (::testing::Test::HasFatalFailure()) return;
   }
@@ -178,21 +202,11 @@ TEST(MinTriangSolverTest, LawlerMurtySiblingDeltas) {
     h_seps.push_back(ctx->SeparatorId(s));
   }
   std::sort(h_seps.begin(), h_seps.end());
-  std::vector<int> include, exclude;
+  std::vector<int> include;
   for (size_t i = 0; i < h_seps.size(); ++i) {
-    exclude.assign({h_seps[i]});
-    std::vector<VertexSet> include_sets, exclude_sets;
-    for (int id : include) {
-      include_sets.push_back(ctx->minimal_separators()[id]);
-    }
-    exclude_sets.push_back(ctx->minimal_separators()[h_seps[i]]);
-    ConstrainedCost constrained(fill, std::move(include_sets),
-                                std::move(exclude_sets));
-    ExpectIdentical(solver.Solve(include, exclude),
-                    MinTriang(*ctx, constrained),
+    SolveAndCompare(solver, *ctx, fill, include, {h_seps[i]},
                     "partition " + std::to_string(i));
-    include.insert(std::upper_bound(include.begin(), include.end(), h_seps[i]),
-                   h_seps[i]);
+    InsertSorted(&include, h_seps[i]);
   }
 }
 
@@ -237,13 +251,166 @@ TEST(MinTriangSolverTest, SiblingExpansionIsCheaperThanOneFullPass) {
   for (size_t i = 0; i < h_seps.size(); ++i) {
     exclude.assign({h_seps[i]});
     solver.Solve(include, exclude);
-    include.insert(std::upper_bound(include.begin(), include.end(), h_seps[i]),
-                   h_seps[i]);
+    InsertSorted(&include, h_seps[i]);
   }
   const long long expansion = solver.num_combine_calls() - full_pass;
   EXPECT_LT(expansion, full_pass)
       << h_seps.size() << " sibling repairs cost " << expansion
       << " Combine calls vs " << full_pass << " for one full pass";
+}
+
+TEST(MinTriangSolverTest, DoublyBlockedCandidateStaysBlocked) {
+  // A candidate two constraints block must stay blocked while either one
+  // holds: dropping one of them must not revive it. The pairs are
+  // separators one PMC contains both of, so both fit some block together:
+  // including both blocks that block's candidates that hold neither twice
+  // (the case a cleared row instead of a rebuilt side gets wrong), and
+  // excluding both blocks the PMC's own candidates twice. An inclusion of
+  // one plus an exclusion of the other blocks through both sides.
+  Graph g = workloads::Grid(4, 4);
+  auto ctx = TriangulationContext::Build(g);
+  ASSERT_TRUE(ctx.has_value());
+  FillInCost fill;
+  const std::vector<VertexSet>& seps = ctx->minimal_separators();
+  std::vector<std::pair<int, int>> pairs;
+  for (int a = 0; a < static_cast<int>(seps.size()) && pairs.size() < 6;
+       ++a) {
+    for (int b = a + 1; b < static_cast<int>(seps.size()); ++b) {
+      const VertexSet both = seps[a].Union(seps[b]);
+      if (std::any_of(ctx->pmcs().begin(), ctx->pmcs().end(),
+                      [&](const VertexSet& pmc) {
+                        return both.IsSubsetOf(pmc);
+                      })) {
+        pairs.push_back({a, b});
+        break;
+      }
+    }
+  }
+  ASSERT_GE(pairs.size(), 3u);
+  MinTriangSolver solver(*ctx, fill);
+  ASSERT_TRUE(solver.Solve({}, {}).has_value());
+  for (const auto& [a, b] : pairs) {
+    const std::string where =
+        "pair " + std::to_string(a) + "," + std::to_string(b) + ": ";
+    const struct {
+      std::vector<int> include, exclude;
+      const char* what;
+    } steps[] = {
+        {{a, b}, {}, "both included"},
+        {{a}, {}, "one inclusion dropped"},
+        {{a, b}, {}, "both included again"},
+        {{b}, {}, "the other inclusion dropped"},
+        {{}, {a, b}, "both excluded"},
+        {{}, {a}, "one exclusion dropped"},
+        {{}, {a, b}, "both excluded again"},
+        {{}, {b}, "the other exclusion dropped"},
+        {{a}, {b}, "include a, exclude b"},
+        {{a}, {}, "the exclusion dropped"},
+        {{a}, {b}, "include a, exclude b again"},
+        {{}, {b}, "the inclusion dropped"},
+        {{}, {}, "unconstrained"},
+    };
+    for (const auto& step : steps) {
+      SolveAndCompare(solver, *ctx, fill, step.include, step.exclude,
+                      where + step.what);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(MinTriangSolverTest, AlternatingFoldAndRebuildSteps) {
+  // A side whose id list grows folds in only the added rows; a side that
+  // shrinks or swaps an id is rebuilt from its rows. Alternate the two on
+  // both sides, so each kind of step starts from a state the other built.
+  WidthCost width;
+  FillInCost fill;
+  for (const CorpusGraph& cg : Corpus()) {
+    const int num_seps = static_cast<int>(cg.ctx.minimal_separators().size());
+    if (num_seps < 4) continue;
+    for (const BagCost* cost : {static_cast<const BagCost*>(&width),
+                                static_cast<const BagCost*>(&fill)}) {
+      MinTriangSolver solver(cg.ctx, *cost);
+      Rng rng(0xf01d + num_seps);
+      std::vector<int> include, exclude;
+      // An id on neither side, or -1 after a few tries.
+      const auto fresh = [&]() {
+        for (int tries = 0; tries < 8; ++tries) {
+          const int id = rng.NextInt(0, num_seps - 1);
+          if (!std::binary_search(include.begin(), include.end(), id) &&
+              !std::binary_search(exclude.begin(), exclude.end(), id)) {
+            return id;
+          }
+        }
+        return -1;
+      };
+      for (int step = 0; step < 16; ++step) {
+        std::vector<int>& side = (step / 2) % 2 == 0 ? include : exclude;
+        const int id = fresh();
+        if (step % 2 == 0) {
+          // Fold: the side grows by one or two ids.
+          if (id >= 0) InsertSorted(&side, id);
+          const int more = fresh();
+          if (more >= 0 && rng.NextBool(0.5)) InsertSorted(&side, more);
+        } else if (!side.empty()) {
+          // Rebuild: drop one id, and swap in a fresh one half the time.
+          side.erase(side.begin() +
+                     rng.NextInt(0, static_cast<int>(side.size()) - 1));
+          if (id >= 0 && rng.NextBool(0.5)) InsertSorted(&side, id);
+        }
+        SolveAndCompare(solver, cg.ctx, *cost, include, exclude,
+                        cg.name + " step " + std::to_string(step));
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(MinTriangSolverTest, LongIncludeChainOnBoundedContext) {
+  // Lawler–Murty siblings several expansions deep: each level expands the
+  // last feasible partition of the level above, whose include list is the
+  // longest, so the include side folds along one long chain while the
+  // exclude side is rebuilt at every sibling. The width bound leaves
+  // unusable PMCs and infeasible blocks in the context.
+  Graph g = workloads::Grid(3, 9);
+  ContextOptions options;
+  options.width_bound = 4;
+  auto ctx = TriangulationContext::Build(g, options);
+  ASSERT_TRUE(ctx.has_value());
+  FillInCost fill;
+  MinTriangSolver solver(*ctx, fill);
+  std::optional<TriangulationTree> current =
+      SolveAndCompare(solver, *ctx, fill, {}, {}, "root");
+  ASSERT_TRUE(current.has_value());
+  std::vector<int> include, exclude;
+  size_t longest_include = 0;
+  int solves = 0;
+  for (int level = 0; level < 6 && current.has_value(); ++level) {
+    const std::vector<int> free_seps = FreeSeparators(*ctx, *current, include);
+    std::optional<TriangulationTree> next;
+    std::vector<int> next_include, next_exclude;
+    std::vector<int> chain = include;
+    for (int id : free_seps) {
+      std::vector<int> sibling_exclude = exclude;
+      InsertSorted(&sibling_exclude, id);
+      std::optional<TriangulationTree> h = SolveAndCompare(
+          solver, *ctx, fill, chain, sibling_exclude,
+          "level " + std::to_string(level) + " sibling " +
+              std::to_string(solves));
+      if (::testing::Test::HasFatalFailure()) return;
+      ++solves;
+      if (h.has_value()) {
+        next = std::move(h);
+        next_include = chain;
+        next_exclude = sibling_exclude;
+      }
+      longest_include = std::max(longest_include, chain.size());
+      InsertSorted(&chain, id);
+    }
+    current = std::move(next);
+    include = next_include;
+    exclude = next_exclude;
+  }
+  EXPECT_GE(longest_include, 10u) << solves << " sibling solves";
 }
 
 TEST(MinTriangSolverTest, ExpiredDeadlineTruncatesAndRecovers) {
@@ -285,18 +452,7 @@ TEST(MinTriangSolverTest, TruncatedRepairDoesNotCorruptLaterSolves) {
 
   auto check = [&](const std::vector<int>& include,
                    const std::vector<int>& exclude, const std::string& where) {
-    std::vector<VertexSet> include_sets, exclude_sets;
-    for (int id : include) {
-      include_sets.push_back(ctx->minimal_separators()[id]);
-    }
-    for (int id : exclude) {
-      exclude_sets.push_back(ctx->minimal_separators()[id]);
-    }
-    ConstrainedCost constrained(fill, std::move(include_sets),
-                                std::move(exclude_sets));
-    auto solved = solver.Solve(include, exclude);
-    ExpectIdentical(solved, MinTriang(*ctx, constrained), where);
-    return solved;
+    return SolveAndCompare(solver, *ctx, fill, include, exclude, where);
   };
   check({0}, {}, "the interrupted delta, retried");
   EXPECT_FALSE(solver.truncated());
@@ -306,18 +462,6 @@ TEST(MinTriangSolverTest, TruncatedRepairDoesNotCorruptLaterSolves) {
   // Then a Lawler–Murty sibling walk two levels deep: the partitions of the
   // optimum, and of each partition's own optimum in turn, every step a
   // repair of the previous one.
-  const auto separator_ids = [&](const TriangulationTree& t,
-                                 const std::vector<int>& include) {
-    std::vector<int> ids;
-    for (const VertexSet& s : t.separators) {
-      const int id = ctx->SeparatorId(s);
-      if (!std::binary_search(include.begin(), include.end(), id)) {
-        ids.push_back(id);
-      }
-    }
-    std::sort(ids.begin(), ids.end());
-    return ids;
-  };
   const auto partitions = [](const std::vector<int>& include,
                              const std::vector<int>& exclude,
                              const std::vector<int>& seps) {
@@ -325,15 +469,15 @@ TEST(MinTriangSolverTest, TruncatedRepairDoesNotCorruptLaterSolves) {
     std::vector<int> inc = include;
     for (int id : seps) {
       std::vector<int> exc = exclude;
-      exc.insert(std::upper_bound(exc.begin(), exc.end(), id), id);
+      InsertSorted(&exc, id);
       out.push_back({inc, exc});
-      inc.insert(std::upper_bound(inc.begin(), inc.end(), id), id);
+      InsertSorted(&inc, id);
     }
     return out;
   };
   auto root = check({}, {}, "the walk's root");
   ASSERT_TRUE(root.has_value());
-  const auto level1 = partitions({}, {}, separator_ids(*root, {}));
+  const auto level1 = partitions({}, {}, FreeSeparators(*ctx, *root, {}));
   ASSERT_GT(level1.size(), 1u);
   for (size_t i = 0; i < level1.size(); ++i) {
     const auto& [include, exclude] = level1[i];
@@ -341,7 +485,7 @@ TEST(MinTriangSolverTest, TruncatedRepairDoesNotCorruptLaterSolves) {
     auto child = check(include, exclude, where);
     if (!child.has_value()) continue;
     const auto level2 =
-        partitions(include, exclude, separator_ids(*child, include));
+        partitions(include, exclude, FreeSeparators(*ctx, *child, include));
     for (size_t j = 0; j < level2.size(); ++j) {
       check(level2[j].first, level2[j].second,
             where + ", level 2 partition " + std::to_string(j));
