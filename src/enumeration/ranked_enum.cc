@@ -71,19 +71,21 @@ std::optional<TriangulationTree> RankedTriangulationEnumerator::NextTree() {
   Entry top = std::move(const_cast<Entry&>(queue_.top()));
   queue_.pop();
 
-  std::vector<int> include, exclude;
+  std::vector<int>& include = include_;
+  std::vector<int>& exclude = exclude_;
   CollectConstraints(top.constraints, &include, &exclude);
 
   // Split the remainder of [I, X] along MinSep(H) \ I (lines 7-13).
-  std::vector<int> h_seps;
-  h_seps.reserve(top.tree.separators.size());
+  std::vector<int>& h_seps = h_seps_;
+  h_seps.clear();
   for (const VertexSet& s : top.tree.separators) {
     int id = ctx_.SeparatorId(s);
     assert(id >= 0);  // every adhesion is a minimal separator of G
     h_seps.push_back(id);
   }
   std::sort(h_seps.begin(), h_seps.end());
-  std::vector<int> free_seps;
+  std::vector<int>& free_seps = free_seps_;
+  free_seps.clear();
   std::set_difference(h_seps.begin(), h_seps.end(), include.begin(),
                       include.end(), std::back_inserter(free_seps));
 

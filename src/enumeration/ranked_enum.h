@@ -123,6 +123,9 @@ class RankedTriangulationEnumerator {
   long long num_optimizer_calls_ = 0;
   bool exhausted_ = false;
   bool truncated_ = false;
+  // NextTree() scratch, kept across results so the per-result expansion
+  // does not re-grow four vectors from empty.
+  std::vector<int> include_, exclude_, h_seps_, free_seps_;
 };
 
 }  // namespace mintri

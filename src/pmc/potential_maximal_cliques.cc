@@ -88,6 +88,27 @@ class PmcTester {
 // produce the same sets, so the cutover is unobservable in results.
 constexpr size_t kMinParallelItems = 64;
 
+// What `consider` made of one candidate.
+enum class Verdict { kRejected, kAccepted, kStop };
+
+// One prefix step's read-only input, shared by the serial Step and every
+// worker of the parallel one. Its flat work space [0, NumItems()) is: one
+// item per prefix PMC (cases 1 and 2), one per separator (case 3), then one
+// per outer separator S of case 4.
+struct StepInput {
+  const Graph& next;                        // G_{i+1}
+  int a;                                    // the vertex just added
+  const std::vector<VertexSet>& prev_pmcs;  // PMC(G_i)
+  const std::vector<VertexSet>& next_seps;  // Δ(G_{i+1})
+  bool prune;                               // !exhaustive_pairs
+  std::vector<const VertexSet*> outer;      // case-4 S's
+  std::vector<const VertexSet*> t_list;     // case-4 T's
+
+  size_t NumItems() const {
+    return prev_pmcs.size() + next_seps.size() + outer.size();
+  }
+};
+
 // State of the vertex-incremental enumeration, over the relabeled graph
 // whose vertex i is the i-th vertex in the insertion order.
 class IncrementalEnumerator {
@@ -103,8 +124,9 @@ class IncrementalEnumerator {
     const int n = g_.NumVertices();
     if (n == 0) return result;
 
-    // PMC(G_1) for the single-vertex prefix.
+    // PMC(G_1) for the single-vertex prefix; Δ(G_1) is empty.
     std::vector<VertexSet> pmcs = {VertexSet::Single(1, 0)};
+    prev_seps_.Clear();
 
     for (int i = 1; i < n; ++i) {
       // Build G_{i+1} over vertices 0..i.
@@ -138,112 +160,133 @@ class IncrementalEnumerator {
         return result;
       }
       pmcs = std::move(next_pmcs);
+      if (i + 1 < n) {
+        prev_seps_.Clear();
+        for (const VertexSet& s : seps.separators) prev_seps_.Insert(s);
+      }
     }
     result.pmcs = std::move(pmcs);
     result.status = EnumerationStatus::kComplete;
+    result.num_tests = num_tests_;
     return result;
   }
 
  private:
   // Computes PMC(G_{i+1}) from PMC(G_i) and MinSep(G_{i+1}); vertex `a = i`
-  // is the new vertex. Returns false when a limit was hit.
+  // is the new vertex and prev_seps_ holds Δ(G_i). Returns false when a
+  // limit was hit.
   bool Step(const Graph& next, int a, const std::vector<VertexSet>& prev_pmcs,
             const std::vector<VertexSet>& next_seps,
             std::vector<VertexSet>* out) {
+    StepInput input{next, a, prev_pmcs, next_seps, !options_.exhaustive_pairs,
+                    {}, {}};
+    CaseFourLists(&input);
     // Parallelize only once the candidate space can amortize the fork-join
     // (spawning threads and per-worker scratch costs tens of microseconds;
     // early prefix steps do less total work than that).
-    if (options_.limits.num_threads > 1 &&
-        prev_pmcs.size() + 2 * next_seps.size() >= kMinParallelItems) {
-      return ParallelStep(next, a, prev_pmcs, next_seps, out);
+    const size_t num_items = input.NumItems();
+    if (options_.limits.num_threads > 1 && num_items >= kMinParallelItems) {
+      return ParallelStep(input, out);
     }
     // Per-step dedup on the shared arena/table layout: Clear() keeps the
     // slot array and arena capacity across steps, so after the first few
-    // prefix steps the table stops allocating entirely. (The previous
-    // std::unordered_set spent one node allocation on every distinct
-    // candidate — the single hottest allocation site of the serial PMC
-    // path once VertexSets themselves went inline.)
+    // prefix steps the table stops allocating entirely.
     tried_.Clear();
-    auto consider = [&](VertexSet&& omega) -> bool {
+    auto consider = [&](VertexSet&& omega) -> Verdict {
       if (omega.Empty() || omega.Count() > options_.max_size ||
           !tried_.Insert(omega)) {
         pool_.Release(std::move(omega));
-        return true;
+        return Verdict::kRejected;
       }
-      if (tester_.Test(next, omega)) {
-        out->push_back(std::move(omega));
-        if (out->size() > options_.limits.max_results) return false;
-      } else {
+      ++num_tests_;
+      if (!tester_.Test(next, omega)) {
         pool_.Release(std::move(omega));
+        return Verdict::kRejected;
       }
-      return true;
+      out->push_back(std::move(omega));
+      return out->size() > options_.limits.max_results ? Verdict::kStop
+                                                       : Verdict::kAccepted;
     };
 
-    const std::vector<const VertexSet*> t_list = CaseFourTList(next_seps, a);
-    const size_t num_items = prev_pmcs.size() + 2 * next_seps.size();
     for (size_t item = 0; item < num_items; ++item) {
       if (deadline_.Expired()) return false;
-      if (!GenerateCandidates(next, a, prev_pmcs, next_seps, t_list, item,
-                              &scanner_, &components_, &pool_, consider)) {
+      if (!GenerateCandidates(input, item, &scanner_, &components_, &pool_,
+                              consider)) {
         return false;
       }
     }
     return true;
   }
 
-  // The T's of the case-4 products S ∪ (T ∩ C). Unless exhaustive_pairs is
-  // set, T ranges only over the separators containing the new vertex a (the
-  // Bouchitté–Todinca case analysis; validated against brute force in the
-  // test suite).
-  std::vector<const VertexSet*> CaseFourTList(
-      const std::vector<VertexSet>& next_seps, int a) const {
-    std::vector<const VertexSet*> t_list;
-    for (const VertexSet& t : next_seps) {
-      if (options_.exhaustive_pairs || t.Contains(a)) t_list.push_back(&t);
+  // Fills the case-4 lists of S ∪ (T ∩ C) (Bouchitté–Todinca 2002,
+  // ONE_MORE_VERTEX). Pruned, the outer S ranges only over the separators
+  // of G_{i+1} that are new: S \ {a} ∉ Δ(G_i). T ranges only over the
+  // separators containing a. Unpruned (exhaustive_pairs), both range over
+  // all of Δ(G_{i+1}).
+  void CaseFourLists(StepInput* input) {
+    for (const VertexSet& s : input->next_seps) {
+      if (!input->prune || s.Contains(input->a)) input->t_list.push_back(&s);
+      if (input->prune) {
+        // Vertex a is the last of G_{i+1}, so S \ {a} over G_i's universe
+        // is S's elements below a.
+        narrowed_.Reset(input->a);
+        s.ForEach([&](int v) {
+          if (v != input->a) narrowed_.Insert(v);
+        });
+        if (prev_seps_.Find(narrowed_) >= 0) continue;
+      }
+      input->outer.push_back(&s);
     }
-    return t_list;
   }
 
-  // Generates the PMC candidates of one item of the flat work space
-  // [0, |prev_pmcs| + 2|next_seps|) and feeds them to `consider`, stopping
-  // early when it returns false (the return value is forwarded). Items are:
-  // case 1 & 2 (a prefix PMC, lifted with and without the new vertex a),
-  // then case 3 (S ∪ {a} for a separator S), then case 4 (the products
-  // S ∪ (T ∩ C) for one outer separator S). Both the serial and the
-  // parallel Step run on this single generator, so the case analysis can
-  // never diverge between them; scratch is caller-supplied (per-thread in
-  // the parallel path). Candidate sets come from the caller's free-list
-  // pool and `consider` takes ownership — it must either keep the set (an
-  // accepted PMC) or Release it back, so the generate-mostly-reject loop
-  // recycles the same few buffers instead of churning one per candidate.
+  // Generates the PMC candidates of one item of input.NumItems() and feeds
+  // them to `consider`; returns false once it answers kStop. Both the serial
+  // and the parallel Step run on this single generator, so the case
+  // analysis can never diverge between them; scratch is caller-supplied
+  // (per-thread in the parallel path). Candidate sets come from the
+  // caller's free-list pool and `consider` takes ownership — it must either
+  // keep the set (an accepted PMC) or Release it back, so the
+  // generate-mostly-reject loop recycles the same few buffers instead of
+  // churning one per candidate.
+  //
+  // Pruned, a prefix PMC p′ is lifted to p′ ∪ {a} only when p′ itself was
+  // not accepted: PMCs form an antichain, so p′ ∪ {a} ⊋ p′ is no PMC when p′
+  // is one. A p′ rejected as a duplicate may have been accepted elsewhere,
+  // so it is lifted too — the order workers test candidates in then changes
+  // the work done, never the output set. Case 3 skips every S ∋ a: S ∪ {a}
+  // is S, a minimal separator, never a PMC.
   template <typename Consider>
-  static bool GenerateCandidates(const Graph& next, int a,
-                                 const std::vector<VertexSet>& prev_pmcs,
-                                 const std::vector<VertexSet>& next_seps,
-                                 const std::vector<const VertexSet*>& t_list,
-                                 size_t item, ComponentScanner* scanner,
+  static bool GenerateCandidates(const StepInput& input, size_t item,
+                                 ComponentScanner* scanner,
                                  std::vector<VertexSet>* components,
-                                 VertexSetPool* pool, const Consider& consider) {
-    const size_t num_pmcs = prev_pmcs.size();
-    const size_t num_seps = next_seps.size();
-    const int n = next.NumVertices();
+                                 VertexSetPool* pool,
+                                 const Consider& consider) {
+    const size_t num_pmcs = input.prev_pmcs.size();
+    const size_t num_seps = input.next_seps.size();
+    const int n = input.next.NumVertices();
     if (item < num_pmcs) {
+      const VertexSet& prev = input.prev_pmcs[item];
       VertexSet omega = pool->Acquire(n);
-      prev_pmcs[item].ForEach([&](int v) { omega.Insert(v); });
+      prev.ForEach([&](int v) { omega.Insert(v); });
+      const Verdict verdict = consider(std::move(omega));
+      if (verdict == Verdict::kStop) return false;
+      if (verdict == Verdict::kAccepted && input.prune) return true;
       VertexSet with_a = pool->Acquire(n);
-      with_a = omega;  // buffer-reusing copy
-      with_a.Insert(a);
-      return consider(std::move(omega)) && consider(std::move(with_a));
+      prev.ForEach([&](int v) { with_a.Insert(v); });
+      with_a.Insert(input.a);
+      return consider(std::move(with_a)) != Verdict::kStop;
     }
     if (item < num_pmcs + num_seps) {
+      const VertexSet& s = input.next_seps[item - num_pmcs];
+      if (input.prune && s.Contains(input.a)) return true;
       VertexSet omega = pool->Acquire(n);
-      omega = next_seps[item - num_pmcs];
-      omega.Insert(a);
-      return consider(std::move(omega));
+      omega = s;
+      omega.Insert(input.a);
+      return consider(std::move(omega)) != Verdict::kStop;
     }
-    const VertexSet& s = next_seps[item - num_pmcs - num_seps];
-    scanner->Components(next, s, components);
-    for (const VertexSet* t : t_list) {
+    const VertexSet& s = *input.outer[item - num_pmcs - num_seps];
+    scanner->Components(input.next, s, components);
+    for (const VertexSet* t : input.t_list) {
       if (*t == s) continue;
       for (const VertexSet& c : *components) {
         VertexSet cand = pool->Acquire(n);
@@ -254,36 +297,32 @@ class IncrementalEnumerator {
           continue;
         }
         cand.UnionWith(s);
-        if (!consider(std::move(cand))) return false;
+        if (consider(std::move(cand)) == Verdict::kStop) return false;
       }
     }
     return true;
   }
 
-  // Multi-threaded Step: the candidate *sources* (prefix PMCs for cases 1&2,
-  // separators for case 3, case-4 outer separators S) form a flat index
-  // space that workers claim from an atomic cursor; each worker tests its
-  // candidates with its own PmcTester/ComponentScanner scratch, dedup goes
-  // through a sharded table on the cached VertexSet hashes, and accepted
-  // PMCs land in per-worker vectors that are concatenated at the join. The
-  // output *set* is exactly the serial one (every candidate is considered
-  // and IsPmc is order-independent); only the order within `out` differs,
+  // Multi-threaded Step: workers claim items of the flat work space from an
+  // atomic cursor; each worker tests its candidates with its own
+  // PmcTester/ComponentScanner scratch, dedup goes through a sharded table
+  // on the cached VertexSet hashes, and accepted PMCs land in per-worker
+  // vectors that are concatenated at the join. The output *set* is exactly
+  // the serial one (IsPmc is order-independent, and the pruning above drops
+  // only candidates that are no PMC); only the order within `out` differs,
   // and ListPotentialMaximalCliques sorts the final result anyway.
-  bool ParallelStep(const Graph& next, int a,
-                    const std::vector<VertexSet>& prev_pmcs,
-                    const std::vector<VertexSet>& next_seps,
-                    std::vector<VertexSet>* out) {
+  bool ParallelStep(const StepInput& input, std::vector<VertexSet>* out) {
     // Clamped before sizing shard/worker state, mirroring RunOnThreads.
     const int num_threads =
         std::clamp(options_.limits.num_threads, 1, parallel::kMaxRunThreads);
-    const std::vector<const VertexSet*> t_list = CaseFourTList(next_seps, a);
-    const size_t num_items = prev_pmcs.size() + 2 * next_seps.size();
+    const size_t num_items = input.NumItems();
 
     parallel::ShardedVertexSetTable tried(4 * num_threads);
     std::atomic<size_t> cursor{0};
     std::atomic<size_t> accepted{0};
     std::atomic<bool> stopped{false};
     std::vector<std::vector<VertexSet>> worker_out(num_threads);
+    std::vector<long long> worker_tests(num_threads, 0);
 
     parallel::RunOnThreads(num_threads, [&](int worker) {
       PmcTester tester;
@@ -292,22 +331,24 @@ class IncrementalEnumerator {
       VertexSetPool pool;
       std::vector<VertexSet>& local_out = worker_out[worker];
 
-      auto consider = [&](VertexSet&& omega) -> bool {
+      long long& local_tests = worker_tests[worker];
+
+      auto consider = [&](VertexSet&& omega) -> Verdict {
         if (omega.Empty() || omega.Count() > options_.max_size ||
             !tried.Insert(omega)) {
           pool.Release(std::move(omega));
-          return true;
+          return Verdict::kRejected;
         }
-        if (tester.Test(next, omega)) {
-          local_out.push_back(std::move(omega));
-          if (accepted.fetch_add(1, std::memory_order_relaxed) + 1 >
-              options_.limits.max_results) {
-            return false;
-          }
-        } else {
+        ++local_tests;
+        if (!tester.Test(input.next, omega)) {
           pool.Release(std::move(omega));
+          return Verdict::kRejected;
         }
-        return true;
+        local_out.push_back(std::move(omega));
+        return accepted.fetch_add(1, std::memory_order_relaxed) + 1 >
+                       options_.limits.max_results
+                   ? Verdict::kStop
+                   : Verdict::kAccepted;
       };
 
       while (!stopped.load(std::memory_order_relaxed)) {
@@ -317,14 +358,15 @@ class IncrementalEnumerator {
           stopped.store(true, std::memory_order_relaxed);
           break;
         }
-        if (!GenerateCandidates(next, a, prev_pmcs, next_seps, t_list, item,
-                                &scanner, &components, &pool, consider)) {
+        if (!GenerateCandidates(input, item, &scanner, &components, &pool,
+                                consider)) {
           stopped.store(true, std::memory_order_relaxed);
           break;
         }
       }
     });
 
+    for (long long tests : worker_tests) num_tests_ += tests;
     if (stopped.load(std::memory_order_relaxed)) return false;
     for (std::vector<VertexSet>& chunk : worker_out) {
       for (VertexSet& omega : chunk) out->push_back(std::move(omega));
@@ -336,12 +378,17 @@ class IncrementalEnumerator {
   const PmcOptions& options_;
   Deadline deadline_;
 
+  // Δ(G_i) of the step in progress, for the case-4 "new separator" test.
+  VertexSetTable prev_seps_;
+  VertexSet narrowed_;
+
   // Reused scratch.
   PmcTester tester_;
   ComponentScanner scanner_;
   std::vector<VertexSet> components_;
   VertexSetPool pool_;
   VertexSetTable tried_;
+  long long num_tests_ = 0;
 };
 
 }  // namespace
@@ -370,6 +417,7 @@ PmcResult ListPotentialMaximalCliques(const Graph& g,
         result.status = EnumerationStatus::kTruncated;
         return result;
       }
+      result.num_tests += part.num_tests;
       for (const VertexSet& p : part.pmcs) {
         result.pmcs.push_back(p.Relabeled(old_of_new, n));
       }
@@ -414,6 +462,7 @@ PmcResult ListPotentialMaximalCliques(const Graph& g,
   IncrementalEnumerator enumerator(relabeled, options);
   PmcResult inner = enumerator.Run(std::move(last_seps));
   result.status = inner.status;
+  result.num_tests = inner.num_tests;
   result.pmcs.reserve(inner.pmcs.size());
   for (const VertexSet& p : inner.pmcs) {
     result.pmcs.push_back(p.Relabeled(order, n));

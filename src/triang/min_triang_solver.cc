@@ -328,7 +328,7 @@ TriangulationTree MinTriangSolver::Reconstruct() {
   t.bags.push_back(ctx_.pmcs()[ctx_.root_candidates()[root_k]]);
   t.parent.push_back(-1);
   for (int cid : ctx_.root_children()[root_k]) stack.push_back({cid, 0});
-  std::vector<VertexSet>& seps = reconstruct_seps_;
+  std::vector<const VertexSet*>& seps = reconstruct_seps_;
   seps.clear();
   while (!stack.empty()) {
     ReconstructFrame f = stack.back();
@@ -339,18 +339,15 @@ TriangulationTree MinTriangSolver::Reconstruct() {
     int bag_index = static_cast<int>(t.bags.size());
     t.bags.push_back(ctx_.pmcs()[block.candidate_pmcs[k]]);
     t.parent.push_back(f.parent_bag);
-    seps.push_back(block.separator);
+    seps.push_back(&block.separator);
     for (int cid : block.children[k]) stack.push_back({cid, bag_index});
   }
-  // Distinct adhesions, in the canonical (VertexSet <) order the previous
-  // std::set-based reconstruction produced — without the per-node churn.
-  // Copied (not moved) out of the scratch so its element buffers survive
-  // for the next Solve; the unique-copy loop replaces sort+unique+erase so
-  // no scratch element is destroyed either.
-  std::sort(seps.begin(), seps.end());
+  // Distinct adhesions, in the canonical (VertexSet <) order.
+  std::sort(seps.begin(), seps.end(),
+            [](const VertexSet* x, const VertexSet* y) { return *x < *y; });
   t.separators.reserve(seps.size());
   for (size_t i = 0; i < seps.size(); ++i) {
-    if (i == 0 || seps[i] != seps[i - 1]) t.separators.push_back(seps[i]);
+    if (i == 0 || *seps[i] != *seps[i - 1]) t.separators.push_back(*seps[i]);
   }
   return t;
 }

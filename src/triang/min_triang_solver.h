@@ -271,15 +271,16 @@ class MinTriangSolver {
   // Reconstruct() scratch: the DFS stack and the adhesion list are members
   // so the per-result reconstructions of a ranked enumeration (hundreds of
   // Solve calls on one solver) stop re-growing them from scratch — part of
-  // the same no-hot-loop-allocations policy as the buffers above. The sets
-  // *returned* to the caller still get fresh storage (the Triangulation
-  // owns its data); only the scratch is recycled.
+  // the same no-hot-loop-allocations policy as the buffers above. The
+  // adhesion list points into the context's block entries, so sorting it
+  // moves pointers, not sets. The sets *returned* to the caller still get
+  // fresh storage (the Triangulation owns its data).
   struct ReconstructFrame {
     int block_id;
     int parent_bag;
   };
   std::vector<ReconstructFrame> reconstruct_stack_;
-  std::vector<VertexSet> reconstruct_seps_;
+  std::vector<const VertexSet*> reconstruct_seps_;
 
   long long num_candidate_evals_ = 0;
   long long num_combine_calls_ = 0;

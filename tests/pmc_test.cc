@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "test_util.h"
 #include "workloads/named_graphs.h"
@@ -13,14 +14,28 @@ namespace {
 
 using testutil::MakeGraph;
 
-std::vector<VertexSet> EnumeratePmcs(const Graph& g,
-                                     bool exhaustive_pairs = false) {
+PmcResult Enumerate(const Graph& g, int threads, bool exhaustive_pairs,
+                    int max_size = std::numeric_limits<int>::max()) {
   auto seps = ListMinimalSeparators(g).separators;
   PmcOptions options;
+  options.limits.num_threads = threads;
   options.exhaustive_pairs = exhaustive_pairs;
+  options.max_size = max_size;
   PmcResult r = ListPotentialMaximalCliques(g, seps, options);
   EXPECT_EQ(r.status, EnumerationStatus::kComplete);
-  return r.pmcs;
+  return r;
+}
+
+std::vector<VertexSet> EnumeratePmcs(const Graph& g) {
+  return Enumerate(g, 1, false).pmcs;
+}
+
+std::vector<VertexSet> BoundedBruteForce(const Graph& g, int max_size) {
+  std::vector<VertexSet> out;
+  for (VertexSet& p : PmcsBruteForce(g)) {
+    if (p.Count() <= max_size) out.push_back(std::move(p));
+  }
+  return out;
 }
 
 TEST(IsPmcTest, PaperExamplePmcs) {
@@ -70,24 +85,35 @@ TEST(PmcEnumerationTest, CycleN) {
   for (const VertexSet& p : pmcs) EXPECT_EQ(p.Count(), 3);
 }
 
-// The crucial completeness check: incremental BT02 enumeration vs the
-// brute-force reference on many random graphs, across the density spectrum.
+// The crucial completeness check: incremental BT02 enumeration, with both
+// of its prunings (case 4 only from new separators, a prefix PMC lifted only
+// when it was rejected), vs the brute-force reference on random graphs across
+// the density spectrum — serially and on the parallel step, unbounded and
+// under size bounds.
 class PmcVsBruteForce
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(PmcVsBruteForce, IncrementalMatchesBruteForce) {
   auto [n, seed] = GetParam();
-  double p = 0.15 + 0.07 * (seed % 10);
+  double p = 0.08 + 0.06 * seed;
   Graph g = workloads::ConnectedErdosRenyi(n, p, 4000 + seed);
-  auto fast = EnumeratePmcs(g);
-  auto brute = PmcsBruteForce(g);
-  EXPECT_EQ(fast, brute) << "n=" << n << " seed=" << seed << " p=" << p;
+  const std::vector<VertexSet> brute = PmcsBruteForce(g);
+  for (int threads : {1, 4}) {
+    EXPECT_EQ(Enumerate(g, threads, false).pmcs, brute)
+        << "n=" << n << " seed=" << seed << " p=" << p
+        << " threads=" << threads;
+    for (int bound : {3, 5}) {
+      EXPECT_EQ(Enumerate(g, threads, false, bound).pmcs,
+                BoundedBruteForce(g, bound))
+          << "n=" << n << " seed=" << seed << " p=" << p
+          << " threads=" << threads << " bound=" << bound;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     RandomGraphs, PmcVsBruteForce,
-    ::testing::Combine(::testing::Values(5, 6, 7, 8, 9, 10),
-                       ::testing::Range(0, 10)));
+    ::testing::Combine(::testing::Range(5, 14), ::testing::Range(0, 15)));
 
 TEST(PmcEnumerationTest, NamedGraphsMatchBruteForce) {
   std::vector<Graph> graphs = {
@@ -102,11 +128,34 @@ TEST(PmcEnumerationTest, NamedGraphsMatchBruteForce) {
 }
 
 TEST(PmcEnumerationTest, ExhaustivePairsModeAgrees) {
-  for (int seed = 0; seed < 6; ++seed) {
-    Graph g = workloads::ConnectedErdosRenyi(8, 0.3, 5000 + seed);
-    EXPECT_EQ(EnumeratePmcs(g, /*exhaustive_pairs=*/false),
-              EnumeratePmcs(g, /*exhaustive_pairs=*/true))
-        << "seed " << seed;
+  // exhaustive_pairs switches every pruning off, so it is the oracle on
+  // graphs too large for brute force.
+  std::vector<Graph> graphs = {workloads::Grid(4, 4), workloads::Grid(4, 5),
+                               workloads::Hypercube(4),
+                               workloads::Mycielski(5)};
+  for (int n = 16; n <= 20; ++n) {
+    graphs.push_back(workloads::ConnectedErdosRenyi(n, 0.2, 5000 + n));
+  }
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    const std::vector<VertexSet> oracle = Enumerate(graphs[i], 4, true).pmcs;
+    for (int threads : {1, 4}) {
+      EXPECT_EQ(Enumerate(graphs[i], threads, false).pmcs, oracle)
+          << "graph #" << i << " threads=" << threads;
+    }
+  }
+}
+
+TEST(PmcEnumerationTest, PathRunsOnlyTheTestsThePruningLeaves) {
+  // On the path 0-1-...-(n-1) (its own insertion order) every prefix PMC
+  // {j, j+1} stays a PMC, so none is lifted; no separator {j} contains the
+  // new vertex a, so case 4 has no T. Step a = 1 tests {0} and its lift
+  // {0, 1}; step a >= 2 tests the a - 1 prefix edges and the a - 1 case-3
+  // sets {j, a}. In all 2 + (n - 1)(n - 2) tests.
+  for (int n : {3, 6, 10}) {
+    const PmcResult r = Enumerate(workloads::Path(n), 1, false);
+    EXPECT_EQ(r.pmcs.size(), static_cast<size_t>(n - 1));
+    EXPECT_EQ(r.num_tests, 2 + (n - 1) * (n - 2)) << "n=" << n;
+    EXPECT_GT(Enumerate(workloads::Path(n), 1, true).num_tests, r.num_tests);
   }
 }
 
@@ -119,10 +168,7 @@ TEST(PmcEnumerationTest, BoundedSizeMatchesFilteredBruteForce) {
       options.max_size = bound;
       PmcResult r = ListPotentialMaximalCliques(g, seps, options);
       ASSERT_EQ(r.status, EnumerationStatus::kComplete);
-      std::vector<VertexSet> expected;
-      for (const VertexSet& p : PmcsBruteForce(g)) {
-        if (p.Count() <= bound) expected.push_back(p);
-      }
+      const std::vector<VertexSet> expected = BoundedBruteForce(g, bound);
       // Bounded enumeration must be sound (every result is a PMC of size
       // <= bound) ...
       for (const VertexSet& p : r.pmcs) {
