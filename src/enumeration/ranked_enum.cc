@@ -60,6 +60,9 @@ std::optional<Triangulation> RankedTriangulationEnumerator::Next() {
 }
 
 std::optional<TriangulationTree> RankedTriangulationEnumerator::NextTree() {
+  // The last result's expansion runs now, when the next result is asked
+  // for: a consumer that stops after k results pays for k − 1 expansions.
+  if (expansion_pending_) Expand();
   // A truncated stream stays truncated: part of some Lawler–Murty expansion
   // was skipped, so continuing would silently drop or misorder results.
   if (exhausted_ || truncated_ || queue_.empty()) {
@@ -71,29 +74,35 @@ std::optional<TriangulationTree> RankedTriangulationEnumerator::NextTree() {
   Entry top = std::move(const_cast<Entry&>(queue_.top()));
   queue_.pop();
 
-  std::vector<int>& include = include_;
-  std::vector<int>& exclude = exclude_;
-  CollectConstraints(top.constraints, &include, &exclude);
-
-  // Split the remainder of [I, X] along MinSep(H) \ I (lines 7-13).
-  std::vector<int>& h_seps = h_seps_;
-  h_seps.clear();
+  // Keep what the expansion of this result needs: its constraint chain
+  // [I, X] and MinSep(H) \ I as separator ids.
+  pending_chain_ = top.constraints;
+  CollectConstraints(top.constraints, &include_, &exclude_);
+  h_seps_.clear();
   for (const VertexSet& s : top.tree.separators) {
     int id = ctx_.SeparatorId(s);
     assert(id >= 0);  // every adhesion is a minimal separator of G
-    h_seps.push_back(id);
+    h_seps_.push_back(id);
   }
-  std::sort(h_seps.begin(), h_seps.end());
-  std::vector<int>& free_seps = free_seps_;
-  free_seps.clear();
-  std::set_difference(h_seps.begin(), h_seps.end(), include.begin(),
-                      include.end(), std::back_inserter(free_seps));
+  std::sort(h_seps_.begin(), h_seps_.end());
+  free_seps_.clear();
+  std::set_difference(h_seps_.begin(), h_seps_.end(), include_.begin(),
+                      include_.end(), std::back_inserter(free_seps_));
+  expansion_pending_ = true;
+  return std::move(top.tree);
+}
 
+void RankedTriangulationEnumerator::Expand() {
+  expansion_pending_ = false;
+  std::vector<int>& include = include_;
+  std::vector<int>& exclude = exclude_;
+  const std::vector<int>& free_seps = free_seps_;
+  // Split the remainder of [I, X] along MinSep(H) \ I (lines 7-13).
   // Partition i: [I ∪ {S_1..S_{i-1}}, X ∪ {S_i}]. The include prefix is
   // shared between siblings through the arena chain; each partition is one
   // exclude node hanging off it. Consecutive solver calls differ by at most
   // three separators, so each is an incremental repair.
-  int chain = top.constraints;
+  int chain = pending_chain_;
   for (size_t i = 0; i < free_seps.size(); ++i) {
     const int s = free_seps[i];
     InsertSorted(&exclude, s);
@@ -102,10 +111,10 @@ std::optional<TriangulationTree> RankedTriangulationEnumerator::NextTree() {
     ++num_optimizer_calls_;
     std::optional<TriangulationTree> h = solver_.Solve(include, exclude);
     if (solver_.truncated()) {
-      // Out of budget mid-expansion. The popped result is already correct —
-      // hand it out — but the stream ends here, truthfully marked.
+      // Out of budget mid-expansion. The results already handed out are
+      // correct, but the stream ends here, truthfully marked.
       truncated_ = true;
-      break;
+      return;
     }
     if (h.has_value()) {
       // The solver returned a finite-cost triangulation, which under
@@ -121,8 +130,6 @@ std::optional<TriangulationTree> RankedTriangulationEnumerator::NextTree() {
       InsertSorted(&include, s);
     }
   }
-
-  return std::move(top.tree);
 }
 
 }  // namespace mintri

@@ -37,7 +37,11 @@ namespace mintri {
 ///
 /// Pull-based: Next() returns the next-cheapest minimal triangulation, or
 /// std::nullopt when the enumeration is exhausted, so callers can stop at
-/// any time (the "anytime" usage the paper motivates).
+/// any time (the "anytime" usage the paper motivates). A result's expansion
+/// (lines 7-13) is the work only the *later* results need, so it runs when
+/// the next result is asked for, not before the result is handed out: the
+/// first result costs the one full solve, and k results cost k − 1
+/// expansions. The solver calls and queue order are the same either way.
 class RankedTriangulationEnumerator {
  public:
   /// `ctx` and `cost` must outlive the enumerator. The constructor runs the
@@ -52,6 +56,9 @@ class RankedTriangulationEnumerator {
 
   /// Next() without the filled graph: the clique tree only, for callers
   /// that assemble their own result from it (TieredEnumerator's units).
+  /// Each call first runs the expansion of the result the previous call
+  /// returned, then pops the cheapest queued partition and returns its
+  /// representative; that result's own expansion waits for the next call.
   ///
   /// This is also the ranked enumeration of proper tree decompositions
   /// (Proposition 6.1): CliqueTreeOf(tree) (tree_decomposition.h) is the
@@ -61,10 +68,12 @@ class RankedTriangulationEnumerator {
   std::optional<TriangulationTree> NextTree();
 
   /// Per-enumeration wall-clock budget, polled by the solver inside its
-  /// repair loops. When it expires mid-Next the current result is still
-  /// returned, but the Lawler–Murty expansion stops: truncated() turns true
-  /// and every later Next() yields std::nullopt (the remaining stream can
-  /// no longer be guaranteed complete or in order). Nullptr disables.
+  /// repair loops. When it expires during the expansion a Next() call
+  /// starts with, that call and every later one yield std::nullopt and
+  /// truncated() turns true (the remaining stream can no longer be
+  /// guaranteed complete or in order). Result i is thus handed out iff
+  /// expansions 0..i−1 completed; every result handed out is correct.
+  /// Nullptr disables.
   void SetDeadline(const Deadline* deadline) { solver_.set_deadline(deadline); }
 
   /// True when a deadline cut the enumeration short (the stream ended by
@@ -111,6 +120,9 @@ class RankedTriangulationEnumerator {
   };
 
   void Push(TriangulationTree t, int constraints);
+  /// Runs the pending expansion: one solve per free separator of the last
+  /// popped result, pushing each feasible partition's representative.
+  void Expand();
   /// Decodes a constraint chain into sorted include/exclude id sets.
   void CollectConstraints(int node, std::vector<int>* include,
                           std::vector<int>* exclude) const;
@@ -123,8 +135,12 @@ class RankedTriangulationEnumerator {
   long long num_optimizer_calls_ = 0;
   bool exhausted_ = false;
   bool truncated_ = false;
-  // NextTree() scratch, kept across results so the per-result expansion
-  // does not re-grow four vectors from empty.
+  // The expansion of the last popped result, run by the next NextTree():
+  // its constraint chain, its sorted [I, X] ids and its free separators
+  // MinSep(H) \ I. Kept across results so the per-result expansion does
+  // not re-grow four vectors from empty.
+  bool expansion_pending_ = false;
+  int pending_chain_ = -1;
   std::vector<int> include_, exclude_, h_seps_, free_seps_;
 };
 

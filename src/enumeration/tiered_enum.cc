@@ -404,30 +404,39 @@ Triangulation TieredEnumerator::Assemble(const std::vector<size_t>& indices) {
   return out;
 }
 
-std::optional<TieredResult> TieredEnumerator::Next() {
-  if (truncated_ || queue_.empty()) return std::nullopt;
-  QueueEntry top = queue_.top();
-  queue_.pop();
-
-  // Successors: each tuple has one canonical parent, the tuple with its last
-  // non-zero coordinate lowered by one, so a tuple bumps only coordinates at
-  // or after that one and is pushed exactly once. The parent precedes the
-  // child in (cost, indices) order (the unit streams are non-decreasing), so
-  // every tuple is queued before its turn and the pop order is the same as
-  // with every predecessor bumping it.
-  size_t last = top.indices.size();
-  while (last > 0 && top.indices[last - 1] == 0) --last;
-  for (size_t c = last == 0 ? 0 : last - 1; c < top.indices.size(); ++c) {
-    std::vector<size_t> next_indices = top.indices;
+void TieredEnumerator::PushSuccessors(const std::vector<size_t>& indices) {
+  // Each tuple has one canonical parent, the tuple with its last non-zero
+  // coordinate lowered by one, so a tuple bumps only coordinates at or after
+  // that one and is pushed exactly once. The parent precedes the child in
+  // (cost, indices) order (the unit streams are non-decreasing), so every
+  // tuple is queued before its turn and the pop order is the same as with
+  // every predecessor bumping it.
+  size_t last = indices.size();
+  while (last > 0 && indices[last - 1] == 0) --last;
+  for (size_t c = last == 0 ? 0 : last - 1; c < indices.size(); ++c) {
+    std::vector<size_t> next_indices = indices;
     ++next_indices[c];
     if (!Materialize(static_cast<int>(c), next_indices[c])) continue;
     queue_.push({Compose(next_indices), std::move(next_indices)});
   }
+}
+
+std::optional<TieredResult> TieredEnumerator::Next() {
+  // The successors of the tuple the last call returned are pushed now, when
+  // the next result is asked for: materializing them runs unit expansions
+  // that only later results need. A successor's cost is at least its
+  // parent's, so no successor could have come out before this call.
+  PushSuccessors(pending_successors_);
+  pending_successors_.clear();
+  if (truncated_ || queue_.empty()) return std::nullopt;
+  QueueEntry top = queue_.top();
+  queue_.pop();
   Triangulation result = Assemble(top.indices);
   if (lifted_ && IsExpired(deadline_)) {
     truncated_ = true;
     return std::nullopt;
   }
+  pending_successors_ = std::move(top.indices);
   return TieredResult{std::move(result), tier_};
 }
 

@@ -146,7 +146,10 @@ class TieredEnumerator {
 
   /// The next-cheapest minimal triangulation (original vertex ids) with its
   /// tier label. Heuristic streams are non-decreasing in κ within the
-  /// restricted family; exact/atom-exact streams are complete.
+  /// restricted family; exact/atom-exact streams are complete. Each call
+  /// first queues the successors of the result the previous call returned,
+  /// so the unit expansions they need run only once a further result is
+  /// asked for (a deadline that cuts them ends the stream on that call).
   std::optional<TieredResult> Next();
 
  private:
@@ -188,6 +191,9 @@ class TieredEnumerator {
   /// the deadline has expired.
   bool CutByDeadline();
   bool Materialize(int unit, size_t i);
+  /// Queues the successors of the tuple `indices` (materializing the unit
+  /// results they name).
+  void PushSuccessors(const std::vector<size_t>& indices);
   CostValue Compose(const std::vector<size_t>& indices) const;
   Triangulation Assemble(const std::vector<size_t>& indices);
 
@@ -218,6 +224,9 @@ class TieredEnumerator {
   std::priority_queue<QueueEntry, std::vector<QueueEntry>,
                       std::greater<QueueEntry>>
       queue_;
+  /// The tuple the last Next() returned, whose successors the next call
+  /// pushes (empty: none pending; the empty tuple has no successors).
+  std::vector<size_t> pending_successors_;
 };
 
 }  // namespace mintri

@@ -46,43 +46,136 @@ void MinTriangSolver::BuildHosts() {
     const std::vector<std::vector<int>>& children = Children(node);
     for (size_t k = 0; k < children.size(); ++k) {
       for (int cid : children[k]) {
-        host_cands_[cid].push_back({node, static_cast<int>(k)});
+        host_cands_[cid].push_back({node, FlatId(node, static_cast<int>(k))});
       }
     }
   }
 }
 
+namespace {
+
+// Sets bits [begin, end) of `words`.
+void SetBitRange(uint64_t* words, int begin, int end) {
+  if (begin >= end) return;
+  const int first = begin >> 6;
+  const int last = (end - 1) >> 6;
+  const uint64_t head = ~uint64_t{0} << (begin & 63);
+  const uint64_t tail = ~uint64_t{0} >> (63 - ((end - 1) & 63));
+  if (first == last) {
+    words[first] |= head & tail;
+    return;
+  }
+  words[first] |= head;
+  for (int w = first + 1; w < last; ++w) words[w] = ~uint64_t{0};
+  words[last] |= tail;
+}
+
+// Calls fn(i) for every set bit i of `words`, in ascending order.
+template <typename Fn>
+void ForEachBit(const std::vector<uint64_t>& words, Fn&& fn) {
+  for (size_t w = 0; w < words.size(); ++w) {
+    for (uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+      fn(static_cast<int>(w * 64) + __builtin_ctzll(bits));
+    }
+  }
+}
+
+// Sets `*out` to the items (of `count`) that contain every vertex of `s`:
+// the AND of s's rows of `incidence`, one row of out->size() words per
+// vertex.
+void Containing(const VertexSet& s, const std::vector<uint64_t>& incidence,
+                size_t count, std::vector<uint64_t>* out) {
+  const size_t words = out->size();
+  std::fill(out->begin(), out->end(), ~uint64_t{0});
+  if (count % 64 != 0) out->back() = (uint64_t{1} << (count % 64)) - 1;
+  s.ForEach([&](int v) {
+    const uint64_t* row = &incidence[v * words];
+    for (size_t w = 0; w < words; ++w) (*out)[w] &= row[w];
+  });
+}
+
+}  // namespace
+
+void MinTriangSolver::BuildRowIndex() {
+  if (!hosts_built_) BuildHosts();
+  const int n = ctx_.graph().NumVertices();
+  const int num_nodes = Root() + 1;
+  const int num_pmcs = static_cast<int>(ctx_.pmcs().size());
+  node_words_ = (num_nodes + 63) / 64;
+  pmc_words_ = (num_pmcs + 63) / 64;
+  vertex_nodes_.assign(static_cast<size_t>(n) * node_words_, 0);
+  vertex_pmcs_.assign(static_cast<size_t>(n) * pmc_words_, 0);
+  for (int node = 0; node < num_nodes; ++node) {
+    NodeVertices(node).ForEach([&](int v) {
+      vertex_nodes_[v * node_words_ + (node >> 6)] |= uint64_t{1}
+                                                      << (node & 63);
+    });
+  }
+  for (int p = 0; p < num_pmcs; ++p) {
+    ctx_.pmcs()[p].ForEach([&](int v) {
+      vertex_pmcs_[v * pmc_words_ + (p >> 6)] |= uint64_t{1} << (p & 63);
+    });
+  }
+  // Each PMC's flat candidate ids, as a CSR over the PMC ids.
+  pmc_cand_begin_.assign(num_pmcs + 1, 0);
+  for (int node = 0; node < num_nodes; ++node) {
+    for (int p : Candidates(node)) ++pmc_cand_begin_[p + 1];
+  }
+  for (int p = 0; p < num_pmcs; ++p) {
+    pmc_cand_begin_[p + 1] += pmc_cand_begin_[p];
+  }
+  pmc_cand_ids_.resize(cand_node_.size());
+  std::vector<int> next(pmc_cand_begin_.begin(), pmc_cand_begin_.end() - 1);
+  for (int node = 0; node < num_nodes; ++node) {
+    const std::vector<int>& cands = Candidates(node);
+    for (size_t k = 0; k < cands.size(); ++k) {
+      pmc_cand_ids_[next[cands[k]]++] = FlatId(node, static_cast<int>(k));
+    }
+  }
+  containing_nodes_.resize(node_words_);
+  containing_pmcs_.resize(pmc_words_);
+}
+
 size_t MinTriangSolver::Row(int sep_id, bool inclusion) {
   if (row_slot_[sep_id] < 0) {
-    // One scan over every candidate, done once per separator ever used in
-    // a constraint; afterwards every constraint change over this separator
-    // is a few word ORs with no subset tests at all. The scan fills the
-    // exclusion row in the first half of the scratch and the inclusion row
-    // in the second.
+    // Built once per separator ever used in a constraint, from the vertex
+    // incidence instead of subset tests: the nodes and PMCs ⊇ S are ANDs of
+    // |S| incidence rows. Afterwards every constraint change over this
+    // separator is a few word ORs. The exclusion row goes to the first half
+    // of the scratch, the inclusion row to the second.
+    if (vertex_nodes_.empty()) BuildRowIndex();
     row_slot_[sep_id] = static_cast<int>(row_begin_.size() / 2);
     const VertexSet& s = ctx_.minimal_separators()[sep_id];
-    for (int node = 0; node <= Root(); ++node) {
-      if (!s.IsSubsetOf(NodeVertices(node))) continue;
-      const std::vector<int>& cands = Candidates(node);
-      const std::vector<std::vector<int>>& children = Children(node);
-      for (size_t k = 0; k < cands.size(); ++k) {
-        const int id = FlatId(node, static_cast<int>(k));
-        const uint64_t bit = uint64_t{1} << (id & 63);
-        if (s.IsSubsetOf(ctx_.pmcs()[cands[k]])) {
-          // Exclusion geometry: the κ[I,X] exclusion test reads S here.
-          row_scratch_[id >> 6] |= bit;
-        } else if (std::none_of(children[k].begin(), children[k].end(),
-                                [&](int cid) {
-                                  return s.IsSubsetOf(
-                                      ctx_.blocks()[cid].vertices);
-                                })) {
-          // Inclusion geometry: S fits the block but is neither inside Ω
-          // nor inside a child block — the only place the inclusion test
-          // flips.
-          row_scratch_[num_words_ + (id >> 6)] |= bit;
-        }
+    Containing(s, vertex_nodes_, Root() + 1, &containing_nodes_);
+    Containing(s, vertex_pmcs_, ctx_.pmcs().size(), &containing_pmcs_);
+    uint64_t* exclusion = row_scratch_.data();
+    uint64_t* inclusion_row = row_scratch_.data() + num_words_;
+    const auto clear = [&](int id) {
+      inclusion_row[id >> 6] &= ~(uint64_t{1} << (id & 63));
+    };
+    // Inclusion geometry: S fits the block (every candidate of a node
+    // ⊇ S) but lies neither inside a child block (the host candidates of
+    // each block ⊇ S) nor inside Ω (below) — the only place the inclusion
+    // test flips.
+    ForEachBit(containing_nodes_, [&](int node) {
+      SetBitRange(inclusion_row, cand_offset_[node], cand_offset_[node + 1]);
+    });
+    ForEachBit(containing_nodes_, [&](int node) {
+      if (node == Root()) return;
+      for (const auto& [host, id] : host_cands_[node]) clear(id);
+    });
+    // Exclusion geometry: the candidates whose Ω ⊇ S, where the κ[I,X]
+    // exclusion test reads S. Every node holds its candidates' Ω, so they
+    // are all among the nodes ⊇ S.
+    ForEachBit(containing_pmcs_, [&](int p) {
+      for (int i = pmc_cand_begin_[p]; i < pmc_cand_begin_[p + 1]; ++i) {
+        const int id = pmc_cand_ids_[i];
+        assert((containing_nodes_[cand_node_[id] >> 6] >>
+                (cand_node_[id] & 63)) & 1);
+        exclusion[id >> 6] |= uint64_t{1} << (id & 63);
+        clear(id);
       }
-    }
+    });
     for (size_t w = 0; w < 2 * num_words_; ++w) {
       if (w == num_words_) row_begin_.push_back(row_word_.size());
       if (row_scratch_[w] == 0) continue;
@@ -256,9 +349,9 @@ void MinTriangSolver::Repick(int node, bool cascade) {
   if (!cascade || node == Root()) return;
   // A blocked candidate is ∞ whatever its children hold, and un-blocking it
   // dirties it anyway, so only unblocked hosts need a re-evaluation.
-  for (const auto& [host, hk] : host_cands_[node]) {
+  for (const auto& [host, id] : host_cands_[node]) {
     assert(host > node);
-    if (!Blocked(host, hk)) MarkDirty(host, hk);
+    if (!BlockedId(id)) MarkDirty(host, id - cand_offset_[host]);
   }
 }
 

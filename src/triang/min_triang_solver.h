@@ -30,6 +30,15 @@ namespace mintri {
 ///  - its inclusion row holds the candidates where S fits the block
 ///    (S ⊆ S∪C) but lies neither inside Ω nor inside a child block.
 ///
+/// Rows are built from vertex incidence, with no subset tests: the nodes
+/// ⊇ S and the PMCs ⊇ S are the ANDs of |S| per-vertex bitsets. The
+/// inclusion row is the candidate ranges of the nodes ⊇ S minus the host
+/// candidates of every block ⊇ S (those have a child ⊇ S); the candidates
+/// of the PMCs ⊇ S then move from it to the exclusion row. A row costs
+/// O(|S|·(B+P)/64) word operations plus its output. The per-vertex bitsets
+/// and the PMC→candidate index are built with the first row, so a one-shot
+/// solve never builds them.
+///
 /// The solver keeps inc = OR of I's inclusion rows and exc = OR of X's
 /// exclusion rows; a candidate is blocked when its bit of inc | exc is set,
 /// which holds exactly when CombineViolatesConstraints would reject the bag.
@@ -146,14 +155,18 @@ class MinTriangSolver {
   // Flat id of candidate k of `node`, and whether the current [I, X]
   // blocks it.
   int FlatId(int node, int k) const { return cand_offset_[node] + k; }
-  bool Blocked(int node, int k) const {
-    const int id = FlatId(node, k);
+  bool BlockedId(int id) const {
     return (blocked_[id >> 6] >> (id & 63)) & 1;
   }
+  bool Blocked(int node, int k) const { return BlockedId(FlatId(node, k)); }
 
   // The index of separator sep_id's exclusion row, or of its inclusion
   // row; both are built on first use.
   size_t Row(int sep_id, bool inclusion);
+
+  // Builds the row index (and host_cands_) on the first row, so a one-shot
+  // full pass never pays for it.
+  void BuildRowIndex();
 
   // Brings one side's accumulator (inc_ or exc_) from the rows of
   // `*current` to the rows of `ids`, and stores `ids` in `*current`.
@@ -218,9 +231,10 @@ class MinTriangSolver {
   // Per-node range-min tree whose leaves are the node's candidate values
   // (built by the first full pass, point-updated by repairs).
   std::vector<RangeMinTree> cand_trees_;
-  // host_cands_[b]: the exact (host node, candidate k) pairs with block b
-  // among candidate k's children — the candidate-granular reverse edges a
-  // repair dirties directly (no per-candidate child scan).
+  // host_cands_[b]: the exact (host node, flat candidate id) pairs with
+  // block b among the candidate's children — the candidate-granular reverse
+  // edges a repair dirties directly (no per-candidate child scan), and the
+  // candidates an inclusion row drops for a block ⊇ S.
   std::vector<std::vector<std::pair<int, int>>> host_cands_;
   bool hosts_built_ = false;
 
@@ -241,6 +255,20 @@ class MinTriangSolver {
   std::vector<uint32_t> row_word_;
   std::vector<uint64_t> row_bits_;
   std::vector<uint64_t> row_scratch_;  // two dense rows, zero between uses
+
+  // The row index. vertex_nodes_ holds one row of node_words_ words per
+  // vertex v, the nodes whose vertex set holds v (the root in every row);
+  // vertex_pmcs_ likewise the PMCs that hold v. PMC p's flat candidate ids
+  // are pmc_cand_ids_[pmc_cand_begin_[p] .. pmc_cand_begin_[p + 1]).
+  size_t node_words_ = 0;
+  size_t pmc_words_ = 0;
+  std::vector<uint64_t> vertex_nodes_;
+  std::vector<uint64_t> vertex_pmcs_;
+  std::vector<int> pmc_cand_begin_;
+  std::vector<int> pmc_cand_ids_;
+  // Row() scratch: the nodes and the PMCs ⊇ S.
+  std::vector<uint64_t> containing_nodes_;
+  std::vector<uint64_t> containing_pmcs_;
 
   // Current constraint state: the sorted separator ids, each side's OR of
   // rows, and the blocked set inc_ | exc_.

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "chordal/lb_triang.h"
 #include "cost/constrained_cost.h"
 #include "cost/standard_costs.h"
 #include "test_util.h"
@@ -154,6 +155,63 @@ void DifferentialWalk(const TriangulationContext& ctx, const BagCost& cost,
   }
 }
 
+// The Lawler–Murty partitions [I ∪ {S_1..S_{i-1}}, X ∪ {S_i}] of [I, X]
+// along `seps`.
+std::vector<std::pair<std::vector<int>, std::vector<int>>> Partitions(
+    const std::vector<int>& include, const std::vector<int>& exclude,
+    const std::vector<int>& seps) {
+  std::vector<std::pair<std::vector<int>, std::vector<int>>> out;
+  std::vector<int> inc = include;
+  for (int id : seps) {
+    std::vector<int> exc = exclude;
+    InsertSorted(&exc, id);
+    out.push_back({inc, exc});
+    InsertSorted(&inc, id);
+  }
+  return out;
+}
+
+// A Lawler–Murty sibling walk two levels deep, cross-checked at every
+// step: the partitions of the unconstrained optimum, and of each
+// partition's own optimum in turn, every step a repair of the previous one.
+// Returns the number of first-level partitions.
+size_t SiblingWalk(MinTriangSolver& solver, const TriangulationContext& ctx,
+                   const BagCost& cost, const std::string& name) {
+  auto root = SolveAndCompare(solver, ctx, cost, {}, {}, name + " root");
+  if (!root.has_value()) return 0;
+  const auto level1 = Partitions({}, {}, FreeSeparators(ctx, *root, {}));
+  for (size_t i = 0; i < level1.size(); ++i) {
+    const auto& [include, exclude] = level1[i];
+    const std::string where =
+        name + " level 1 partition " + std::to_string(i);
+    auto child = SolveAndCompare(solver, ctx, cost, include, exclude, where);
+    if (::testing::Test::HasFatalFailure()) break;
+    if (!child.has_value()) continue;
+    const auto level2 =
+        Partitions(include, exclude, FreeSeparators(ctx, *child, include));
+    for (size_t j = 0; j < level2.size(); ++j) {
+      SolveAndCompare(solver, ctx, cost, level2[j].first, level2[j].second,
+                      where + ", level 2 partition " + std::to_string(j));
+      if (::testing::Test::HasFatalFailure()) return level1.size();
+    }
+  }
+  return level1.size();
+}
+
+// Hubs a = 0 and b = 1 joined by `paths` disjoint paths of `length` inner
+// vertices each. G − {a, b} has one component per path, so a root
+// candidate ⊇ {a, b} has a child block for every other path.
+Graph HubPaths(int paths, int length) {
+  Graph g(2 + paths * length);
+  int v = 2;
+  for (int p = 0; p < paths; ++p) {
+    g.AddEdge(0, v);
+    for (int i = 1; i < length; ++i, ++v) g.AddEdge(v, v + 1);
+    g.AddEdge(v++, 1);
+  }
+  return g;
+}
+
 TEST(MinTriangSolverTest, DifferentialOnFamilyCorpus) {
   ASSERT_FALSE(Corpus().empty());
   WidthCost width;
@@ -184,6 +242,68 @@ TEST(MinTriangSolverTest, DifferentialOnBoundedWidthContexts) {
                        0xb0b0 + seed, 8);
       if (::testing::Test::HasFatalFailure()) return;
     }
+  }
+}
+
+TEST(MinTriangSolverTest, DifferentialOnPartialCandidateLists) {
+  // The bit rows are built from vertex incidence and the host lists. On
+  // contexts whose candidate lists are partial (a Tier-2 family drops the
+  // PMCs it cannot wire, a width bound the over-bound ones) and on a root
+  // with many children, every repaired solve must still match the
+  // from-scratch DP, on random walks and on Lawler–Murty sibling walks.
+  std::vector<std::pair<std::string, TriangulationContext>> contexts;
+  const std::vector<std::pair<std::string, Graph>> family_graphs = {
+      {"grid-4x4", workloads::Grid(4, 4)},
+      {"grid-3x6", workloads::Grid(3, 6)},
+      {"er-14a", workloads::ConnectedErdosRenyi(14, 0.3, 52000)},
+      {"er-14b", workloads::ConnectedErdosRenyi(14, 0.3, 52001)},
+  };
+  for (const auto& [name, g] : family_graphs) {
+    // Tier 2's family: the clique trees of two LB-Triang minimal
+    // triangulations (min-degree and identity order).
+    std::vector<VertexSet> minseps, pmcs;
+    std::vector<int> order(g.NumVertices());
+    for (int v = 0; v < g.NumVertices(); ++v) order[v] = v;
+    for (const Graph& h : {LbTriangMinDegree(g), LbTriang(g, order)}) {
+      TriangulationTree tree = CliqueTreeOfChordal(h);
+      minseps.insert(minseps.end(), tree.separators.begin(),
+                     tree.separators.end());
+      pmcs.insert(pmcs.end(), tree.bags.begin(), tree.bags.end());
+    }
+    auto ctx = TriangulationContext::BuildFromFamily(g, std::move(minseps),
+                                                     std::move(pmcs));
+    ASSERT_TRUE(ctx.has_value()) << name;
+    contexts.push_back({"family " + name, std::move(*ctx)});
+  }
+  {
+    ContextOptions options;
+    options.width_bound = 4;
+    auto ctx = TriangulationContext::Build(workloads::Grid(4, 5), options);
+    ASSERT_TRUE(ctx.has_value());
+    contexts.push_back({"grid-4x5 b=4", std::move(*ctx)});
+  }
+  {
+    auto ctx = TriangulationContext::Build(HubPaths(6, 2));
+    ASSERT_TRUE(ctx.has_value());
+    size_t most_children = 0;
+    for (const std::vector<int>& children : ctx->root_children()) {
+      most_children = std::max(most_children, children.size());
+    }
+    EXPECT_GE(most_children, 5u);
+    contexts.push_back({"hub-paths 6x2", std::move(*ctx)});
+  }
+  WidthCost width;
+  FillInCost fill;
+  for (const auto& [name, ctx] : contexts) {
+    ASSERT_FALSE(ctx.minimal_separators().empty()) << name;
+    DifferentialWalk(ctx, width, name + "/width", 0xfa3 + 1, 12);
+    DifferentialWalk(ctx, fill, name + "/fill", 0xfa3 + 2, 12);
+    for (const BagCost* cost : {static_cast<const BagCost*>(&width),
+                                static_cast<const BagCost*>(&fill)}) {
+      MinTriangSolver solver(ctx, *cost);
+      SiblingWalk(solver, ctx, *cost, name + " siblings");
+    }
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
@@ -459,39 +579,8 @@ TEST(MinTriangSolverTest, TruncatedRepairDoesNotCorruptLaterSolves) {
   check({0}, {1}, "a further incremental step");
   check({}, {}, "back to unconstrained");
 
-  // Then a Lawler–Murty sibling walk two levels deep: the partitions of the
-  // optimum, and of each partition's own optimum in turn, every step a
-  // repair of the previous one.
-  const auto partitions = [](const std::vector<int>& include,
-                             const std::vector<int>& exclude,
-                             const std::vector<int>& seps) {
-    std::vector<std::pair<std::vector<int>, std::vector<int>>> out;
-    std::vector<int> inc = include;
-    for (int id : seps) {
-      std::vector<int> exc = exclude;
-      InsertSorted(&exc, id);
-      out.push_back({inc, exc});
-      InsertSorted(&inc, id);
-    }
-    return out;
-  };
-  auto root = check({}, {}, "the walk's root");
-  ASSERT_TRUE(root.has_value());
-  const auto level1 = partitions({}, {}, FreeSeparators(*ctx, *root, {}));
-  ASSERT_GT(level1.size(), 1u);
-  for (size_t i = 0; i < level1.size(); ++i) {
-    const auto& [include, exclude] = level1[i];
-    const std::string where = "level 1 partition " + std::to_string(i);
-    auto child = check(include, exclude, where);
-    if (!child.has_value()) continue;
-    const auto level2 =
-        partitions(include, exclude, FreeSeparators(*ctx, *child, include));
-    for (size_t j = 0; j < level2.size(); ++j) {
-      check(level2[j].first, level2[j].second,
-            where + ", level 2 partition " + std::to_string(j));
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-  }
+  // Then a Lawler–Murty sibling walk two levels deep.
+  EXPECT_GT(SiblingWalk(solver, *ctx, fill, "sibling walk"), 1u);
 }
 
 TEST(MinTriangSolverTest, RepairsStartFromAnEmptyWorklist) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
+#include <queue>
 #include <set>
 #include <string>
 #include <utility>
@@ -13,6 +16,7 @@
 #include "enumeration/ckk.h"
 #include "enumeration/tree_decomposition.h"
 #include "test_util.h"
+#include "triang/min_triang_solver.h"
 #include "workloads/graphical_models.h"
 #include "workloads/named_graphs.h"
 #include "workloads/random_graphs.h"
@@ -331,20 +335,110 @@ TEST(RankedEnumTest, ExpiredDeadlineEndsTheStreamTruthfully) {
   TriangulationContext ctx = BuildCtx(g);
   WidthCost width;
   RankedTriangulationEnumerator full(ctx, width);
-  const size_t total = Drain(full).size();
-  ASSERT_GT(total, 1u);
+  const std::vector<Triangulation> all = Drain(full);
+  ASSERT_GT(all.size(), 1u);
 
   RankedTriangulationEnumerator e(ctx, width);
   const Deadline expired(0.0);
   e.SetDeadline(&expired);
-  // The already-queued first result is still handed out, but the expansion
-  // it would have spawned is cut short — the stream ends, flagged as
+  // The first result needs no expansion: it comes out whole and nothing
+  // has been cut yet. The second needs the first result's expansion, which
+  // the expired deadline cuts, so the stream ends there, flagged as
   // truncated rather than pretending exhaustion.
   auto first = e.Next();
   ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->bags, all[0].bags);
+  EXPECT_FALSE(e.truncated());
+  EXPECT_FALSE(e.Next().has_value());
   EXPECT_TRUE(e.truncated());
   EXPECT_FALSE(e.Next().has_value());
   EXPECT_TRUE(e.truncated());
+}
+
+void InsertSorted(std::vector<int>* v, int id) {
+  v->insert(std::upper_bound(v->begin(), v->end(), id), id);
+}
+
+// Lawler–Murty over a bare MinTriangSolver, with each entry's [I, X]
+// copied: the number of free separators (MinSep(H) \ I) of every result,
+// in stream order — the solves each result's expansion makes.
+std::vector<long long> FreeSeparatorCounts(const TriangulationContext& ctx,
+                                           const BagCost& cost) {
+  struct Entry {
+    CostValue cost;
+    long long sequence;
+    TriangulationTree tree;
+    std::vector<int> include, exclude;
+  };
+  const auto later = [](const Entry& a, const Entry& b) {
+    return a.cost != b.cost ? a.cost > b.cost : a.sequence > b.sequence;
+  };
+  std::priority_queue<Entry, std::vector<Entry>, decltype(later)> queue(
+      later);
+  MinTriangSolver solver(ctx, cost);
+  long long sequence = 0;
+  if (auto t = solver.Solve({}, {})) {
+    queue.push({t->cost, sequence++, std::move(*t), {}, {}});
+  }
+  std::vector<long long> counts;
+  while (!queue.empty()) {
+    Entry top = queue.top();
+    queue.pop();
+    std::vector<int> free_seps;
+    for (const VertexSet& s : top.tree.separators) {
+      const int id = ctx.SeparatorId(s);
+      if (!std::binary_search(top.include.begin(), top.include.end(), id)) {
+        free_seps.push_back(id);
+      }
+    }
+    std::sort(free_seps.begin(), free_seps.end());
+    counts.push_back(static_cast<long long>(free_seps.size()));
+    std::vector<int> include = top.include;
+    for (int id : free_seps) {
+      std::vector<int> exclude = top.exclude;
+      InsertSorted(&exclude, id);
+      if (auto h = solver.Solve(include, exclude)) {
+        queue.push({h->cost, sequence++, std::move(*h), include, exclude});
+      }
+      InsertSorted(&include, id);
+    }
+  }
+  return counts;
+}
+
+TEST(RankedEnumTest, TopKRunsOnlyTheExpansionsItNeeds) {
+  // A result's expansion runs when the next result is asked for, so after
+  // k Next() calls the solver has made the first (full) solve plus one
+  // solve per free separator of results 0..k-2. Drained, the stream has
+  // run every expansion: the same count as expanding at pop time.
+  const std::vector<Graph> graphs = {workloads::Grid(3, 4),
+                                     workloads::Cycle(7)};
+  WidthCost width;
+  FillInCost fill;
+  for (size_t gi = 0; gi < graphs.size(); ++gi) {
+    TriangulationContext ctx = BuildCtx(graphs[gi]);
+    for (const BagCost* cost : {static_cast<const BagCost*>(&width),
+                                static_cast<const BagCost*>(&fill)}) {
+      const std::vector<long long> free_counts =
+          FreeSeparatorCounts(ctx, *cost);
+      ASSERT_GT(free_counts.size(), 2u);
+      RankedTriangulationEnumerator e(ctx, *cost);
+      EXPECT_EQ(e.num_optimizer_calls(), 1);
+      long long expected = 1;
+      size_t k = 0;
+      while (e.NextTree().has_value()) {
+        ++k;
+        if (k >= 2) expected += free_counts[k - 2];
+        ASSERT_EQ(e.num_optimizer_calls(), expected)
+            << "graph " << gi << " after " << k << " results";
+      }
+      EXPECT_EQ(k, free_counts.size()) << "graph " << gi;
+      EXPECT_EQ(e.num_optimizer_calls(),
+                1 + std::accumulate(free_counts.begin(), free_counts.end(),
+                                    0LL))
+          << "graph " << gi << " drained";
+    }
+  }
 }
 
 }  // namespace

@@ -550,5 +550,44 @@ TEST(TieredEnumTest, ChordalInputEmitsExactlyOneResult) {
   EXPECT_FALSE(e.Next().has_value());
 }
 
+TEST(TieredEnumTest, ExpiredDeadlineEndsTheStreamTruthfully) {
+  // As for RankedTriangulationEnumerator: the first result needs no unit
+  // expansion, so it comes out with nothing cut. The second needs the
+  // successors of the first tuple, whose unit expansion the expired
+  // deadline cuts: that call ends the stream, flagged as truncated. Both a
+  // one-unit stream and a two-component product.
+  Graph two(18);
+  Graph grid = workloads::Grid(3, 3);
+  for (int offset : {0, 9}) {
+    for (int u = 0; u < 9; ++u) {
+      for (int v : grid.Neighbors(u).ToVector()) {
+        if (u < v) two.AddEdge(offset + u, offset + v);
+      }
+    }
+  }
+  WidthCost width;
+  for (const Graph* g : {&grid, &two}) {
+    TierOptions exact;
+    exact.mode = TierOptions::Mode::kExact;
+    TieredEnumerator full(*g, width, CostComposition::kMax, {}, {}, exact);
+    auto reference = full.Next();
+    ASSERT_TRUE(reference.has_value());
+    ASSERT_TRUE(full.Next().has_value());
+
+    TieredEnumerator e(*g, width, CostComposition::kMax, {}, {}, exact);
+    ASSERT_TRUE(e.init_ok());
+    const Deadline expired(0.0);
+    e.SetDeadline(&expired);
+    auto first = e.Next();
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(first->triangulation.bags, reference->triangulation.bags);
+    EXPECT_FALSE(e.truncated());
+    EXPECT_FALSE(e.Next().has_value());
+    EXPECT_TRUE(e.truncated());
+    EXPECT_FALSE(e.Next().has_value());
+    EXPECT_TRUE(e.truncated());
+  }
+}
+
 }  // namespace
 }  // namespace mintri
